@@ -1,6 +1,5 @@
 #include "common/spin_delay.h"
 
-#include <atomic>
 #include <chrono>
 
 #if defined(__x86_64__)
@@ -9,75 +8,20 @@
 
 namespace ido {
 
-namespace {
-
-std::atomic<uint64_t> g_iters_per_100ns{0};
-
-inline void
-relax_once()
-{
-#if defined(__x86_64__)
-    _mm_pause();
-#else
-    asm volatile("" ::: "memory");
-#endif
-}
-
-/** Run the relax loop n times; opaque to the optimizer. */
-void
-burn(uint64_t n)
-{
-    for (uint64_t i = 0; i < n; ++i)
-        relax_once();
-}
-
-uint64_t
-calibrate_once()
-{
-    using clock = std::chrono::steady_clock;
-    // Warm up, then time a large burn and solve for iters/100ns.
-    burn(10000);
-    constexpr uint64_t kIters = 2'000'000;
-    const auto t0 = clock::now();
-    burn(kIters);
-    const auto t1 = clock::now();
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-        t1 - t0).count();
-    if (ns <= 0)
-        return 100; // pathological timer; fall back to a guess
-    uint64_t per_100ns = kIters * 100 / static_cast<uint64_t>(ns);
-    if (per_100ns == 0)
-        per_100ns = 1;
-    return per_100ns;
-}
-
-} // namespace
-
-void
-spin_delay_calibrate()
-{
-    if (g_iters_per_100ns.load(std::memory_order_relaxed) == 0)
-        g_iters_per_100ns.store(calibrate_once(), std::memory_order_relaxed);
-}
-
-uint64_t
-spin_delay_iters_per_100ns()
-{
-    spin_delay_calibrate();
-    return g_iters_per_100ns.load(std::memory_order_relaxed);
-}
-
 void
 spin_delay_ns(uint32_t ns)
 {
     if (ns == 0)
         return;
-    uint64_t per_100ns = g_iters_per_100ns.load(std::memory_order_relaxed);
-    if (per_100ns == 0) {
-        spin_delay_calibrate();
-        per_100ns = g_iters_per_100ns.load(std::memory_order_relaxed);
+    using clock = std::chrono::steady_clock;
+    const auto deadline = clock::now() + std::chrono::nanoseconds(ns);
+    while (clock::now() < deadline) {
+#if defined(__x86_64__)
+        _mm_pause();
+#else
+        asm volatile("" ::: "memory");
+#endif
     }
-    burn(per_100ns * ns / 100 + 1);
 }
 
 } // namespace ido

@@ -1,12 +1,13 @@
 /**
  * @file
- * Calibrated nanosecond-scale busy wait.
+ * Nanosecond-scale busy wait.
  *
  * The Fig. 9 sensitivity study inserts a configurable delay "looping with
  * nops" after each store/flush to nonvolatile memory, exactly as done by
  * Mnemosyne and Atlas.  A sleep would be far too coarse (and would yield
- * the core, perturbing the scalability measurements), so we calibrate a
- * pause-loop against the TSC-backed steady clock once per process.
+ * the core, perturbing the scalability measurements), so we spin on a
+ * pause loop until a steady-clock deadline.  Nothing is calibrated, so
+ * the wait never falls short however the machine's speed drifts.
  */
 #pragma once
 
@@ -14,13 +15,7 @@
 
 namespace ido {
 
-/** Calibrate iterations-per-nanosecond; called lazily, thread safe. */
-void spin_delay_calibrate();
-
-/** Busy-wait approximately ns nanoseconds. ns == 0 returns immediately. */
+/** Busy-wait at least ns nanoseconds. ns == 0 returns immediately. */
 void spin_delay_ns(uint32_t ns);
-
-/** Iterations the calibrated loop performs per ~100ns (for tests). */
-uint64_t spin_delay_iters_per_100ns();
 
 } // namespace ido

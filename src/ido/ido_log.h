@@ -14,7 +14,9 @@
  *    safe: registers logged in the current region are consumed only by
  *    later regions, so flushing whole lines in slot order is fine.
  *  - lock_array + lock_bitmap: indirect lock holders owned by the
- *    thread (Sec. III-B), updated with a single fence per lock op.
+ *    thread (Sec. III-B).  Written from the FASE's activation on (the
+ *    activation writes every lock already held, ordered by the
+ *    activation's fence 1), then with a single fence per lock op.
  *
  * The record is laid out so each logically-distinct persist target sits
  * on its own cache line(s).

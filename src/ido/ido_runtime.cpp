@@ -1,5 +1,6 @@
 #include "ido/ido_runtime.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 
@@ -337,16 +338,28 @@ IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
     // First potentially-storing region: persist every register any
     // region consumes as live-in (current values ARE this region's
     // entry state; registers defined later get re-persisted, fresher,
-    // at their defining region's boundary), then go live.  The lock
-    // ownership records written so far were flushed at their lock
-    // operations' own fences, so they are already ordered before the
-    // recovery_pc publish.
+    // at their defining region's boundary), then go live.  Locks taken
+    // in the read-only prefix live only in the volatile mirror; their
+    // ownership records are written here, and fence 1 orders them
+    // ahead of the activation recovery_pc.  Recovery reads a record
+    // only while its pc is active, so these are exactly the records it
+    // can ever observe -- hence fence 1 runs whenever a lock is held,
+    // live-in arguments or not.
+    if (!held_.empty()) {
+        size_t top = 0;
+        for (const HeldLock& h : held_) {
+            dom().store_val(&rec_->lock_array[h.slot], h.holder_off);
+            top = std::max<size_t>(top, h.slot);
+        }
+        dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);
+        flush_lock_record(top);
+    }
     RegionMeta args_meta{};
     for (const RegionMeta& m : prog.regions) {
         args_meta.out_int |= m.live_in_int;
         args_meta.out_float |= m.live_in_float;
     }
-    if (args_meta.out_int || args_meta.out_float)
+    if (args_meta.out_int || args_meta.out_float || !held_.empty())
         persist_outputs(args_meta, ctx);
     // Never deferred: the region about to run stores to the heap, and
     // if its dirty lines persisted while the activation pc dropped, the
@@ -435,6 +448,35 @@ IdoThread::do_store_covered(uint64_t off, const void* src, size_t n)
 }
 
 void
+IdoThread::flush_lock_record(size_t top_slot)
+{
+    // The bitmap shares a line with the first seven array slots, so the
+    // common lock depth costs one write-back.
+    dom().flush(&rec_->lock_bitmap, (top_slot + 2) * sizeof(uint64_t));
+}
+
+void
+IdoThread::record_lock_op(size_t slot, uint64_t holder_off)
+{
+    dom().store_val(&rec_->lock_array[slot], holder_off);
+    dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);
+    flush_lock_record(slot);
+    if (group_mode_) {
+        // Thread-private lock (group contract): nobody else can take
+        // it, so the ownership record may trail until the batch-close
+        // fence.  A crash-torn record at worst skips a reacquisition
+        // that has no contenders, or reacquires an uncontended lock
+        // the resumed unlock region releases again.
+        marker_flush_pending_ = true;
+        static std::atomic<uint64_t>& elided =
+            group_metric("ido.group.fences_elided");
+        elided.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        dom().fence(); // the single ordered write per lock op (III-B)
+    }
+}
+
+void
 IdoThread::do_lock(uint64_t holder_off, rt::TransientLock& l)
 {
     acquire_transient(l);
@@ -451,27 +493,11 @@ IdoThread::do_lock(uint64_t holder_off, rt::TransientLock& l)
     IDO_ASSERT(slot >= 0, "more than %zu locks held in one FASE",
                kMaxHeldLocks);
     lock_bitmap_mirror_ |= 1ull << slot;
-    dom().store_val(&rec_->lock_array[slot], holder_off);
-    dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);
-    // Bitmap and low array slots share a cache line: one write-back
-    // covers both for the common lock depth.
-    dom().flush(&rec_->lock_bitmap,
-                (slot < 7 ? (slot + 2) : 1) * sizeof(uint64_t));
-    if (slot >= 7)
-        dom().flush(&rec_->lock_array[slot], sizeof(uint64_t));
-    if (group_mode_) {
-        // Thread-private lock (group contract): nobody else can take
-        // it, so the ownership record may trail until the batch-close
-        // fence.  A crash-torn record at worst skips a reacquisition
-        // that has no contenders.
-        marker_flush_pending_ = true;
-        static std::atomic<uint64_t>& elided =
-            group_metric("ido.group.fences_elided");
-        elided.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        dom().fence(); // the single ordered write per lock op (III-B)
-    }
     held_.push_back(HeldLock{holder_off, static_cast<uint8_t>(slot)});
+    // In the read-only prefix the record is written at activation, if
+    // ever.
+    if (activated_)
+        record_lock_op(static_cast<size_t>(slot), holder_off);
 }
 
 void
@@ -487,24 +513,9 @@ IdoThread::do_unlock(uint64_t holder_off, rt::TransientLock& l)
     }
     IDO_ASSERT(slot >= 0, "unlocking a lock not held");
     lock_bitmap_mirror_ &= ~(1ull << slot);
-    dom().store_val(&rec_->lock_array[slot], uint64_t{0});
-    dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);
-    dom().flush(&rec_->lock_bitmap,
-                (slot < 7 ? (slot + 2) : 1) * sizeof(uint64_t));
-    if (slot >= 7)
-        dom().flush(&rec_->lock_array[slot], sizeof(uint64_t));
-    if (group_mode_) {
-        // Releasing before the cleared record is durable is safe only
-        // because the lock is thread-private in a group: if the crash
-        // keeps the stale record, recovery reacquires an uncontended
-        // lock and the resumed unlock region releases it again.
-        marker_flush_pending_ = true;
-        static std::atomic<uint64_t>& elided =
-            group_metric("ido.group.fences_elided");
-        elided.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        dom().fence(); // single fence, then release
-    }
+    // Before activation nothing was recorded, so nothing to clear.
+    if (activated_)
+        record_lock_op(static_cast<size_t>(slot), 0); // then release
     crash_tick();
     l.unlock();
 }

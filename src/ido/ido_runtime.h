@@ -13,8 +13,13 @@
  * Two persist fences per region, independent of the number of stores --
  * this is the paper's entire performance argument.
  *
- * Lock protocol (indirect locking, Sec. III-B): one persist fence per
- * acquire/release, covering the lock_array entry and its bitmap bit.
+ * Lock protocol (indirect locking, Sec. III-B): lock ownership records
+ * (lock_array entry + bitmap bit) are persisted from activation on.  A
+ * lock taken in a FASE's lazily-unactivated read-only prefix lives only
+ * in the volatile mirror; activation writes every held lock's record
+ * and boundary fence 1 orders it ahead of the activation recovery_pc.
+ * After activation each acquire/release pays one persist fence.  A
+ * FASE that never stores (a GET) thus pays no fence at all.
  */
 #pragma once
 
@@ -102,16 +107,17 @@ class IdoThread final : public rt::RuntimeThread
      *    the activation pc, never resumes at all.  The crash-point
      *    sweep in test_group_commit.cpp exercises exactly this.
      *
-     *  - lock-operation fences (Sec. III-B's one-fence-per-lock-op)
-     *    are deferred entirely.  Sound only under the group contract
-     *    (runtime.h): every lock taken inside a group is thread-
-     *    private, so a crash-torn ownership record at worst skips a
-     *    reacquisition nobody contends, or reacquires a lock already
-     *    released (both handled by the existing torn-record and
-     *    idempotent-unlock paths).
+     *  - lock-operation fences (Sec. III-B's one-fence-per-lock-op,
+     *    paid only after activation) are deferred entirely.  Sound
+     *    only under the group contract (runtime.h): every lock taken
+     *    inside a group is thread-private, so a crash-torn ownership
+     *    record at worst skips a reacquisition nobody contends, or
+     *    reacquires a lock already released (both handled by the
+     *    existing torn-record and idempotent-unlock paths).
      *
      * Boundary fence 1 (persist_outputs) is NEVER deferred: region
-     * outputs must not be outrun by the pc line.  end_persist_group
+     * outputs must not be outrun by the pc line, and at activation it
+     * also orders the read-only prefix's lock records.  end_persist_group
      * issues one closing fence covering every deferred marker, so a
      * reply released after it implies full durability of the batch.
      */
@@ -154,9 +160,19 @@ class IdoThread final : public rt::RuntimeThread
     /** Fence a deferred recovery_pc flush (group mode), if any. */
     void fence_pending_pc();
 
+    /** Start write-back of lock_bitmap and lock_array[0..top_slot]. */
+    void flush_lock_record(size_t top_slot);
+
+    /**
+     * Persist one lock op after activation: store lock_array[slot] and
+     * the bitmap, flush, then fence (or defer to the batch close).
+     */
+    void record_lock_op(size_t slot, uint64_t holder_off);
+
     IdoLogRec* rec_;
     uint64_t rec_off_;
-    uint64_t lock_bitmap_mirror_ = 0; ///< volatile copy of rec_->lock_bitmap
+    /** Held-lock slots; rec_->lock_bitmap matches it once activated. */
+    uint64_t lock_bitmap_mirror_ = 0;
     bool activated_ = false; ///< lazy: logging live for this FASE?
     bool group_mode_ = false;      ///< inside begin/end_persist_group?
     bool pc_flush_pending_ = false;   ///< recovery_pc flushed, unfenced

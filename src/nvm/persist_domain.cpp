@@ -40,8 +40,6 @@ sfence_hw()
 RealDomain::RealDomain(uint32_t extra_flush_delay_ns)
     : flush_delay_ns_(extra_flush_delay_ns)
 {
-    if (flush_delay_ns_ != 0)
-        spin_delay_calibrate();
 }
 
 void

@@ -187,17 +187,17 @@ TEST(Histogram, ClampsHugeValues)
     EXPECT_EQ(h.max_value(), 4095u);
 }
 
-TEST(SpinDelay, RoughlyCalibrated)
+TEST(SpinDelay, WaitsAtLeastTheDelay)
 {
-    spin_delay_calibrate();
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < 100; ++i)
         spin_delay_ns(10000); // 100 x 10us = 1ms nominal
     const auto t1 = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
-    // Within a factor of 4 either way is fine for an emulation knob.
-    EXPECT_GT(ms, 0.25);
+    // A deadline spin never returns early; the upper bound leaves a
+    // loaded machine 24x slack for preemption.
+    EXPECT_GE(ms, 1.0);
     EXPECT_LT(ms, 25.0);
 }
 

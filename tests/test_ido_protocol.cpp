@@ -3,15 +3,20 @@
  * Protocol-level tests for iDO normal execution: log-record lifecycle,
  * recovery_pc sequencing, fence economy (two per boundary with outputs,
  * one without; zero extra for acquires, one for releases), persist
- * coalescing of register outputs, and lock_array maintenance.
+ * coalescing of register outputs, lock_array maintenance, and exact
+ * per-op fence/flush counts of the memcached FASEs (read-only FASEs
+ * persist nothing).
  */
 #include <gtest/gtest.h>
 
+#include "apps/memcached_mini.h"
 #include "ds/fase_ids.h"
 #include "ds/stack.h"
 #include "ds/workload.h"
 #include "ido/ido_runtime.h"
 #include "nvm/persist_domain.h"
+#include "nvm/shadow_domain.h"
+#include "runtime/crash_sim.h"
 #include "stats/persist_stats.h"
 
 namespace ido {
@@ -241,6 +246,195 @@ TEST_F(IdoFixture, LockArrayTracksHeldLocks)
     EXPECT_EQ(array0_mid, holder_slot_off);
     EXPECT_EQ(probe->rec()->lock_bitmap, 0u);
     EXPECT_EQ(probe->rec()->lock_array[0], 0u);
+}
+
+TEST_F(IdoFixture, PrefixLockForcesActivationFenceOne)
+{
+    // No region has live-in registers, so only the lock taken in the
+    // read-only prefix makes activation pay fence 1: it orders the lock
+    // record ahead of the activation recovery_pc.
+    static uint64_t holder_off, data_off;
+    auto lock_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        t.fase_lock(holder_off);
+        return 1;
+    };
+    auto store_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        t.store_u64(data_off, 1);
+        return 2;
+    };
+    auto unlock_r =
+        +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+            t.fase_unlock(holder_off);
+            return rt::kRegionEnd;
+        };
+    rt::FaseProgram p;
+    p.fase_id = 9006;
+    p.name = "prefix_lock";
+    p.regions = {{lock_r, "l", 0, 0, 0, 0, /*may_store=*/0},
+                 {store_r, "s", 0, 0, 0, 0},
+                 {unlock_r, "u", 0, 0, 0, 0, /*may_store=*/0}};
+
+    auto th = runtime.make_thread();
+    holder_off = runtime.allocator().alloc(64, dom);
+    data_off = runtime.allocator().alloc(64, dom);
+    tls_persist_counters().clear();
+    rt::RegionCtx ctx;
+    th->run_fase(p, ctx);
+    // Activation: lock record + fence 1, pc 2; store boundary 2;
+    // unlock 1; final pc 1.
+    EXPECT_EQ(tls_persist_counters().fences, 6u);
+    // Lock line, pc; data, pc; lock line; pc.
+    EXPECT_EQ(tls_persist_counters().flushes, 6u);
+    tls_persist_counters().clear();
+}
+
+/** Persist cost of one memcached op on RealDomain. */
+struct OpCost
+{
+    uint64_t fences;
+    uint64_t flushes;
+};
+
+/**
+ * One cache with keys 1..4 present, driven by one iDO thread.  In
+ * group mode every op is its own persist group, so its cost includes
+ * the batch-close fence, if the op left anything to publish.
+ */
+struct McCostFixture : public ::testing::Test
+{
+    McCostFixture()
+        : heap({.size = 16u << 20}), runtime(heap, dom, {}),
+          th(runtime.make_thread()),
+          cache(heap, apps::MemcachedMini::create(*th, 1, 64))
+    {
+        apps::MemcachedMini::register_programs();
+        for (uint64_t k = 1; k <= 4; ++k)
+            cache.set(*th, k, 0, 10 * k);
+    }
+
+    template <typename Op>
+    OpCost
+    cost(bool group, Op&& op)
+    {
+        tls_persist_counters().clear();
+        if (group)
+            th->begin_persist_group();
+        op();
+        if (group)
+            th->end_persist_group();
+        const OpCost c{tls_persist_counters().fences,
+                       tls_persist_counters().flushes};
+        tls_persist_counters().clear();
+        return c;
+    }
+
+    nvm::PersistentHeap heap;
+    nvm::RealDomain dom;
+    IdoRuntime runtime;
+    std::unique_ptr<rt::RuntimeThread> th;
+    apps::MemcachedMini cache;
+};
+
+TEST_F(McCostFixture, ReadOnlyFasesPersistNothing)
+{
+    // GETs and delete-misses never reach a may_store region, so the
+    // log never activates: their lock records stay in the volatile
+    // mirror, and no group-mode close fence is owed either.
+    for (const bool group : {false, true}) {
+        uint64_t v = 0;
+        const OpCost hit = cost(group, [&] {
+            EXPECT_TRUE(cache.get(*th, 1, 0, &v));
+        });
+        const OpCost miss = cost(group, [&] {
+            EXPECT_FALSE(cache.get(*th, 99, 0, &v));
+        });
+        const OpCost del_miss = cost(group, [&] {
+            EXPECT_FALSE(cache.del(*th, 99, 0));
+        });
+        for (const OpCost& c : {hit, miss, del_miss}) {
+            EXPECT_EQ(c.fences, 0u) << "group=" << group;
+            EXPECT_EQ(c.flushes, 0u) << "group=" << group;
+        }
+    }
+}
+
+TEST_F(McCostFixture, StockWriteFenceCounts)
+{
+    // set-update: activation (args + lock record, pc) 2, update
+    // boundary (r9, pc) 2, unlock 1, final pc 1.  The lock record rides
+    // the activation's fence 1 instead of paying its own.
+    const OpCost update = cost(false, [&] { cache.set(*th, 2, 0, 7); });
+    EXPECT_EQ(update.fences, 6u);
+    // Flushes: lock line, 2 RF lines, pc; item, RF, pc; unlock; pc.
+    EXPECT_EQ(update.flushes, 9u);
+    // set-insert: activation 2, build 2, link 2, unlock 1, final 1,
+    // plus one allocator fence for the fresh item.
+    const OpCost insert = cost(false, [&] { cache.set(*th, 50, 0, 7); });
+    EXPECT_EQ(insert.fences, 9u);
+    EXPECT_EQ(insert.flushes, 17u);
+    // delete-hit activates at unlink: activation 2, unlink 2,
+    // unlock 1, final 1.
+    const OpCost del = cost(false, [&] { cache.del(*th, 50, 0); });
+    EXPECT_EQ(del.fences, 6u);
+    EXPECT_EQ(del.flushes, 12u);
+}
+
+TEST_F(McCostFixture, GroupWriteFenceCounts)
+{
+    // Group mode keeps the activation pc fence and every fence 1, and
+    // folds the trailing pc advances and the unlock into one close
+    // fence.  Flushes are unchanged: only their ordering is deferred.
+    const OpCost update = cost(true, [&] { cache.set(*th, 2, 0, 7); });
+    EXPECT_EQ(update.fences, 4u);
+    EXPECT_EQ(update.flushes, 9u);
+    // set-insert: activation 2, build 2 (link still stores ahead), link
+    // fence 1, close 1, allocator 1.
+    const OpCost insert = cost(true, [&] { cache.set(*th, 50, 0, 7); });
+    EXPECT_EQ(insert.fences, 7u);
+    EXPECT_EQ(insert.flushes, 17u);
+    const OpCost del = cost(true, [&] { cache.del(*th, 50, 0); });
+    EXPECT_EQ(del.fences, 4u);
+    EXPECT_EQ(del.flushes, 12u);
+}
+
+TEST(IdoReadOnlyFase, GetLeavesDurableLogUntouched)
+{
+    // Crash a GET at every opportunity, and once more after it
+    // finishes, keeping every dirty line: the durable log record must
+    // still read inactive with an empty lock bitmap, because nothing
+    // the GET did was ever written.
+    apps::MemcachedMini::register_programs();
+    for (int64_t k = 1;; ++k) {
+        ASSERT_LT(k, 1000) << "GET never completed";
+        nvm::PersistentHeap heap({.size = 16u << 20});
+        nvm::ShadowDomain shadow(heap.base(), heap.size(),
+                                 static_cast<uint64_t>(k));
+        IdoRuntime runtime(heap, shadow, {.check_contracts = true});
+        auto th = runtime.make_thread();
+        apps::MemcachedMini cache(heap,
+                                  apps::MemcachedMini::create(*th, 1, 64));
+        cache.set(*th, 1, 0, 10);
+        shadow.drain_all();
+
+        runtime.crash_scheduler().arm(k);
+        bool crashed = false;
+        try {
+            uint64_t v = 0;
+            EXPECT_TRUE(cache.get(*th, 1, 0, &v));
+            EXPECT_EQ(v, 10u);
+        } catch (const rt::SimCrashException&) {
+            crashed = true;
+        }
+        runtime.crash_scheduler().disarm();
+        shadow.crash(nvm::CrashPolicy::kPersistAll);
+        EXPECT_EQ(shadow.last_crash_census().lines_outstanding, 0u)
+            << "k=" << k;
+        const IdoLogRec* rec = static_cast<IdoThread*>(th.get())->rec();
+        EXPECT_EQ(rec->recovery_pc, kInactivePc) << "k=" << k;
+        EXPECT_EQ(rec->lock_bitmap, 0u) << "k=" << k;
+        if (!crashed)
+            break;
+    }
 }
 
 TEST_F(IdoFixture, TraitsMatchTableTwo)

@@ -2,7 +2,8 @@
  * @file
  * iDO recovery tests (paper Sec. III-C): resumption at every possible
  * crash point, lock reclamation, the stolen-lock window, multi-thread
- * recovery with a barrier, and crash-during-recovery idempotence.
+ * recovery with a barrier, crash-during-recovery idempotence, and the
+ * lock records of a read-only prefix, written only at activation.
  *
  * Methodology: run under ShadowDomain with the crash scheduler armed at
  * every successive opportunity k = 1, 2, 3, ... until the operation
@@ -12,14 +13,18 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <set>
 #include <thread>
 
+#include "apps/memcached_mini.h"
 #include "ds/fase_ids.h"
 #include "ds/queue.h"
 #include "ds/stack.h"
 #include "ds/workload.h"
 #include "ido/ido_runtime.h"
 #include "nvm/shadow_domain.h"
+#include "stats/metrics.h"
 
 namespace ido {
 namespace {
@@ -277,6 +282,242 @@ TEST(IdoRecovery, CleanRunNeedsNoRecoveryWork)
     const auto snap = ds::PStack::snapshot(world.heap, stack.root_off());
     ASSERT_EQ(snap.size(), 1u);
     EXPECT_EQ(snap[0], 9u);
+}
+
+/** Holders named by a log record's durable (post-crash) lock fields. */
+std::set<uint64_t>
+durable_holders(const IdoLogRec& rec)
+{
+    std::set<uint64_t> held;
+    for (size_t slot = 0; slot < kMaxHeldLocks; ++slot) {
+        if ((rec.lock_bitmap & (1ull << slot)) && rec.lock_array[slot])
+            held.insert(rec.lock_array[slot]);
+    }
+    return held;
+}
+
+uint64_t
+locks_reacquired_total()
+{
+    return MetricsRegistry::instance().counter_value(
+        "recovery.locks_reacquired");
+}
+
+TEST(IdoRecovery, PrefixLockRecordedAtActivationEveryCrashPoint)
+{
+    // memcached.set takes its shard lock in the read-only prefix (lock,
+    // read_head, walk), so the lock lives only in the volatile mirror
+    // until the update/build region activates the log.  Whenever a
+    // crash leaves the record active in a region that runs under the
+    // lock, the lock must be in the durable lock_array and recovery
+    // must reacquire it.
+    constexpr uint32_t kUnlockRegion = 6;
+    apps::MemcachedMini::register_programs();
+    for (const bool insert : {false, true}) {
+        for (const CrashPolicy policy :
+             {CrashPolicy::kDropAll, CrashPolicy::kRandom,
+              CrashPolicy::kPersistAll}) {
+            int active_crashes = 0;
+            for (int64_t k = 1;; ++k) {
+                ASSERT_LT(k, 500) << "set never completed";
+                RecoveryWorld world(6000 + k);
+                uint64_t root;
+                {
+                    auto setup = world.runtime->make_thread();
+                    root = apps::MemcachedMini::create(*setup, 1, 64);
+                    apps::MemcachedMini(world.heap, root)
+                        .set(*setup, 1, 0, 100);
+                }
+                world.shadow.drain_all();
+                apps::MemcachedMini cache(world.heap, root);
+                const uint64_t holder =
+                    world.heap.resolve<apps::McRoot>(root)->shard_off[0]
+                    + offsetof(apps::McShard, lock_holder);
+                const uint64_t key = insert ? 2 : 1;
+
+                bool crashed;
+                uint64_t rec_off;
+                {
+                    auto th = world.runtime->make_thread();
+                    rec_off = static_cast<IdoThread*>(th.get())->rec_off();
+                    crashed = run_with_crash_at(
+                        world, k, [&] { cache.set(*th, key, 0, 200); });
+                }
+                if (!crashed)
+                    break;
+                world.shadow.crash(policy);
+
+                const auto* rec = world.heap.resolve<IdoLogRec>(rec_off);
+                const uint64_t pc = rec->recovery_pc;
+                const bool must_hold = pc != kInactivePc
+                    && recovery_pc_region(pc) != kUnlockRegion;
+                if (must_hold) {
+                    ++active_crashes;
+                    EXPECT_EQ(durable_holders(*rec),
+                              std::set<uint64_t>{holder})
+                        << "insert=" << insert << " policy "
+                        << static_cast<int>(policy) << " k=" << k;
+                }
+                const uint64_t reacquired_before = locks_reacquired_total();
+                world.make_runtime();
+                world.runtime->recover();
+                world.shadow.drain_all();
+                if (must_hold) {
+                    EXPECT_EQ(locks_reacquired_total() - reacquired_before,
+                              1u)
+                        << "k=" << k;
+                }
+                ASSERT_TRUE(
+                    apps::MemcachedMini::check_invariants(world.heap, root));
+
+                // Atomic, and live: a leaked lock would hang these FASEs.
+                auto th = world.runtime->make_thread();
+                uint64_t v = 0;
+                const bool present = cache.get(*th, key, 0, &v);
+                const bool old_ok = insert ? !present : (present && v == 100);
+                EXPECT_TRUE(old_ok || (present && v == 200)) << "k=" << k;
+                cache.set(*th, key, 0, 300);
+                ASSERT_TRUE(cache.get(*th, key, 0, &v));
+                EXPECT_EQ(v, 300u);
+            }
+            EXPECT_GT(active_crashes, 0)
+                << "sweep never crashed an activated set";
+        }
+    }
+}
+
+/** Regions of the two-lock program: A before activation, B after. */
+uint32_t
+two_lock_take_a(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    t.fase_lock(ctx.r[0]);
+    return 1;
+}
+
+uint32_t
+two_lock_store_x(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    t.store_u64(ctx.r[2], ctx.r[3]);
+    t.fase_lock(ctx.r[1]);
+    return 2;
+}
+
+uint32_t
+two_lock_store_y(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    t.store_u64(ctx.r[2] + 8, ctx.r[3]);
+    return 3;
+}
+
+uint32_t
+two_lock_release_b(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    t.fase_unlock(ctx.r[1]);
+    return 4;
+}
+
+uint32_t
+two_lock_release_a(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    t.fase_unlock(ctx.r[0]);
+    return rt::kRegionEnd;
+}
+
+const rt::FaseProgram&
+two_lock_program()
+{
+    static const rt::FaseProgram prog = [] {
+        constexpr uint16_t R0 = 1, R1 = 2, R2 = 4, R3 = 8;
+        rt::FaseProgram p;
+        p.fase_id = 9200;
+        p.name = "two_lock";
+        p.regions = {
+            {two_lock_take_a, "take_a", R0, 0, 0, 0, 0},
+            {two_lock_store_x, "store_x", R1 | R2 | R3, 0, 0, 0},
+            {two_lock_store_y, "store_y", R2 | R3, 0, 0, 0},
+            {two_lock_release_b, "release_b", R1, 0, 0, 0, 0},
+            {two_lock_release_a, "release_a", R0, 0, 0, 0, 0},
+        };
+        return p;
+    }();
+    return prog;
+}
+
+TEST(IdoRecovery, LockBeforeAndAfterActivationEveryCrashPoint)
+{
+    // Lock A is taken in the read-only prefix and recorded at
+    // activation; lock B is taken after activation with its own fence.
+    // By the durable pc's region, the locks recovery must find:
+    // store_x at least A, store_y both, release_b at least A, and
+    // release_a never B.
+    const rt::FaseProgram& prog = two_lock_program();
+    rt::FaseRegistry::instance().register_program(&prog);
+    for (const CrashPolicy policy :
+         {CrashPolicy::kDropAll, CrashPolicy::kRandom,
+          CrashPolicy::kPersistAll}) {
+        int active_crashes = 0;
+        for (int64_t k = 1;; ++k) {
+            ASSERT_LT(k, 500) << "FASE never completed";
+            RecoveryWorld world(7000 + k);
+            auto& alloc = world.runtime->allocator();
+            const uint64_t lock_a = alloc.alloc(64, world.shadow);
+            const uint64_t lock_b = alloc.alloc(64, world.shadow);
+            const uint64_t data = alloc.alloc(64, world.shadow);
+            world.shadow.drain_all();
+            auto run = [&](rt::RuntimeThread& th, uint64_t value) {
+                rt::RegionCtx ctx;
+                ctx.r[0] = lock_a;
+                ctx.r[1] = lock_b;
+                ctx.r[2] = data;
+                ctx.r[3] = value;
+                th.run_fase(prog, ctx);
+            };
+
+            bool crashed;
+            uint64_t rec_off;
+            {
+                auto th = world.runtime->make_thread();
+                rec_off = static_cast<IdoThread*>(th.get())->rec_off();
+                crashed = run_with_crash_at(world, k,
+                                            [&] { run(*th, 5); });
+            }
+            if (!crashed)
+                break;
+            world.shadow.crash(policy);
+
+            const auto* rec = world.heap.resolve<IdoLogRec>(rec_off);
+            const std::set<uint64_t> durable = durable_holders(*rec);
+            const uint64_t pc = rec->recovery_pc;
+            if (pc != kInactivePc) {
+                ++active_crashes;
+                const uint32_t region = recovery_pc_region(pc);
+                const bool has_a = durable.count(lock_a) != 0;
+                const bool has_b = durable.count(lock_b) != 0;
+                EXPECT_TRUE(has_a || region > 3)
+                    << "region " << region << " k=" << k;
+                EXPECT_TRUE(has_b || region != 2) << "k=" << k;
+                EXPECT_FALSE(has_b && region == 4) << "k=" << k;
+            }
+            const uint64_t reacquired_before = locks_reacquired_total();
+            world.make_runtime();
+            world.runtime->recover();
+            world.shadow.drain_all();
+            EXPECT_EQ(locks_reacquired_total() - reacquired_before,
+                      pc == kInactivePc ? 0u : durable.size())
+                << "k=" << k;
+
+            // All or nothing, and a rerun (both locks again) must not
+            // deadlock on a lock recovery failed to release.
+            const auto* words = world.heap.resolve<uint64_t>(data);
+            EXPECT_EQ(words[0], words[1]) << "k=" << k;
+            EXPECT_TRUE(words[0] == 0 || words[0] == 5) << "k=" << k;
+            auto th = world.runtime->make_thread();
+            run(*th, 6);
+            EXPECT_EQ(words[0], 6u);
+            EXPECT_EQ(words[1], 6u);
+        }
+        EXPECT_GT(active_crashes, 0);
+    }
 }
 
 } // namespace
