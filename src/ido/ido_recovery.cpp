@@ -49,6 +49,12 @@ IdoRuntime::recover()
         tl.add_phase("heap-gc", stat_now_ns() - t, gs.leaked_blocks);
         tl.set_field("leaked_blocks", gs.leaked_blocks);
         tl.set_field("leaked_bytes", gs.leaked_bytes);
+        // Where the heap-gc phase went, from the GC's own stamps.
+        tl.set_field("gc_index_ms", gs.index_ns / 1000000);
+        tl.set_field("gc_mark_ms", gs.mark_ns / 1000000);
+        tl.set_field("gc_census_ms", gs.census_ns / 1000000);
+        tl.set_field("gc_reclaim_ms", gs.reclaim_ns / 1000000);
+        tl.set_field("gc_mark_threads", gs.mark_threads);
         if (cfg_.gc_repair_on_recovery)
             tl.set_field("gc_reclaimed_blocks", gs.reclaimed_blocks);
     };

@@ -1,11 +1,17 @@
 #include "nvm/heap_gc.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <iterator>
+#include <thread>
+
+#include <sys/mman.h>
 
 #include "common/panic.h"
 #include "nvm/persist_domain.h"
 #include "stats/metrics.h"
+#include "stats/stat_plane.h"
 
 namespace ido::nvm {
 
@@ -40,7 +46,107 @@ hex(uint64_t v)
     return buf;
 }
 
+/** Record a finding line; describe() runs only below the cap. */
+template <typename Describe>
+void
+note(GcStats* s, Describe&& describe)
+{
+    if (s->findings.size() < HeapGc::kMaxFindings)
+        s->findings.push_back(describe());
+    else if (s->findings.size() == HeapGc::kMaxFindings)
+        s->findings.push_back("... (further findings elided)");
+}
+
+/** A mark finding, kept as plain words and formatted only if it
+ *  survives the cap. */
+struct MarkFinding
+{
+    enum Kind : uint8_t
+    {
+        kNoBlock,     ///< link value hits no block
+        kNotLive,     ///< link value targets a non-LIVE block
+        kOutsideHeap, ///< the link field itself lies outside the heap
+        kUndersized,  ///< block smaller than its declared payload
+    };
+    uint64_t holder;  ///< raw offset of the holding block (0: a root)
+    uint64_t field;   ///< heap offset of the link field (root: order)
+    uint64_t value;   ///< the link value
+    const char* what; ///< "root", "journal" or "link"
+    const char* who;  ///< root name; nullptr for a link field
+    Kind kind;
+
+    bool operator<(const MarkFinding& o) const
+    {
+        return holder != o.holder ? holder < o.holder : field < o.field;
+    }
+};
+
+/** The kMaxFindings smallest findings (by holder, field) one thread
+ *  saw, plus how many it saw in all.  Bounded, so a wrecked heap with
+ *  millions of dangling links costs no memory. */
+struct FindingSink
+{
+    std::vector<MarkFinding> kept;
+    uint64_t total = 0;
+
+    void add(const MarkFinding& f)
+    {
+        ++total;
+        kept.push_back(f);
+        if (kept.size() == 4 * HeapGc::kMaxFindings)
+            trim();
+    }
+    void trim()
+    {
+        if (kept.size() <= HeapGc::kMaxFindings)
+            return;
+        std::nth_element(kept.begin(),
+                         kept.begin() + HeapGc::kMaxFindings, kept.end());
+        kept.resize(HeapGc::kMaxFindings);
+    }
+};
+
+/** A bitmap in a private anonymous mapping.  The kernel zeroes a page
+ *  on first touch, so a big arena with few live blocks pays only for
+ *  the pages its links hit.  Empty if the mapping fails: every link
+ *  then takes the binary search. */
+class GranuleBits
+{
+  public:
+    explicit GranuleBits(size_t words)
+    {
+        if (words == 0)
+            return;
+        void* p = mmap(nullptr, words * sizeof(uint64_t),
+                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
+        if (p != MAP_FAILED)
+            bits_ = {static_cast<uint64_t*>(p), words};
+    }
+    ~GranuleBits()
+    {
+        if (!bits_.empty())
+            munmap(bits_.data(), bits_.size_bytes());
+    }
+    GranuleBits(const GranuleBits&) = delete;
+    GranuleBits& operator=(const GranuleBits&) = delete;
+
+    std::span<uint64_t> span() const { return bits_; }
+
+  private:
+    std::span<uint64_t> bits_;
+};
+
 } // namespace
+
+struct HeapGc::Marker
+{
+    std::vector<size_t> work;       ///< marked blocks not yet traced
+    std::vector<size_t> deferred;   ///< big blocks left for the split
+    std::vector<uint64_t> fields;   ///< scratch
+    FindingSink findings;
+    uint64_t dangling = 0;
+};
 
 std::string
 GcStats::to_json() const
@@ -72,6 +178,11 @@ GcStats::to_json() const
     num("relocated_bytes", relocated_bytes);
     num("chunks_retired", chunks_retired);
     num("journal_resolved", journal_resolved);
+    num("index_ns", index_ns);
+    num("mark_ns", mark_ns);
+    num("census_ns", census_ns);
+    num("reclaim_ns", reclaim_ns);
+    num("mark_threads", mark_threads);
     s += "\"repair_refused\":";
     s += repair_refused ? "true," : "false,";
     s += "\"relocation_refused\":";
@@ -115,23 +226,19 @@ HeapGc::find_block(uint64_t off) const
     return i;
 }
 
-void
-HeapGc::note(GcStats* s, std::string line) const
+const TypeDescriptor*
+HeapGc::descriptor(uint64_t meta) const
 {
-    if (s->findings.size() < kMaxFindings)
-        s->findings.push_back(std::move(line));
-    else if (s->findings.size() == kMaxFindings)
-        s->findings.push_back("... (further findings elided)");
+    const TypeId t = NvHeap::meta_type(meta);
+    return t == TypeId::kUntyped ? nullptr
+                                 : types_[static_cast<size_t>(t)];
 }
 
 void
 HeapGc::collect_link_fields(const BlockInfo& b,
                             std::vector<uint64_t>* out) const
 {
-    const TypeId t = NvHeap::meta_type(b.meta);
-    if (t == TypeId::kUntyped)
-        return;
-    const TypeDescriptor* d = TypeRegistry::instance().describe(t);
+    const TypeDescriptor* d = descriptor(b.meta);
     if (d == nullptr)
         return;
     const uint64_t pub = published_off(b);
@@ -146,6 +253,9 @@ HeapGc::build_index()
 {
     blocks_.clear();
     chunks_.clear();
+    const TypeRegistry& types = TypeRegistry::instance();
+    for (size_t t = 0; t < std::size(types_); ++t)
+        types_[t] = types.describe(static_cast<TypeId>(t));
     PersistentHeap& ph = heap_.heap_;
     const NvHeap::HeapState* st = heap_.state();
     const uint64_t bump = st->bump;
@@ -183,80 +293,189 @@ HeapGc::build_index()
 }
 
 void
+HeapGc::mark_target(Marker& m, uint64_t v, uint64_t holder,
+                    uint64_t field, const char* what, const char* who)
+{
+    // Every LIVE block is reached once per link to it (an item: its
+    // chain link, lru_next and lru_prev); only the first link to a
+    // granule pays the binary search.
+    const uint64_t g = v >> 3;
+    uint64_t* word = g / 64 < resolved_.size() ? &resolved_[g / 64]
+                                               : nullptr;
+    const uint64_t bit = uint64_t{1} << (g % 64);
+    if (word != nullptr
+        && (std::atomic_ref<uint64_t>(*word).load(std::memory_order_relaxed)
+            & bit))
+        return;
+    const size_t i = find_block(v);
+    if (i == kNpos) {
+        ++m.dangling;
+        m.findings.add({holder, field, v, what, who, MarkFinding::kNoBlock});
+        return;
+    }
+    BlockInfo& b = blocks_[i];
+    if (NvHeap::meta_state(b.meta) != NvHeap::kBlockLive) {
+        ++m.dangling;
+        m.findings.add({holder, field, v, what, who, MarkFinding::kNotLive});
+        return;
+    }
+    // Only a granule wholly inside the block may stand for it: any
+    // other value in the granule then resolves to the same block.
+    if (word != nullptr && (v & ~uint64_t{7}) >= b.raw
+        && (v & ~uint64_t{7}) + 8 <= b.raw + b.size)
+        std::atomic_ref<uint64_t>(*word).fetch_or(bit,
+                                                  std::memory_order_relaxed);
+    if (!std::atomic_ref<bool>(b.marked).exchange(true,
+                                                  std::memory_order_relaxed))
+        m.work.push_back(i);
+}
+
+void
+HeapGc::scan_fields(Marker& m, uint64_t holder, const uint64_t* fields,
+                    size_t n)
+{
+    PersistentHeap& ph = heap_.heap_;
+    for (size_t k = 0; k < n; ++k) {
+        const uint64_t f = fields[k];
+        if (f + sizeof(uint64_t) > ph.size()) {
+            ++m.dangling;
+            m.findings.add({holder, f, 0, "link", nullptr,
+                            MarkFinding::kOutsideHeap});
+            continue;
+        }
+        const uint64_t v = *ph.resolve<uint64_t>(f);
+        if (v != 0)
+            mark_target(m, v, holder, f, "link", nullptr);
+    }
+}
+
+void
+HeapGc::drain(Marker& m)
+{
+    while (!m.work.empty()) {
+        const BlockInfo& b = blocks_[m.work.back()];
+        m.work.pop_back();
+        const TypeDescriptor* d = descriptor(b.meta);
+        if (d == nullptr)
+            continue; // opaque: reachable, never traced through
+        if (d->payload_size != 0
+            && published_off(b) + d->payload_size > b.raw + b.size) {
+            m.findings.add({b.raw, 0, 0, "block", nullptr,
+                            MarkFinding::kUndersized});
+            continue;
+        }
+        m.fields.clear();
+        collect_link_fields(b, &m.fields);
+        if (m.fields.size() > kSplitLinkFields) {
+            // Re-enumerated by the split; drop the big scratch now.
+            m.deferred.push_back(static_cast<size_t>(&b - blocks_.data()));
+            m.fields = {};
+            continue;
+        }
+        scan_fields(m, b.raw, m.fields.data(), m.fields.size());
+    }
+}
+
+void
 HeapGc::mark(GcStats* s)
 {
     PersistentHeap& ph = heap_.heap_;
-    std::vector<size_t> work;
-    auto mark_target = [&](uint64_t off, const char* what,
-                           const std::string& who) {
-        const size_t i = find_block(off);
-        if (i == kNpos) {
-            ++s->dangling_links;
-            note(s, std::string(what) + " " + who + " -> " + hex(off)
-                        + " hits no block");
-            return;
-        }
-        BlockInfo& b = blocks_[i];
-        if (NvHeap::meta_state(b.meta) != NvHeap::kBlockLive) {
-            ++s->dangling_links;
-            note(s, std::string(what) + " " + who + " -> " + hex(off)
-                        + " targets a non-LIVE block");
-            return;
-        }
-        if (!b.marked) {
-            b.marked = true;
-            work.push_back(i);
-        }
-    };
+    // Blocks live below the bump pointer; values above it take the
+    // search (and find no block).
+    GranuleBits bits((heap_.state()->bump / 8 + 63) / 64);
+    resolved_ = bits.span();
+    std::vector<Marker> markers(1);
 
     // The compaction journal is allocator-internal: reachable by
     // definition (HeapState holds it), never a leak.
     const uint64_t journal = heap_.state()->compact_journal;
     if (journal != 0)
-        mark_target(journal, "journal", "compact_journal");
+        mark_target(markers[0], journal, 0, 0, "journal", "compact_journal");
     for (const auto& [slot, off] : RootRegistry::block_roots(ph))
-        mark_target(off, "root", RootRegistry::describe(slot).name);
+        mark_target(markers[0], off, 0, static_cast<uint64_t>(slot) + 1,
+                    "root", RootRegistry::describe(slot).name);
+    drain(markers[0]);
 
+    // A big link array is split evenly across the threads, one block
+    // at a time; each thread then drains what its slice marked on its
+    // own stack.  Marks race only through the atomic exchange, so every
+    // block is traced once and every dangling link is counted once,
+    // whoever reaches it.
+    const unsigned nthreads = std::clamp(std::thread::hardware_concurrency(),
+                                         1u, kMaxMarkThreads);
+    s->mark_threads = 1;
+    std::vector<size_t> big;
+    big.swap(markers[0].deferred);
     std::vector<uint64_t> fields;
-    while (!work.empty()) {
-        const size_t i = work.back();
-        work.pop_back();
-        const BlockInfo& b = blocks_[i];
-        const TypeId t = NvHeap::meta_type(b.meta);
-        const TypeDescriptor* d =
-            t == TypeId::kUntyped ? nullptr
-                                  : TypeRegistry::instance().describe(t);
-        if (d == nullptr)
-            continue; // opaque: reachable, never traced through
-        const uint64_t pub = published_off(b);
-        if (d->payload_size != 0
-            && pub + d->payload_size > b.raw + b.size) {
-            note(s, "block " + hex(b.raw) + " typed " + d->name
-                        + " is smaller than its declared payload");
-            continue;
-        }
+    while (!big.empty()) {
+        const BlockInfo& b = blocks_[big.back()];
+        big.pop_back();
         fields.clear();
         collect_link_fields(b, &fields);
-        for (const uint64_t f : fields) {
-            if (f + sizeof(uint64_t) > ph.size()) {
-                ++s->dangling_links;
-                note(s, "link field of " + hex(b.raw)
-                            + " lies outside the heap");
-                continue;
-            }
-            const uint64_t v = *ph.resolve<uint64_t>(f);
-            if (v == 0)
-                continue;
-            mark_target(v, "link", d->name + "@" + hex(b.raw));
+        markers.resize(nthreads);
+        s->mark_threads = nthreads;
+        auto run_slice = [&](unsigned k) {
+            const size_t lo = fields.size() * k / nthreads;
+            const size_t hi = fields.size() * (k + 1) / nthreads;
+            scan_fields(markers[k], b.raw, fields.data() + lo, hi - lo);
+            drain(markers[k]);
+        };
+        {
+            std::vector<std::jthread> threads; // joined on scope exit
+            for (unsigned k = 1; k < nthreads; ++k)
+                threads.emplace_back(run_slice, k);
+            run_slice(0);
+        }
+        for (Marker& m : markers) {
+            big.insert(big.end(), m.deferred.begin(), m.deferred.end());
+            m.deferred.clear();
         }
     }
+    resolved_ = {};
+
+    // Merge in (holder, field) order, so the capped list is the same
+    // however the threads raced.
+    std::vector<MarkFinding> found;
+    uint64_t found_total = 0;
+    for (Marker& m : markers) {
+        s->dangling_links += m.dangling;
+        m.findings.trim();
+        found.insert(found.end(), m.findings.kept.begin(),
+                     m.findings.kept.end());
+        found_total += m.findings.total;
+    }
+    std::sort(found.begin(), found.end());
+    if (found.size() > kMaxFindings)
+        found.resize(kMaxFindings);
+    for (const MarkFinding& f : found) {
+        note(s, [&] {
+            if (f.kind == MarkFinding::kUndersized)
+                return "block " + hex(f.holder) + " typed "
+                       + descriptor(blocks_[find_block(f.holder)].meta)->name
+                       + " is smaller than its declared payload";
+            if (f.kind == MarkFinding::kOutsideHeap)
+                return "link field of " + hex(f.holder)
+                       + " lies outside the heap";
+            std::string line = std::string(f.what) + " ";
+            if (f.who != nullptr)
+                line += f.who;
+            else
+                line += descriptor(blocks_[find_block(f.holder)].meta)->name
+                        + "@" + hex(f.holder);
+            return line + " -> " + hex(f.value)
+                   + (f.kind == MarkFinding::kNoBlock
+                          ? " hits no block"
+                          : " targets a non-LIVE block");
+        });
+    }
+    if (found_total > found.size())
+        note(s, [] { return std::string(); }); // at the cap: the marker
 }
 
 void
 HeapGc::census(GcStats* s)
 {
     PersistentHeap& ph = heap_.heap_;
-    auto& types = TypeRegistry::instance();
     for (BlockInfo& b : blocks_) {
         ++s->blocks;
         s->bytes += b.size + sizeof(NvHeap::BlockHeader);
@@ -271,9 +490,7 @@ HeapGc::census(GcStats* s)
         }
         ++s->live_blocks;
         s->live_bytes += b.size + sizeof(NvHeap::BlockHeader);
-        const TypeId t = NvHeap::meta_type(b.meta);
-        const TypeDescriptor* d =
-            t == TypeId::kUntyped ? nullptr : types.describe(t);
+        const TypeDescriptor* d = descriptor(b.meta);
         if (d == nullptr) {
             b.opaque = true;
             ++s->opaque_live;
@@ -289,21 +506,38 @@ HeapGc::census(GcStats* s)
         if (!b.marked) {
             ++s->leaked_blocks;
             s->leaked_bytes += b.size + sizeof(NvHeap::BlockHeader);
-            note(s, "leak: " + std::string(types.name(t)) + " block "
-                        + hex(b.raw) + " (" + std::to_string(b.size)
-                        + "B) is LIVE but unreachable");
+            note(s, [&] {
+                return "leak: " + (d ? d->name : std::string("untyped"))
+                       + " block " + hex(b.raw) + " ("
+                       + std::to_string(b.size)
+                       + "B) is LIVE but unreachable";
+            });
         }
     }
     s->chunks = chunks_.size();
+}
+
+void
+HeapGc::survey(GcStats* s)
+{
+    uint64_t t = stat_now_ns();
+    build_index();
+    uint64_t now = stat_now_ns();
+    s->index_ns = now - t;
+    t = now;
+    mark(s);
+    now = stat_now_ns();
+    s->mark_ns = now - t;
+    t = now;
+    census(s);
+    s->census_ns = stat_now_ns() - t;
 }
 
 GcStats
 HeapGc::audit()
 {
     GcStats s;
-    build_index();
-    mark(&s);
-    census(&s);
+    survey(&s);
     return s;
 }
 
@@ -311,18 +545,19 @@ GcStats
 HeapGc::repair()
 {
     GcStats s;
-    build_index();
-    mark(&s);
-    census(&s);
+    survey(&s);
     if (s.leaked_blocks == 0)
         return s;
+    const uint64_t t0 = stat_now_ns();
     // A reachable opaque block may hold the only path to a "leak";
     // reclaiming around it would free memory it still references.
     for (const BlockInfo& b : blocks_) {
         if (b.marked && b.opaque) {
             s.repair_refused = true;
-            note(&s, "repair refused: reachable opaque block "
-                         + hex(b.raw) + " may reference the leaks");
+            note(&s, [&] {
+                return "repair refused: reachable opaque block "
+                       + hex(b.raw) + " may reference the leaks";
+            });
             return s;
         }
     }
@@ -362,6 +597,7 @@ HeapGc::repair()
         s.reclaimed_bytes += b.size + sizeof(NvHeap::BlockHeader);
     }
     heap_.recover_leaks(dom_);
+    s.reclaim_ns = stat_now_ns() - t0;
     return s;
 }
 
@@ -439,7 +675,13 @@ HeapGc::rewrite_references()
     // Every stored reference lives in a declared link field of a LIVE
     // typed block or in a root slot; rewrite each one that still
     // targets a journaled source extent.  Idempotent: a link already
-    // rewritten no longer hits any extent.
+    // rewritten no longer hits any extent.  The walk needs an index
+    // that includes the copies, but compact() is still iterating its
+    // pre-move index, so that index is set aside and restored.
+    std::vector<BlockInfo> caller_blocks;
+    std::vector<ChunkInfo> caller_chunks;
+    blocks_.swap(caller_blocks);
+    chunks_.swap(caller_chunks);
     build_index();
     std::vector<uint64_t> fields;
     bool dirty = false;
@@ -460,6 +702,8 @@ HeapGc::rewrite_references()
             }
         }
     }
+    blocks_.swap(caller_blocks);
+    chunks_.swap(caller_chunks);
     if (dirty) {
         heap_.hook();
         dom_.fence();
@@ -678,6 +922,7 @@ HeapGc::compact()
 {
     GcStats s;
     PersistentHeap& ph = heap_.heap_;
+    const uint64_t t0 = stat_now_ns();
 
     // Quiesce the transient layer: parked frees become FREE+listed and
     // every thread's chunk cursor is abandoned, so nothing volatile
@@ -685,20 +930,18 @@ HeapGc::compact()
     heap_.flush_transient_caches(dom_);
     resolve_journal(&s);
     heap_.recover_leaks(dom_);
-
-    build_index();
-    mark(&s);
-    census(&s);
+    survey(&s);
 
     if (s.pinned_blocks != 0 || s.opaque_live != 0) {
         // A pinned log record's register snapshot -- or any opaque
         // block's uninspectable interior -- may hold offsets we cannot
         // retarget.  Empty chunks still retire (no offset dies).
         s.relocation_refused = true;
-        note(&s, "relocation refused: "
-                     + std::to_string(s.pinned_blocks) + " pinned / "
-                     + std::to_string(s.opaque_live)
-                     + " opaque LIVE blocks");
+        note(&s, [&] {
+            return "relocation refused: " + std::to_string(s.pinned_blocks)
+                   + " pinned / " + std::to_string(s.opaque_live)
+                   + " opaque LIVE blocks";
+        });
     }
 
     // Chunks already parked on the retired list walk as empty but must
@@ -743,7 +986,10 @@ HeapGc::compact()
     }
 
     if (!move_chunks.empty() && ensure_journal() == 0) {
-        note(&s, "no room for the move journal; relocation skipped");
+        note(&s, [] {
+            return std::string(
+                "no room for the move journal; relocation skipped");
+        });
         move_chunks.clear();
     }
 
@@ -776,8 +1022,10 @@ HeapGc::compact()
             }
             if (!relocate_one(b, &journal_count)) {
                 emptied = false;
-                note(&s, "arena exhausted mid-relocation; chunk "
-                             + hex(c.off) + " kept");
+                note(&s, [&] {
+                    return "arena exhausted mid-relocation; chunk "
+                           + hex(c.off) + " kept";
+                });
                 break;
             }
             ++s.relocated_blocks;
@@ -803,6 +1051,8 @@ HeapGc::compact()
         retire_chunk(chunk);
         ++s.chunks_retired;
     }
+    s.reclaim_ns =
+        stat_now_ns() - t0 - (s.index_ns + s.mark_ns + s.census_ns);
     return s;
 }
 
@@ -823,6 +1073,11 @@ HeapGc::publish(const GcStats& s)
     reg.add("heap.gc.reclaimed_bytes", s.reclaimed_bytes);
     reg.add("heap.gc.relocated_blocks", s.relocated_blocks);
     reg.add("heap.gc.chunks_retired", s.chunks_retired);
+    reg.set("heap.gc.last_index_us", s.index_ns / 1000);
+    reg.set("heap.gc.last_mark_us", s.mark_ns / 1000);
+    reg.set("heap.gc.last_census_us", s.census_ns / 1000);
+    reg.set("heap.gc.last_reclaim_us", s.reclaim_ns / 1000);
+    reg.set("heap.gc.last_mark_threads", s.mark_threads);
 }
 
 } // namespace ido::nvm

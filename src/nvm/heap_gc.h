@@ -48,6 +48,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,14 @@ struct GcStats
     bool repair_refused = false;   ///< opaque reachable block blocked reclaim
     bool relocation_refused = false; ///< pin/opaque blocked relocation
 
+    // Phase wall times.  The same stamps feed heap.gc.last_*_us and the
+    // recovery timeline's gc_*_ms fields.
+    uint64_t index_ns = 0;   ///< block/chunk index walk
+    uint64_t mark_ns = 0;    ///< reachability mark from the roots
+    uint64_t census_ns = 0;  ///< per-block classification
+    uint64_t reclaim_ns = 0; ///< repair's reclaim; compact's other work
+    uint64_t mark_threads = 0; ///< threads the mark ran on (1 = serial)
+
     /** Human-readable issue lines (capped; see kMaxFindings). */
     std::vector<std::string> findings;
 
@@ -100,6 +109,11 @@ class HeapGc
     /** A chunk is a relocation victim when its live payloads cover at
      *  most this fraction (in percent) of the chunk. */
     static constexpr uint64_t kVictimLivePct = 50;
+    /** A block with more link fields than this (a hash shard's bucket
+     *  heads) has its fields split across up to kMaxMarkThreads
+     *  threads; heaps without one mark serially. */
+    static constexpr size_t kSplitLinkFields = 65536;
+    static constexpr unsigned kMaxMarkThreads = 4;
 
     HeapGc(NvHeap& heap, PersistDomain& dom);
 
@@ -141,9 +155,14 @@ class HeapGc
         size_t last_block;  ///<  means the chunk holds no blocks)
     };
 
+    /** One thread's mark state (heap_gc.cpp). */
+    struct Marker;
+
     uint64_t published_off(const BlockInfo& b) const;
     size_t find_block(uint64_t off) const; ///< npos if off hits no block
-    void note(GcStats* s, std::string line) const;
+    /** Descriptor of a block, from the per-run snapshot; nullptr for
+     *  untyped or undescribed (opaque) blocks. */
+    const TypeDescriptor* descriptor(uint64_t meta) const;
 
     /** Append every link-field heap offset of a described LIVE block. */
     void collect_link_fields(const BlockInfo& b,
@@ -152,6 +171,16 @@ class HeapGc
     void build_index();
     void mark(GcStats* s);
     void census(GcStats* s);
+    /** build_index + mark + census, each timed into s. */
+    void survey(GcStats* s);
+    /** Mark the block a link value v resolves to, or count v dangling. */
+    void mark_target(Marker& m, uint64_t v, uint64_t holder,
+                     uint64_t field, const char* what, const char* who);
+    /** Mark through the link fields of one holder block. */
+    void scan_fields(Marker& m, uint64_t holder, const uint64_t* fields,
+                     size_t n);
+    /** Trace every block on m's work stack; big blocks are deferred. */
+    void drain(Marker& m);
 
     /** Complete an interrupted prior compaction: flip journaled
      *  sources to MOVED, rewrite links, truncate the journal. */
@@ -180,6 +209,13 @@ class HeapGc
 
     std::vector<BlockInfo> blocks_; ///< sorted by raw offset
     std::vector<ChunkInfo> chunks_;
+    /** TypeRegistry snapshot taken by build_index (one lock per run,
+     *  not one per block), indexed by the header's 7-bit type field. */
+    const TypeDescriptor* types_[128] = {};
+    /** Mark-run bitmap, one bit per 8 heap bytes below the bump
+     *  pointer: set once a link value in that granule resolved to a
+     *  LIVE (hence marked) block. */
+    std::span<uint64_t> resolved_;
 };
 
 } // namespace ido::nvm

@@ -7,15 +7,20 @@
  * the crash acceptance gate -- a deterministic crash-at-every-fuse-point
  * sweep over compact() under all three ShadowDomain policies, with the
  * move journal resolved by the next GC and the corpus byte-compared
- * afterwards.
+ * afterwards.  Also: compaction across several journal rounds, and
+ * exact GcStats counts on a memcached heap big enough for the mark to
+ * split its bucket arrays across threads.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <thread>
 #include <vector>
 
+#include "apps/memcached_mini.h"
+#include "ido/ido_runtime.h"
 #include "nvm/heap_gc.h"
 #include "nvm/nv_heap.h"
 #include "nvm/persist_domain.h"
@@ -273,6 +278,40 @@ TEST_F(HeapGcFixture, CompactionPreservesDataAndReusesChunks)
 }
 
 /**
+ * More relocations than one journal round holds, and a second round
+ * whose destinations come from chunks the first round retired.  Each
+ * journal round rewrites references from a fresh heap index; the
+ * relocation loop must keep walking its own pre-move index.
+ */
+TEST_F(HeapGcFixture, CompactionAcrossJournalRoundsReusesRetiredChunks)
+{
+    constexpr uint64_t kNodes = 10000;
+    HeapGc gc(h, dom);
+    for (uint64_t round = 0; round < 2; ++round) {
+        for (uint64_t t = round * kNodes; t < (round + 1) * kNodes; ++t)
+            ASSERT_NE(push_node(h, dom, t), 0u);
+        sparsify_chain(h, heap, dom,
+                       [](uint64_t tag) { return tag % 4 == 0; });
+        const GcStats s = gc.compact();
+        EXPECT_GT(s.relocated_blocks, HeapGc::kJournalEntries)
+            << s.to_json();
+        const auto got = walk_chain(heap);
+        ASSERT_EQ(got.size(), (round + 1) * kNodes / 4) << "round " << round;
+        uint64_t expect_tag = (round + 1) * kNodes - 4;
+        for (const auto& [tag, stamp] : got) {
+            ASSERT_EQ(tag, expect_tag) << "round " << round;
+            ASSERT_EQ(stamp, stamp_for(tag)) << "round " << round;
+            expect_tag -= 4;
+        }
+        const GcStats a = gc.audit();
+        EXPECT_EQ(a.leaked_blocks, 0u) << "round " << round << ": "
+                                       << a.to_json();
+        EXPECT_EQ(a.dangling_links, 0u) << "round " << round;
+        EXPECT_TRUE(h.check_consistency()) << "round " << round;
+    }
+}
+
+/**
  * The compaction acceptance gate.  Crash at fuse point N for every N
  * until compact() completes, under each crash policy.  After every
  * crash: reattach, let the next GC resolve the move journal and finish
@@ -372,6 +411,134 @@ TEST(HeapGcCrashSweep, CompactionSurvivesEveryFusePoint)
         EXPECT_GT(total_resolved, 0u)
             << "policy " << static_cast<int>(policy);
     }
+}
+
+/**
+ * Exact counts through the parallel mark: a memcached heap whose two
+ * shards carry 2^17 bucket heads each (over kSplitLinkFields), with
+ * every finding kind injected at known multiplicities.  The same
+ * dangling value in many link fields must count once per field (the
+ * resolved-granule bitmap never caches a miss), and the capped
+ * findings list must not depend on how the mark threads raced.
+ */
+TEST(HeapGcExactCounts, ParallelMarkCountsEveryFinding)
+{
+    constexpr uint64_t kBuckets = 1u << 17;
+    static_assert(kBuckets > HeapGc::kSplitLinkFields);
+    constexpr uint64_t kLeaks = 7;
+    constexpr uint64_t kDangling = 40; // > kMaxFindings: the cap binds
+    PersistentHeap heap({.size = 64u << 20});
+    RealDomain dom;
+    rt::RuntimeConfig cfg;
+    IdoRuntime runtime(heap, dom, cfg);
+    NvHeap& h = runtime.allocator();
+    auto th = runtime.make_thread();
+    const uint64_t root = apps::MemcachedMini::create(*th, 2, kBuckets);
+    RootRegistry::set_ref(heap, RootSlot::kAppRoot, root, dom);
+    apps::MemcachedMini cache(heap, root);
+    for (uint64_t k = 0; k < 3000; ++k)
+        cache.set(*th, k, k ^ 0x5a5a, k + 1);
+
+    HeapGc gc(h, dom);
+    const GcStats base = gc.audit();
+    ASSERT_EQ(base.leaked_blocks, 0u) << base.to_json();
+    ASSERT_EQ(base.dangling_links, 0u) << base.to_json();
+    ASSERT_EQ(base.opaque_live, 0u) << base.to_json();
+    EXPECT_EQ(base.mark_threads,
+              std::clamp(std::thread::hardware_concurrency(), 1u,
+                         HeapGc::kMaxMarkThreads));
+
+    // Empty bucket heads of both shards, spread across the split.
+    const auto* r = heap.resolve<apps::McRoot>(root);
+    std::vector<uint64_t*> empty_heads;
+    for (uint64_t sh = 0; sh < 2; ++sh) {
+        auto* heads = heap.resolve<uint64_t>(r->shard_off[sh]
+                                             + sizeof(apps::McShard));
+        for (uint64_t b = 0; b < kBuckets; b += kBuckets / 64)
+            for (uint64_t c = b; c < kBuckets; ++c)
+                if (heads[c] == 0) {
+                    empty_heads.push_back(&heads[c]);
+                    break;
+                }
+    }
+    ASSERT_GE(empty_heads.size(), kDangling + 3);
+    auto link = [&](uint64_t* slot, uint64_t v) {
+        dom.store_val(slot, v);
+        dom.flush(slot, sizeof(uint64_t));
+        dom.fence();
+    };
+    auto alloc_item = [&] {
+        const uint64_t off = h.alloc(sizeof(apps::McItem), dom,
+                                     TypeId::kMcItem);
+        EXPECT_NE(off, 0u);
+        apps::McItem z{};
+        dom.store(heap.resolve<void>(off), &z, sizeof(z));
+        return off;
+    };
+    // The census charges header (16 B: size word, meta word) +
+    // class-rounded payload.
+    auto block_bytes = [&](uint64_t off) {
+        return *heap.resolve<uint64_t>(off - 16) + 16;
+    };
+
+    uint64_t leaked_bytes = 0;
+    for (uint64_t i = 0; i < kLeaks; ++i)
+        leaked_bytes += block_bytes(alloc_item());
+    // One value, unused arena, stored in kDangling link fields.
+    const uint64_t nowhere = heap.size() - 4096;
+    for (uint64_t i = 0; i < kDangling; ++i)
+        link(empty_heads[i], nowhere);
+    // The only link to a live item points into its middle.
+    const uint64_t inner = alloc_item();
+    link(empty_heads[kDangling + 1], inner + offsetof(apps::McItem, value));
+    // A rooted untyped block.
+    const uint64_t opaque = h.alloc(64, dom);
+    ASSERT_NE(opaque, 0u);
+    RootRegistry::set_ref(heap, RootSlot::kUser1, opaque, dom);
+    // A link to a freed block (freed after the last alloc, which would
+    // otherwise hand it straight back from the thread cache).
+    const uint64_t freed = alloc_item();
+    h.free_block(freed, dom);
+    link(empty_heads[kDangling], freed);
+
+    const GcStats first = gc.audit();
+    EXPECT_EQ(first.leaked_blocks, kLeaks) << first.to_json();
+    EXPECT_EQ(first.leaked_bytes, leaked_bytes);
+    EXPECT_EQ(first.dangling_links, kDangling + 1);
+    EXPECT_EQ(first.opaque_live, 1u);
+    EXPECT_EQ(first.pinned_blocks, 0u);
+    EXPECT_EQ(first.live_blocks, base.live_blocks + kLeaks + 2);
+    ASSERT_EQ(first.findings.size(), HeapGc::kMaxFindings + 1);
+    EXPECT_EQ(first.findings.back(), "... (further findings elided)");
+    for (int run = 0; run < 10; ++run) {
+        const GcStats again = gc.audit();
+        EXPECT_EQ(again.leaked_blocks, first.leaked_blocks);
+        EXPECT_EQ(again.leaked_bytes, first.leaked_bytes);
+        EXPECT_EQ(again.dangling_links, first.dangling_links);
+        EXPECT_EQ(again.opaque_live, first.opaque_live);
+        EXPECT_EQ(again.live_blocks, first.live_blocks);
+        EXPECT_EQ(again.blocks, first.blocks);
+        EXPECT_EQ(again.findings, first.findings) << "audit " << run;
+    }
+
+    GcStats rep = gc.repair();
+    EXPECT_TRUE(rep.repair_refused) << rep.to_json();
+    EXPECT_EQ(rep.reclaimed_blocks, 0u);
+
+    // Lift the veto without adding a leak: unroot and free the opaque
+    // block.  Exactly the injected leaks are reclaimed.
+    RootRegistry::set_ref(heap, RootSlot::kUser1, 0, dom);
+    h.free_block(opaque, dom);
+    rep = gc.repair();
+    EXPECT_FALSE(rep.repair_refused) << rep.to_json();
+    EXPECT_EQ(rep.reclaimed_blocks, kLeaks);
+    EXPECT_EQ(rep.reclaimed_bytes, leaked_bytes);
+    const GcStats after = gc.audit();
+    EXPECT_EQ(after.leaked_blocks, 0u) << after.to_json();
+    EXPECT_EQ(after.dangling_links, kDangling + 1);
+    EXPECT_EQ(after.opaque_live, 0u);
+    EXPECT_EQ(after.live_blocks, base.live_blocks + 1);
+    EXPECT_TRUE(h.check_consistency());
 }
 
 } // namespace

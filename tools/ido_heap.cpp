@@ -99,6 +99,11 @@ print_human(const char* cmd, const nvm::GcStats& s)
                 static_cast<unsigned long long>(s.relocated_bytes),
                 static_cast<unsigned long long>(s.chunks_retired),
                 static_cast<unsigned long long>(s.journal_resolved));
+    std::printf("%-22s index %.1f ms  mark %.1f ms (%llu thr)  "
+                "census %.1f ms  reclaim %.1f ms\n",
+                "phases:", s.index_ns / 1e6, s.mark_ns / 1e6,
+                static_cast<unsigned long long>(s.mark_threads),
+                s.census_ns / 1e6, s.reclaim_ns / 1e6);
     if (s.repair_refused)
         std::printf("NOTE: reclamation refused (reachable opaque "
                     "block)\n");

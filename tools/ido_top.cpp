@@ -170,6 +170,14 @@ render(const std::map<std::string, double>& cur,
                 get(cur, "heap.gc.leaked_blocks"),
                 get(cur, "heap.gc.leaked_bytes"),
                 get(cur, "heap.gc.chunks_retired"));
+    if (get(cur, "heap.gc.runs") > 0)
+        std::printf("gc last run: index %.1f ms  mark %.1f ms (%.0f thr)  "
+                    "census %.1f ms  reclaim %.1f ms\n",
+                    get(cur, "heap.gc.last_index_us") / 1e3,
+                    get(cur, "heap.gc.last_mark_us") / 1e3,
+                    get(cur, "heap.gc.last_mark_threads"),
+                    get(cur, "heap.gc.last_census_us") / 1e3,
+                    get(cur, "heap.gc.last_reclaim_us") / 1e3);
     std::string depths;
     for (int s = 0; s < 16; ++s) {
         const std::string k =
