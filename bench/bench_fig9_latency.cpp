@@ -2,8 +2,10 @@
  * @file
  * Figure 9 reproduction: sensitivity to NVM write latency.  As in the
  * paper (and in Mnemosyne/Atlas before it), a configurable delay is
- * inserted after each cache-line write-back to "NVM", emulating slow
- * persistent media or a long data path; the sweep covers 20-2000 ns.
+ * charged per cache-line write-back to "NVM", emulating slow persistent
+ * media or a long data path; the sweep covers 20-2000 ns.  RealDomain
+ * charges it at the fence that waits for the write-back, so the delay
+ * cannot hide behind the write-back itself.
  *
  * Workloads reprise the paper's two data points: the
  * insertion-intensive memcached mix and the "large" (1M-key) redis

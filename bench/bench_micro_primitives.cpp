@@ -10,8 +10,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -500,6 +504,64 @@ BM_ShadowStoreLoad(benchmark::State& state)
     }
 }
 
+/**
+ * The console reporter, also keeping each benchmark's real time per
+ * iteration in ns, so main can check what the delay benchmarks cost.
+ */
+class KeepTimesReporter : public benchmark::ConsoleReporter
+{
+  public:
+    KeepTimesReporter()
+        : ConsoleReporter(isatty(STDOUT_FILENO) ? OO_Defaults : OO_Tabular)
+    {
+    }
+
+    void
+    ReportRuns(const std::vector<Run>& runs) override
+    {
+        for (const Run& r : runs) {
+            if (r.run_type == Run::RT_Iteration)
+                ns_[r.benchmark_name()] =
+                    r.GetAdjustedRealTime() * 1e9
+                    / benchmark::GetTimeUnitMultiplier(r.time_unit);
+        }
+        ConsoleReporter::ReportRuns(runs);
+    }
+
+    /** Real ns per iteration, or a negative value if it did not run. */
+    double
+    ns(const std::string& name) const
+    {
+        auto it = ns_.find(name);
+        return it == ns_.end() ? -1.0 : it->second;
+    }
+
+  private:
+    std::map<std::string, double> ns_;
+};
+
+/**
+ * The Fig. 9 delay must not hide behind the write-back: RealDomain
+ * charges it after the sfence, so a 500 ns delay must add at least
+ * 450 ns to a one-line flush+fence.  Returns the exit status (0 when
+ * either benchmark was filtered out).
+ */
+int
+check_fig9_delay(const KeepTimesReporter& times)
+{
+    const double base = times.ns("BM_FlushFence");
+    const double slow = times.ns("BM_FlushFenceWithDelay/500");
+    if (base < 0 || slow < 0)
+        return 0;
+    const double delta = slow - base;
+    const bool ok = delta >= 450.0;
+    std::printf("\nFig.9 delay (%s): BM_FlushFenceWithDelay/500 - "
+                "BM_FlushFence = %.0f ns (want >= 450): %s\n",
+                nvm::flush_insn_name(nvm::flush_insn()), delta,
+                ok ? "ok" : "FAIL");
+    return ok ? 0 : 1;
+}
+
 } // namespace
 
 BENCHMARK(BM_StoreOnly);
@@ -517,11 +579,13 @@ main(int argc, char** argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    benchmark::RunSpecifiedBenchmarks();
+    KeepTimesReporter times;
+    benchmark::RunSpecifiedBenchmarks(&times);
     benchmark::Shutdown();
+    const int rc = check_fig9_delay(times);
     run_alloc_series();
     run_boundary_series();
     run_heap_series();
     run_rr_overhead_series();
-    return 0;
+    return rc;
 }

@@ -118,12 +118,16 @@ emit_json_row(const char* bench, const char* runtime, uint32_t threads,
     std::FILE* f = std::fopen(path.c_str(), "a");
     if (!f)
         return;
-    char head[256];
+    // flush_insn names the write-back instruction RealDomain issued,
+    // so trajectories from different machines stay comparable.
+    char head[320];
     std::snprintf(head, sizeof(head),
                   "{\"bench\":\"%s\",\"runtime\":\"%s\","
-                  "\"threads\":%u,\"ops\":%llu,\"seconds\":%.6f,",
+                  "\"threads\":%u,\"ops\":%llu,\"seconds\":%.6f,"
+                  "\"flush_insn\":\"%s\",",
                   bench, runtime, threads,
-                  static_cast<unsigned long long>(ops), seconds);
+                  static_cast<unsigned long long>(ops), seconds,
+                  nvm::flush_insn_name(nvm::flush_insn()));
     std::fputs(head, f);
     if (lat != nullptr && lat->total() > 0) {
         // Per-op latency percentiles (ido-stat): the Fig. 9 latency

@@ -9,7 +9,7 @@
 namespace ido {
 
 void
-spin_delay_ns(uint32_t ns)
+spin_delay_ns(uint64_t ns)
 {
     if (ns == 0)
         return;

@@ -3,14 +3,15 @@
  * Persistence-domain abstraction: how stores reach "NVM".
  *
  * The paper's testbed places persistent data in DRAM and models the cost
- * of persistence with clflush + sfence sequences (Sec. V); the Fig. 9
- * study adds a configurable delay per write-back.  All runtimes in this
- * repo issue their persistent-memory traffic through this interface, so
- * the same FASE code can run in two modes:
+ * of persistence with cache-line write-back + sfence sequences (Sec. V);
+ * the Fig. 9 study adds a configurable delay per write-back.  All
+ * runtimes in this repo issue their persistent-memory traffic through
+ * this interface, so the same FASE code can run in two modes:
  *
  *  - RealDomain: stores go directly to the mapped heap; flush/fence
- *    execute real clflush/sfence instructions (plus optional emulated
- *    NVM latency) and are counted.  Used for performance runs.
+ *    execute real write-back (clwb, else clflushopt, else clflush) and
+ *    sfence instructions (plus optional emulated NVM latency) and are
+ *    counted.  Used for performance runs.
  *
  *  - ShadowDomain (shadow_domain.h): stores land in a volatile per-line
  *    shadow; only flushed+fenced lines are guaranteed to reach the
@@ -38,8 +39,10 @@ class PersistDomain
     virtual void load(const void* src, void* dst, size_t n) = 0;
 
     /**
-     * Initiate write-back (clwb) of every cache line spanned by
-     * [addr, addr+n).  Persistence is guaranteed only after fence().
+     * Initiate write-back (flush_line_hw) of every cache line spanned
+     * by [addr, addr+n).  Write-backs are unordered with each other
+     * and with later stores; persistence is guaranteed only after
+     * fence().
      */
     virtual void flush(const void* addr, size_t n) = 0;
 
@@ -102,15 +105,20 @@ class PersistDomain
 
 /**
  * Direct-to-memory domain with real flush instructions and optional
- * emulated NVM write latency (the Fig. 9 knob).
+ * emulated NVM write latency (the Fig. 9 knob).  Registers the
+ * `nvm.flush_insn` gauge (the FlushInsn value flush_line_hw issues).
  */
 class RealDomain final : public PersistDomain
 {
   public:
     /**
-     * @param extra_flush_delay_ns  busy-wait inserted after each
-     *        cache-line write-back, emulating slow NVM writes or a long
-     *        data path (0 = the paper's default ADR-style assumption)
+     * @param extra_flush_delay_ns  emulated latency of one cache-line
+     *        write-back, emulating slow NVM writes or a long data path
+     *        (0 = the paper's default ADR-style assumption).  It is
+     *        charged where the thread waits for its write-backs: each
+     *        fence() busy-waits this long per line the thread flushed
+     *        since its previous fence, after the sfence and a full
+     *        fence, so it cannot overlap the write-backs themselves.
      */
     explicit RealDomain(uint32_t extra_flush_delay_ns = 0);
 
@@ -126,8 +134,50 @@ class RealDomain final : public PersistDomain
     uint32_t flush_delay_ns_;
 };
 
-/** Issue a clflush-class instruction for the line containing addr. */
+/**
+ * Cache-line write-back instruction.  The values are the
+ * `nvm.flush_insn` gauge; 0 is the universally available fallback.
+ */
+enum class FlushInsn : uint8_t
+{
+    kClflush = 0,    ///< ordered, evicts the line
+    kClflushopt = 1, ///< unordered (sfence orders it), evicts the line
+    kClwb = 2,       ///< unordered (sfence orders it), line stays cached
+};
+
+/** CPUID.(EAX=7,ECX=0):EBX feature bits the selection reads. */
+inline constexpr uint32_t kCpuidClflushopt = 1u << 23;
+inline constexpr uint32_t kCpuidClwb = 1u << 24;
+
+/**
+ * The write-back instruction for a CPU whose CPUID leaf 7 EBX is
+ * `leaf7_ebx`: clwb, else clflushopt, else clflush.
+ */
+constexpr FlushInsn
+select_flush_insn(uint32_t leaf7_ebx)
+{
+    if (leaf7_ebx & kCpuidClwb)
+        return FlushInsn::kClwb;
+    if (leaf7_ebx & kCpuidClflushopt)
+        return FlushInsn::kClflushopt;
+    return FlushInsn::kClflush;
+}
+
+/** CPUID leaf 7 EBX of this CPU (0 where there is no such leaf). */
+uint32_t cpuid_leaf7_ebx();
+
+/** The instruction flush_line_hw issues, chosen once per process. */
+FlushInsn flush_insn();
+
+/** "clflush", "clflushopt" or "clwb" ("?" for an unknown value). */
+const char* flush_insn_name(FlushInsn insn);
+
+/** Write back the line containing addr with flush_insn(). */
 void flush_line_hw(const void* addr);
+
+/** Write back the line containing addr with `insn`, which the CPU
+ *  must support (tests exercise each instruction directly). */
+void flush_line_with(FlushInsn insn, const void* addr);
 
 /** Issue an sfence (compiler+store barrier on non-x86). */
 void sfence_hw();

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the persistent heap and the real persist domain:
- * offsets, roots, crash-flag lifecycle, file-backed reopen, and
- * persist-event accounting.
+ * offsets, roots, crash-flag lifecycle, file-backed reopen,
+ * persist-event accounting, and the CPUID choice of write-back
+ * instruction.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "nvm/persist_domain.h"
 #include "nvm/persistent_heap.h"
+#include "stats/metrics.h"
 #include "stats/persist_stats.h"
 
 namespace ido::nvm {
@@ -138,7 +140,7 @@ TEST(RealDomain, CountsEvents)
     tls_persist_counters().clear();
 }
 
-TEST(RealDomain, FlushDelayInjection)
+TEST(RealDomain, FlushDelayChargedAtFence)
 {
     PersistentHeap heap({.size = 1u << 20});
     RealDomain slow(20000); // 20us per line: measurable
@@ -146,10 +148,72 @@ TEST(RealDomain, FlushDelayInjection)
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < 50; ++i)
         slow.flush(p, 8);
+    // The fence waits for all 50 write-backs: 50 x 20us = 1ms at least.
+    slow.fence();
     const double ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    EXPECT_GT(ms, 0.2); // 50 x 20us = 1ms nominal
+    EXPECT_GE(ms, 1.0);
+}
+
+TEST(FlushInsn, SelectionIsAPureFunctionOfCpuidBits)
+{
+    EXPECT_EQ(select_flush_insn(0), FlushInsn::kClflush);
+    EXPECT_EQ(select_flush_insn(kCpuidClflushopt), FlushInsn::kClflushopt);
+    EXPECT_EQ(select_flush_insn(kCpuidClwb), FlushInsn::kClwb);
+    EXPECT_EQ(select_flush_insn(kCpuidClflushopt | kCpuidClwb),
+              FlushInsn::kClwb);
+    // Unrelated leaf-7 bits do not change the choice.
+    EXPECT_EQ(select_flush_insn(~(kCpuidClflushopt | kCpuidClwb)),
+              FlushInsn::kClflush);
+    EXPECT_EQ(flush_insn(), select_flush_insn(cpuid_leaf7_ebx()));
+    EXPECT_STREQ(flush_insn_name(FlushInsn::kClflush), "clflush");
+    EXPECT_STREQ(flush_insn_name(FlushInsn::kClflushopt), "clflushopt");
+    EXPECT_STREQ(flush_insn_name(FlushInsn::kClwb), "clwb");
+}
+
+TEST(FlushInsn, EverySupportedInstructionWritesBack)
+{
+    PersistentHeap heap({.size = 1u << 20});
+    auto* p = heap.resolve<uint64_t>(4096);
+    const uint32_t ebx = cpuid_leaf7_ebx();
+    const struct
+    {
+        FlushInsn insn;
+        bool supported;
+    } kInsns[] = { { FlushInsn::kClflush, true },
+                   { FlushInsn::kClflushopt, (ebx & kCpuidClflushopt) != 0 },
+                   { FlushInsn::kClwb, (ebx & kCpuidClwb) != 0 } };
+    for (const auto& [insn, supported] : kInsns) {
+        if (!supported)
+            continue;
+        *p = static_cast<uint64_t>(insn) + 1;
+        flush_line_with(insn, p);
+        sfence_hw();
+        EXPECT_EQ(*p, static_cast<uint64_t>(insn) + 1)
+            << flush_insn_name(insn);
+    }
+}
+
+TEST(RealDomain, UnalignedMultiLineFlushCountsEachLine)
+{
+    PersistentHeap heap({.size = 1u << 20});
+    RealDomain dom;
+    tls_persist_counters().clear();
+    auto* line = heap.resolve<uint8_t>(4096);
+    dom.flush(line + 60, 70); // bytes 60..129: lines 0, 1 and 2
+    EXPECT_EQ(tls_persist_counters().flushes, 3u);
+    dom.flush(line + 63, 1); // one byte: its line only
+    EXPECT_EQ(tls_persist_counters().flushes, 4u);
+    dom.flush(line + 64, 128); // two whole lines
+    EXPECT_EQ(tls_persist_counters().flushes, 6u);
+    dom.fence();
+    tls_persist_counters().clear();
+    // The domain names the instruction it issued.
+    const auto snap = MetricsRegistry::instance().snapshot();
+    ASSERT_EQ(snap.gauges.count("nvm.flush_insn"), 1u);
+    EXPECT_EQ(snap.gauges.at("nvm.flush_insn"),
+              static_cast<uint64_t>(flush_insn()));
 }
 
 TEST(PersistCounters, GlobalAggregation)

@@ -9,7 +9,9 @@
  *  - per-op latency percentiles (p50/p99/p999) straight from the
  *    server's live recorders -- cumulative since server start, which
  *    is what the recorders expose;
- *  - per-shard queue depth and connection/pending-bytes gauges.
+ *  - per-shard queue depth and connection/pending-bytes gauges;
+ *  - the cache-line write-back instruction the server issues
+ *    (nvm.flush_insn: clwb, clflushopt or clflush).
  *
  * JSON handling is a deliberately tiny scanner over the flat schema
  * MetricsRegistry::format_json() emits ("name":value and
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "net/admin.h"
+#include "nvm/persist_domain.h"
 
 using namespace ido;
 
@@ -120,6 +123,17 @@ get(const std::map<std::string, double>& m, const std::string& k)
     return it == m.end() ? 0.0 : it->second;
 }
 
+/** Name of the write-back instruction a node reports ("-" if none). */
+const char*
+flush_insn_of(const std::map<std::string, double>& m)
+{
+    auto it = m.find("nvm.flush_insn");
+    if (it == m.end())
+        return "-";
+    return nvm::flush_insn_name(
+        static_cast<nvm::FlushInsn>(static_cast<int>(it->second)));
+}
+
 void
 render(const std::map<std::string, double>& cur,
        const std::map<std::string, double>& prev, double dt_s,
@@ -135,9 +149,9 @@ render(const std::map<std::string, double>& cur,
     std::printf("--- frame %llu ---------------------------------------\n",
                 static_cast<unsigned long long>(frame));
     std::printf("throughput %10.0f req/s    fences/op %5.2f    "
-                "conns %.0f    pending %.0f B\n",
+                "conns %.0f    pending %.0f B    flush %s\n",
                 rps, fpo, get(cur, "net.conns"),
-                get(cur, "net.pending_out_bytes"));
+                get(cur, "net.pending_out_bytes"), flush_insn_of(cur));
     std::printf("%-10s %10s %12s %12s %12s\n", "op", "count",
                 "p50(us)", "p99(us)", "p999(us)");
     for (const char* op : { "get", "set", "delete" }) {
@@ -206,9 +220,9 @@ render_cluster(const std::vector<std::map<std::string, double>>& cur,
     std::printf("--- frame %llu (cluster, %zu nodes) ------------------\n",
                 static_cast<unsigned long long>(frame),
                 ports.size());
-    std::printf("%-10s %12s %10s %7s %12s %12s %12s\n", "node", "req/s",
-                "fences/op", "conns", "get p99(us)", "set p99(us)",
-                "repl batch/s");
+    std::printf("%-10s %12s %10s %7s %12s %12s %12s %10s\n", "node",
+                "req/s", "fences/op", "conns", "get p99(us)",
+                "set p99(us)", "repl batch/s", "flush");
     double tot_rps = 0, tot_conns = 0, tot_rep = 0;
     double worst_get = 0, worst_set = 0;
     for (size_t i = 0; i < cur.size(); ++i) {
@@ -224,19 +238,20 @@ render_cluster(const std::vector<std::map<std::string, double>>& cur,
         const double reps = dt_s > 0 ? rep_delta / dt_s : 0.0;
         const double g99 = get(c, "net.lat.req.get.p99_ns") / 1e3;
         const double s99 = get(c, "net.lat.req.set.p99_ns") / 1e3;
-        std::printf(":%-9u %12.0f %10.2f %7.0f %12.1f %12.1f %12.0f\n",
+        std::printf(":%-9u %12.0f %10.2f %7.0f %12.1f %12.1f %12.0f"
+                    " %10s\n",
                     ports[i], rps,
                     req_delta > 0 ? fence_delta / req_delta : 0.0,
-                    get(c, "net.conns"), g99, s99, reps);
+                    get(c, "net.conns"), g99, s99, reps, flush_insn_of(c));
         tot_rps += rps;
         tot_conns += get(c, "net.conns");
         tot_rep += reps;
         worst_get = std::max(worst_get, g99);
         worst_set = std::max(worst_set, s99);
     }
-    std::printf("%-10s %12.0f %10s %7.0f %12.1f %12.1f %12.0f\n",
+    std::printf("%-10s %12.0f %10s %7.0f %12.1f %12.1f %12.0f %10s\n",
                 "TOTAL", tot_rps, "-", tot_conns, worst_get, worst_set,
-                tot_rep);
+                tot_rep, "-");
     std::fflush(stdout);
 }
 
