@@ -12,11 +12,13 @@
  * Atlas's and far below JUSTDO's.
  *
  * IDO_BENCH_TRANSPORT=socket drives the same mixes through a real
- * ido-serve instance over loopback TCP (batch=1 so the protocol under
- * measurement stays the stock per-request one; bench_server owns the
- * group-commit ablation).  Default is the paper's in-process path.
- * Every printed row and JSON line states the transport used.
+ * ido-serve instance over loopback TCP (batch=1: one request per shard
+ * wakeup; bench_server owns the group-commit ablation).  Default is
+ * the paper's in-process path.  Every printed row and JSON line states
+ * the transport used.  Each mix starts with one untimed warm-up point
+ * at the widest thread count.
  */
+#include <algorithm>
 #include <thread>
 
 #include "apps/memcached_client.h"
@@ -37,6 +39,54 @@ transport_from_env()
     return apps::McTransport::kInProcess;
 }
 
+/** One runtime configuration of the sweep. */
+struct RunCfg
+{
+    baselines::RuntimeKind kind;
+    const char* label;
+    bool flush_elision;
+};
+
+/**
+ * Measure one point on a fresh world: set up the cache, reset the
+ * persist counters, run the timed mix.  False if socket prefill failed.
+ */
+bool
+run_point(const RunCfg& rc, uint32_t threads, uint32_t set_pct,
+          double secs, apps::McTransport transport,
+          apps::MemcachedWorkloadResult* result)
+{
+    BenchWorld world(rc.kind, 512u << 20, 0, 4u << 20, rc.flush_elision);
+    apps::MemcachedWorkloadConfig cfg;
+    cfg.threads = threads;
+    cfg.set_pct = set_pct;
+    cfg.key_space = 10000;
+    cfg.duration_seconds = secs;
+    cfg.transport = transport;
+    if (transport != apps::McTransport::kSocket) {
+        const uint64_t root = apps::memcached_setup(*world.runtime, cfg);
+        persist_counters_reset_global();
+        *result = apps::memcached_run(*world.runtime, root, cfg);
+        return true;
+    }
+    apps::MemcachedMini::register_programs();
+    net::ServerConfig scfg;
+    scfg.shards = static_cast<uint32_t>(cfg.nshards);
+    scfg.batch_limit = 1; // one request per shard wakeup
+    scfg.nbuckets = static_cast<uint32_t>(cfg.nbuckets);
+    net::Server server(*world.runtime, scfg);
+    std::thread srv([&] { server.run(); });
+    cfg.port = server.port();
+    const bool ok = apps::memcached_prefill_socket(cfg);
+    if (ok) {
+        persist_counters_reset_global();
+        *result = apps::memcached_run(*world.runtime, 0, cfg);
+    }
+    server.stop(); // joins shards: TLS counters flushed
+    srv.join();
+    return ok;
+}
+
 } // namespace
 
 int
@@ -51,6 +101,13 @@ main()
     };
     const Mix mixes[] = {{"insertion-intensive (50/50)", 50},
                          {"search-intensive (10/90)", 10}};
+    // Every runtime at its stock configuration, plus the flush elision
+    // ablation of iDO (ido_noelide): CI's fence-diet gate compares the
+    // two iDO rows' flushes/op.
+    std::vector<RunCfg> run_cfgs;
+    for (auto kind : baselines::all_runtime_kinds())
+        run_cfgs.push_back({kind, baselines::runtime_kind_name(kind), true});
+    run_cfgs.push_back({baselines::RuntimeKind::kIdo, "ido_noelide", false});
 
     for (const Mix& mix : mixes) {
         print_header((std::string("Fig.5 memcached, ") + mix.name
@@ -58,60 +115,24 @@ main()
                          .c_str());
         std::printf("%-10s %8s %10s %9s   %s\n", "runtime", "threads",
                     "Mops/s", "transport", "persist profile");
-        // Every runtime at its stock configuration, plus the flush
-        // elision ablation of iDO (ido_noelide): CI's fence-diet gate
-        // compares the two iDO rows' flushes/op.
-        struct RunCfg
-        {
-            baselines::RuntimeKind kind;
-            const char* label;
-            bool flush_elision;
-        };
-        std::vector<RunCfg> run_cfgs;
-        for (auto kind : baselines::all_runtime_kinds())
-            run_cfgs.push_back(
-                {kind, baselines::runtime_kind_name(kind), true});
-        run_cfgs.push_back(
-            {baselines::RuntimeKind::kIdo, "ido_noelide", false});
+        // One untimed warm-up point first, at the widest thread count
+        // for at least 2 s: without it the mix's first measured rows
+        // sometimes ran flat, not scaling with threads, and read
+        // bimodal from run to run.  A 1-thread, one-point warm-up was
+        // not enough.
+        apps::MemcachedWorkloadResult result;
+        if (!run_point(run_cfgs.front(), thread_sweep().back(),
+                       mix.set_pct, std::max(secs, 2.0), transport,
+                       &result)) {
+            std::fprintf(stderr, "fig5: socket prefill failed\n");
+            return 1;
+        }
         for (const RunCfg& rc : run_cfgs) {
-            const auto kind = rc.kind;
             for (uint32_t threads : thread_sweep()) {
-                BenchWorld world(kind, 512u << 20, 0, 4u << 20,
-                                 rc.flush_elision);
-                apps::MemcachedWorkloadConfig cfg;
-                cfg.threads = threads;
-                cfg.set_pct = mix.set_pct;
-                cfg.key_space = 10000;
-                cfg.duration_seconds = secs;
-                cfg.transport = transport;
-
-                apps::MemcachedWorkloadResult result;
-                if (transport == apps::McTransport::kSocket) {
-                    apps::MemcachedMini::register_programs();
-                    net::ServerConfig scfg;
-                    scfg.shards = static_cast<uint32_t>(cfg.nshards);
-                    scfg.batch_limit = 1; // stock per-request protocol
-                    scfg.nbuckets = static_cast<uint32_t>(cfg.nbuckets);
-                    net::Server server(*world.runtime, scfg);
-                    std::thread srv([&] { server.run(); });
-                    cfg.port = server.port();
-                    if (!apps::memcached_prefill_socket(cfg)) {
-                        std::fprintf(stderr,
-                                     "fig5: socket prefill failed\n");
-                        server.stop();
-                        srv.join();
-                        return 1;
-                    }
-                    persist_counters_reset_global();
-                    result = apps::memcached_run(*world.runtime, 0, cfg);
-                    server.stop(); // joins shards: TLS counters flushed
-                    srv.join();
-                } else {
-                    const uint64_t root =
-                        apps::memcached_setup(*world.runtime, cfg);
-                    persist_counters_reset_global();
-                    result =
-                        apps::memcached_run(*world.runtime, root, cfg);
+                if (!run_point(rc, threads, mix.set_pct, secs, transport,
+                               &result)) {
+                    std::fprintf(stderr, "fig5: socket prefill failed\n");
+                    return 1;
                 }
                 std::printf("%-10s %8u %10.3f %9s   %s\n", rc.label,
                             threads, result.mops(),

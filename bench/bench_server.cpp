@@ -2,16 +2,15 @@
  * @file
  * ido-serve group-commit ablation: throughput and fences per request
  * for batch limits K in {1, 4, 16}, on the memcached-canonical
- * read-heavy mix (2 sets per 16 requests).  K=1 is the stock
- * per-request iDO protocol (the batcher never opens a persist group);
- * larger K lets each shard execute up to K pipelined requests between
- * batch-open and the single batch-close fence, eliding the
- * recovery-pc and lock-record fences of every read-only tail
- * (ido_runtime.h states the exact soundness rule).  GETs never
- * activate the iDO log, so they pay no fence at any K.
+ * read-heavy mix (2 sets per 16 requests).  K=1 hands each request to
+ * its shard alone; larger K lets each shard execute up to K pipelined
+ * requests per wakeup and release their replies together.  Batching
+ * saves handoffs and syscalls, not fences: every FASE is durable when
+ * it returns (ido_runtime.h), and GETs never activate the iDO log, so
+ * they pay no fence at any K.
  *
  * Acceptance (checked by CI from BENCH_server.json): K=1 costs at most
- * 0.76 fences/request (2 sets per 16 requests x 6 fences per
+ * 0.51 fences/request (2 sets per 16 requests x 4 fences per
  * set-update), K=16 no more than K=1, at equal or better throughput.
  *
  * Clients are real loopback-TCP connections pipelining bursts, since

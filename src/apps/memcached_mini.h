@@ -82,8 +82,7 @@ class MemcachedMini
     /**
      * Index of the McShard owning this key.  Keyspace-sharding hook
      * for ido-serve: routing every request for a shard to one worker
-     * thread makes that shard's lock thread-private, the contract the
-     * group-persist batcher relies on (runtime.h).
+     * thread keeps that shard's lock uncontended.
      */
     uint64_t shard_index(uint64_t key_lo, uint64_t key_hi) const;
 

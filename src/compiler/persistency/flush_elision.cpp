@@ -1,6 +1,5 @@
 #include "compiler/persistency/flush_elision.h"
 
-#include <algorithm>
 #include <cstddef>
 
 namespace ido::compiler::persistency {
@@ -137,7 +136,6 @@ compute_persist_plan(const Function& fn, const Cfg& cfg,
                      const RegionPartition& part,
                      const std::vector<RegionInfo>& info)
 {
-    (void)cfg;
     PersistPlan plan;
 
     const std::vector<std::vector<StoreRec>> segments =
@@ -146,16 +144,18 @@ compute_persist_plan(const Function& fn, const Cfg& cfg,
     for (const std::vector<StoreRec>& seg : segments)
         group_segment(fn, seg, plan, &plan.elisions);
 
-    // Boundaries entering an all-store-free tail may defer their pc
-    // fence (the static mirror of the runtime's tail_read_only test).
-    const uint32_t n = static_cast<uint32_t>(info.size());
-    for (uint32_t r = n; r-- > 1;) {
-        if (info[r].num_stores > 0)
-            break;
-        plan.deferrable_boundaries.push_back(r);
+    // Boundaries entering a store-free tail: no storing region is
+    // reachable, back edges included.
+    for (uint32_t r = 1; r < info.size(); ++r) {
+        const std::vector<bool> reach = reachable_regions(fn, cfg, part, r);
+        bool store_free = true;
+        for (uint32_t j = 0; j < info.size(); ++j) {
+            if (reach[j] && info[j].num_stores > 0)
+                store_free = false;
+        }
+        if (store_free)
+            plan.deferrable_boundaries.push_back(r);
     }
-    std::reverse(plan.deferrable_boundaries.begin(),
-                 plan.deferrable_boundaries.end());
     return plan;
 }
 

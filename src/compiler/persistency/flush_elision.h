@@ -10,8 +10,8 @@
  * co-location only holds under stronger placement, the pass directs
  * the interpreter to line-align the allocation site (objects up to one
  * line), turning a maybe-same-line into a provable one.  Also derives
- * the store-free-tail set of region boundaries whose pc fence the
- * group-persist mode may defer.
+ * the region boundaries that enter a store-free tail (no storing
+ * region reachable), where the runtime may deactivate the log.
  *
  * The pass only *claims*; persist_verify.h independently checks every
  * claim against the persist-state dataflow, and CompiledFase refuses

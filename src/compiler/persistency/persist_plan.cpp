@@ -104,4 +104,37 @@ alloc_site_positions(const Function& fn)
     return sites;
 }
 
+std::vector<bool>
+reachable_regions(const Function& fn, const Cfg& cfg,
+                  const RegionPartition& part, uint32_t from)
+{
+    const uint32_t n = part.num_regions();
+    std::vector<std::vector<uint32_t>> succs(n);
+    for (uint32_t b = 0; b < fn.num_blocks(); ++b) {
+        uint32_t cur = part.block_entry_region(b);
+        for (uint32_t i = 1; i < fn.block(b).instrs.size(); ++i) {
+            const uint32_t r = part.region_of(InstrRef{b, i});
+            if (r != cur)
+                succs[cur].push_back(r);
+            cur = r;
+        }
+        for (const uint32_t s : cfg.successors(b))
+            succs[cur].push_back(part.block_entry_region(s));
+    }
+    std::vector<bool> seen(n, false);
+    std::vector<uint32_t> work{from};
+    seen[from] = true;
+    while (!work.empty()) {
+        const uint32_t r = work.back();
+        work.pop_back();
+        for (const uint32_t s : succs[r]) {
+            if (!seen[s]) {
+                seen[s] = true;
+                work.push_back(s);
+            }
+        }
+    }
+    return seen;
+}
+
 } // namespace ido::compiler::persistency

@@ -11,8 +11,8 @@
  * pending range, and InCLL-style placement (Cohen et al.) can *make*
  * them land on one line by aligning the allocation they target.  A
  * PersistPlan records exactly which per-store write-backs the
- * compiler elides and why, plus which region boundaries may defer
- * their pc fence (the group-persist rule of ido_runtime.h), so an
+ * compiler elides and why, plus which region boundaries enter a
+ * store-free tail (where ido_runtime.h deactivates the log), so an
  * independent verifier (persist_verify.h) can replay the persist-state
  * dataflow and confirm no crash frontier ever observes an elided
  * store's line dirty after its covering fence.
@@ -24,7 +24,9 @@
 
 #include "common/cacheline.h"
 #include "compiler/alias_analysis.h"
+#include "compiler/cfg.h"
 #include "compiler/ir.h"
+#include "compiler/region_partition.h"
 
 namespace ido::compiler::persistency {
 
@@ -47,9 +49,8 @@ enum class ProofKind : uint8_t
     kSameLineCoLocation,
     /** The exact same word is stored again in the same region. */
     kAlreadyPersisted,
-    /** Boundary pc fence deferrable: every remaining region is
-     *  store-free, so the flush it orders is dominated by the next
-     *  covering fence. */
+    /** Boundary enters a store-free tail: no storing region is
+     *  reachable, so the log may deactivate there. */
     kDeferredTailFence,
 };
 
@@ -81,9 +82,12 @@ struct PersistPlan
     std::vector<ElisionProof> elisions;
 
     /**
-     * Region indices r such that the boundary *entering* r may defer
-     * its recovery_pc fence: every region j >= r is store-free, the
-     * static mirror of the runtime's tail_read_only condition.
+     * Region indices r such that the boundary *entering* r enters a
+     * store-free tail: no region reachable from r (r included) stores,
+     * so the runtime may set recovery_pc inactive there and run the
+     * rest unlogged.  The static mirror of the runtime's deactivation
+     * test, which scans indices j >= r and panics if a storing region
+     * still runs.
      */
     std::vector<uint32_t> deferrable_boundaries;
 
@@ -114,5 +118,16 @@ bool provably_same_line(const LineFootprint& a, const LineFootprint& b,
 
 /** InstrRef of each kAlloc site, indexed by AliasAnalysis site id. */
 std::vector<InstrRef> alloc_site_positions(const Function& fn);
+
+/**
+ * Regions reachable from region `from`, itself included, over the
+ * region CFG: a cut inside a block leads to the next region, and a
+ * block's last region leads to each successor block's entry region.
+ * Back edges count, so a loop latch reaches its (lower-numbered)
+ * header.
+ */
+std::vector<bool> reachable_regions(const Function& fn, const Cfg& cfg,
+                                    const RegionPartition& part,
+                                    uint32_t from);
 
 } // namespace ido::compiler::persistency

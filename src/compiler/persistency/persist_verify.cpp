@@ -242,7 +242,8 @@ check_elision(const Function& fn, const AliasAnalysis& aa,
 }
 
 void
-check_deferrals(const Function& fn, const RegionPartition& part,
+check_deferrals(const Function& fn, const Cfg& cfg,
+                const RegionPartition& part,
                 const std::vector<RegionInfo>& info,
                 const PersistPlan& plan, std::vector<Diagnostic>& out)
 {
@@ -256,8 +257,9 @@ check_deferrals(const Function& fn, const RegionPartition& part,
                 n - 1));
             continue;
         }
-        for (uint32_t j = r; j < n; ++j) {
-            if (info[j].num_stores == 0)
+        const std::vector<bool> reach = reachable_regions(fn, cfg, part, r);
+        for (uint32_t j = 0; j < n; ++j) {
+            if (!reach[j] || info[j].num_stores == 0)
                 continue;
             // Anchor at the first store of the offending region.
             InstrRef bad = info[j].start;
@@ -276,13 +278,13 @@ check_deferrals(const Function& fn, const RegionPartition& part,
             }
             Diagnostic d = lint::make_diag(
                 "unsound-deferral", Severity::kError, fn.name(), bad,
-                "pc fence entering region %u deferred, but region %u "
-                "is not store-free: a crash replays from a stale "
-                "recovery_pc past this store",
+                "log deactivated entering region %u, but region %u "
+                "is reachable from it and stores: the store would run "
+                "unlogged, torn from the FASE's earlier stores",
                 r, j);
             d.trace.push_back(TraceStep{
                 part.starts()[r],
-                "boundary whose recovery_pc fence the plan defers"});
+                "boundary the plan claims enters a store-free tail"});
             d.trace.push_back(TraceStep{
                 bad, "NVM store in a claimed store-free tail"});
             out.push_back(std::move(d));
@@ -300,12 +302,11 @@ verify_persist_plan(const Function& fn, const Cfg& cfg,
                     const std::vector<RegionInfo>& info,
                     const PersistPlan& plan)
 {
-    (void)cfg;
     std::vector<Diagnostic> out;
     check_aligned_sites(fn, plan, out);
     for (const ElisionProof& e : plan.elisions)
         check_elision(fn, aa, part, plan, e, out);
-    check_deferrals(fn, part, info, plan, out);
+    check_deferrals(fn, cfg, part, info, plan, out);
     return out;
 }
 

@@ -14,9 +14,10 @@
  *                        with the elided store's line dirty and no
  *                        covering write-back pending -- reported with
  *                        the concrete crash-frontier path;
- *   unsound-deferral     a boundary whose pc fence the plan defers even
- *                        though a later region stores to NVM, so a
- *                        crash replays from a stale recovery_pc.
+ *   unsound-deferral     a boundary the plan claims enters a store-free
+ *                        tail although a storing region is reachable
+ *                        from it (back edges included), so that store
+ *                        would run with the log deactivated.
  *
  * All findings are errors: each is a proof of a crash-consistency bug,
  * not a may-happen warning.  The empty plan always verifies clean; a

@@ -6,17 +6,21 @@
  * (RootSlot::kIdoLogHead) so recovery can find every thread's state:
  *
  *  - recovery_pc: (fase_id, region_index) of the current idempotent
- *    region, or the inactive sentinel outside FASEs.  Updated (with its
- *    own persist fence) only after the previous region's outputs have
- *    persisted.
+ *    region while the FASE's log is active -- from its first storing
+ *    region up to the boundary after its last -- and the inactive
+ *    sentinel otherwise (read-only prefix, store-free tail, outside
+ *    FASEs).  Updated (with its own persist fence) only after the
+ *    previous region's outputs have persisted.
  *  - intRF / floatRF: live-out register values; each register has a
  *    fixed slot, which is what makes persist coalescing (Sec. IV-B)
  *    safe: registers logged in the current region are consumed only by
  *    later regions, so flushing whole lines in slot order is fine.
  *  - lock_array + lock_bitmap: indirect lock holders owned by the
- *    thread (Sec. III-B).  Written from the FASE's activation on (the
- *    activation writes every lock already held, ordered by the
- *    activation's fence 1), then with a single fence per lock op.
+ *    thread (Sec. III-B), meaningful only while recovery_pc is active.
+ *    The activation writes every lock already held (ordered by its
+ *    fence 1) and clears bits a previous FASE's tail left behind; an
+ *    active lock op then pays a single fence.  Locks released in the
+ *    store-free tail keep their bits until the next activation.
  *
  * The record is laid out so each logically-distinct persist target sits
  * on its own cache line(s).

@@ -128,7 +128,6 @@ IdoRuntime::recover()
                 th.restore_ctx(ctx);
                 trace::emit(trace::EventKind::kRecoverResumeBegin, pc);
                 th.resume_fase(*prog, recovery_pc_region(pc), ctx);
-                th.release_leftover_locks();
                 trace::emit(trace::EventKind::kRecoverResumeEnd, pc);
             } catch (const rt::SimCrashException&) {
                 // Recovery itself "crashed" (test injection).  The log

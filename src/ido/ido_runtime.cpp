@@ -16,11 +16,9 @@ using rt::RegionMeta;
 
 namespace {
 
-// Stable MetricsRegistry cells for the group-commit fence accounting
-// (BENCH_server.json divides persist.fences by these to show the K
-// ablation).
+// Stable MetricsRegistry cell for the flush-elision accounting.
 std::atomic<uint64_t>&
-group_metric(const char* name)
+metric(const char* name)
 {
     return *MetricsRegistry::instance().counter(name);
 }
@@ -51,6 +49,10 @@ IdoRuntime::IdoRuntime(nvm::PersistentHeap& heap, nvm::PersistDomain& dom,
                        const rt::RuntimeConfig& cfg)
     : Runtime(heap, dom, cfg)
 {
+    // Publish every fence site from the start, zero or not.
+    for (size_t i = 0; i < kNumFenceSites; ++i)
+        MetricsRegistry::instance().counter(
+            fence_site_metric(static_cast<FenceSite>(i)));
 }
 
 rt::RuntimeTraits
@@ -116,8 +118,9 @@ IdoThread::IdoThread(IdoRuntime& rt, uint64_t existing_rec_off)
 {
     rec_ = heap().resolve<IdoLogRec>(rec_off_);
     lock_bitmap_mirror_ = dom().load_val(&rec_->lock_bitmap);
+    rec_bitmap_ = lock_bitmap_mirror_;
     pending_.reserve(32);
-    activated_ = true; // an interrupted FASE was, by definition, live
+    phase_ = Phase::kActive; // an interrupted FASE was, by definition, live
     trace::emit(trace::EventKind::kLogRecAttach, rec_off_,
                 dom().load_val(&rec_->thread_tag));
 }
@@ -152,18 +155,6 @@ IdoThread::reacquire_crashed_locks()
 }
 
 void
-IdoThread::release_leftover_locks()
-{
-    while (!held_.empty()) {
-        const HeldLock h = held_.back();
-        rt::TransientLock& l =
-            rt_.locks().lock_for(heap().resolve<uint64_t>(h.holder_off));
-        do_unlock(h.holder_off, l); // erases from held_, clears record
-        trace::emit(trace::EventKind::kLockRelease, h.holder_off);
-    }
-}
-
-void
 IdoThread::restore_ctx(RegionCtx& ctx) const
 {
     trace::emit(trace::EventKind::kRecoverRestoreCtx, rec_off_);
@@ -174,57 +165,41 @@ IdoThread::restore_ctx(RegionCtx& ctx) const
 }
 
 void
-IdoThread::fence_pending_pc()
+IdoThread::fence(FenceSite site)
 {
-    if (!pc_flush_pending_)
-        return;
-    // The deferred boundary fence 2.  It must retire before any newer
-    // register-slot or heap line becomes write-back-pending: a crash
-    // resolves outstanding lines independently, and a dropped pc next
-    // to a persisted newer line would resume an old region against
-    // state it never produced (see ido_runtime.h).
     crash_tick();
     dom().fence();
-    pc_flush_pending_ = false;
-    marker_flush_pending_ = false; // same fence covers lock records
+    ++tls_persist_counters().site(site);
 }
 
 void
-IdoThread::begin_persist_group()
+IdoThread::credit_alloc_fences(uint64_t fences_before)
 {
-    IDO_ASSERT(!in_fase_, "persist group opened inside a FASE");
-    if (group_mode_)
-        return;
-    group_mode_ = true;
-    static std::atomic<uint64_t>& groups = group_metric("ido.group.begun");
-    groups.fetch_add(1, std::memory_order_relaxed);
+    PersistCounters& c = tls_persist_counters();
+    c.site(FenceSite::kAlloc) += c.fences - fences_before;
+}
+
+uint64_t
+IdoThread::nv_alloc(size_t n)
+{
+    const uint64_t before = tls_persist_counters().fences;
+    const uint64_t off = RuntimeThread::nv_alloc(n);
+    credit_alloc_fences(before);
+    return off;
 }
 
 void
-IdoThread::end_persist_group()
+IdoThread::nv_free(uint64_t off)
 {
-    IDO_ASSERT(!in_fase_, "persist group closed inside a FASE");
-    if (!group_mode_)
-        return;
-    group_mode_ = false;
-    if (pc_flush_pending_ || marker_flush_pending_) {
-        // The batch-close fence: one sfence publishes every deferred
-        // recovery_pc advance and lock-ownership record of the group.
-        // Replies for the whole batch are released only after this.
-        crash_tick();
-        dom().fence();
-        pc_flush_pending_ = false;
-        marker_flush_pending_ = false;
-        static std::atomic<uint64_t>& closes =
-            group_metric("ido.group.close_fences");
-        closes.fetch_add(1, std::memory_order_relaxed);
-    }
+    const uint64_t before = tls_persist_counters().fences;
+    RuntimeThread::nv_free(off);
+    credit_alloc_fences(before);
 }
 
 void
-IdoThread::persist_outputs(const RegionMeta& meta, const RegionCtx& ctx)
+IdoThread::persist_outputs(const RegionMeta& meta, const RegionCtx& ctx,
+                           FenceSite site)
 {
-    fence_pending_pc();
     // Output registers to their fixed slots.  With fixed slots, persist
     // coalescing (Sec. IV-B) is a matter of flushing whole RF lines:
     // eight u64 registers share one line.
@@ -276,7 +251,7 @@ IdoThread::persist_outputs(const RegionMeta& meta, const RegionCtx& ctx)
         }
         if (line_scratch_.size() < pending_.size()) {
             static std::atomic<uint64_t>& deduped =
-                group_metric("ido.elide.boundary_lines_deduped");
+                metric("ido.elide.boundary_lines_deduped");
             deduped.fetch_add(pending_.size() - line_scratch_.size(),
                               std::memory_order_relaxed);
         }
@@ -286,35 +261,18 @@ IdoThread::persist_outputs(const RegionMeta& meta, const RegionCtx& ctx)
     }
     pending_.clear();
     dom().audit_covered_boundary(); // ido-verify elision cross-check
-    crash_tick();
-    dom().fence(); // boundary fence 1
+    fence(site); // boundary fence 1
     trace::emit(trace::EventKind::kPersistOutputs,
                 dom().load_val(&rec_->recovery_pc));
 }
 
 void
-IdoThread::advance_recovery_pc(uint64_t pc, bool tail_read_only)
+IdoThread::set_recovery_pc(uint64_t pc, FenceSite site)
 {
     crash_tick();
     dom().store_val(&rec_->recovery_pc, pc);
     dom().flush(&rec_->recovery_pc, sizeof(uint64_t));
-    if (group_mode_ && tail_read_only) {
-        // Deferred: persists at the next fence_pending_pc() or at the
-        // batch-close fence.  Sound only because the caller guarantees
-        // no may_store region executes while this flush is pending:
-        // cache lines dirtied by a store persist (or not) on their own
-        // at a crash, independent of any fence, so a pending pc flush
-        // must never race newer heap stores.  With only read-only
-        // regions ahead, a dropped pc merely lags and recovery
-        // re-executes the already-persisted tail -- the same cursor
-        // window the stock protocol exposes between boundary fences.
-        pc_flush_pending_ = true;
-        static std::atomic<uint64_t>& elided =
-            group_metric("ido.group.fences_elided");
-        elided.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        dom().fence(); // boundary fence 2
-    }
+    fence(site); // boundary fence 2
     trace::emit(trace::EventKind::kAdvancePc, pc);
     crash_tick();
 }
@@ -326,32 +284,51 @@ IdoThread::on_fase_begin(const rt::FaseProgram&, RegionCtx&)
     // until control reaches the first region that may store.  Losing a
     // store-free FASE prefix to a crash is indistinguishable from it
     // never having run, so recovery_pc can stay inactive.
-    activated_ = false;
+    phase_ = Phase::kPrefix;
 }
 
 void
 IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
                            RegionCtx& ctx)
 {
-    if (activated_ || !prog.region(idx).may_store)
+    if (phase_ == Phase::kActive || !prog.region(idx).may_store)
         return;
+    // Deactivation trusted the index order: no may_store region after
+    // the last one's boundary.  A read-only region that branches back
+    // to a storing one breaks that, and re-activating here would tear
+    // the FASE in two atomic halves.
+    if (phase_ == Phase::kTail)
+        panic("FASE '%s': may_store region '%s' runs after the log "
+              "deactivated (its tail is not store-free)",
+              prog.name, prog.region(idx).name);
     // First potentially-storing region: persist every register any
     // region consumes as live-in (current values ARE this region's
     // entry state; registers defined later get re-persisted, fresher,
     // at their defining region's boundary), then go live.  Locks taken
     // in the read-only prefix live only in the volatile mirror; their
     // ownership records are written here, and fence 1 orders them
-    // ahead of the activation recovery_pc.  Recovery reads a record
-    // only while its pc is active, so these are exactly the records it
-    // can ever observe -- hence fence 1 runs whenever a lock is held,
-    // live-in arguments or not.
-    if (!held_.empty()) {
+    // ahead of the activation recovery_pc.  Bits a previous FASE's
+    // deactivated tail left behind are cleared in the same write, and
+    // their slots zeroed, so a torn later lock op can only read 0.
+    // Recovery reads a record only while its pc is active, so these
+    // are exactly the records it can ever observe -- hence fence 1 runs
+    // whenever the lock record changes, live-in arguments or not.
+    const uint64_t stale = rec_bitmap_ & ~lock_bitmap_mirror_;
+    const bool lock_record = !held_.empty() || stale != 0;
+    if (lock_record) {
         size_t top = 0;
         for (const HeldLock& h : held_) {
             dom().store_val(&rec_->lock_array[h.slot], h.holder_off);
             top = std::max<size_t>(top, h.slot);
         }
+        for (size_t slot = 0; slot < kMaxHeldLocks; ++slot) {
+            if (stale & (1ull << slot)) {
+                dom().store_val(&rec_->lock_array[slot], uint64_t{0});
+                top = std::max(top, slot);
+            }
+        }
         dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);
+        rec_bitmap_ = lock_bitmap_mirror_;
         flush_lock_record(top);
     }
     RegionMeta args_meta{};
@@ -359,14 +336,11 @@ IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
         args_meta.out_int |= m.live_in_int;
         args_meta.out_float |= m.live_in_float;
     }
-    if (args_meta.out_int || args_meta.out_float || !held_.empty())
-        persist_outputs(args_meta, ctx);
-    // Never deferred: the region about to run stores to the heap, and
-    // if its dirty lines persisted while the activation pc dropped, the
-    // record would stay inactive and recovery would never repair them.
-    advance_recovery_pc(pack_recovery_pc(prog.fase_id, idx),
-                        /*tail_read_only=*/false);
-    activated_ = true;
+    if (args_meta.out_int || args_meta.out_float || lock_record)
+        persist_outputs(args_meta, ctx, FenceSite::kActivate1);
+    set_recovery_pc(pack_recovery_pc(prog.fase_id, idx),
+                    FenceSite::kActivate2);
+    phase_ = Phase::kActive;
 }
 
 void
@@ -374,38 +348,54 @@ IdoThread::on_region_boundary(const rt::FaseProgram& prog,
                               uint32_t finished_idx, RegionCtx& ctx,
                               uint32_t next_idx)
 {
-    // A region with no outputs and no tracked heap writes has nothing
-    // to order ahead of the recovery_pc update, so its boundary costs a
-    // single fence.  (Pure-read regions are common -- the Redis search
-    // paths of Sec. V-A -- and this is why iDO "imposes minimal costs
-    // on read paths".)
-    if (!activated_) {
-        // Still in the read-only prefix: nothing persisted, nothing to
-        // order, no recovery_pc to advance.
+    if (phase_ != Phase::kActive) {
+        // Read-only prefix or deactivated tail: nothing persisted,
+        // nothing to order, no recovery_pc to advance.
         IDO_ASSERT(pending_.empty());
         return;
     }
-    const rt::RegionMeta& meta = prog.region(finished_idx);
-    if (meta.out_int || meta.out_float || !pending_.empty())
-        persist_outputs(meta, ctx);
-    const uint64_t pc = (next_idx == rt::kRegionEnd)
-        ? kInactivePc
-        : pack_recovery_pc(prog.fase_id, next_idx);
-    // The pc fence is deferrable (group mode) only when every region
-    // still to run in this FASE is store-free: then nothing dirties the
-    // heap while the flush is pending, and a dropped pc can only
-    // re-execute the fenced, idempotent tail.  Any may_store region
-    // ahead forces the fence here (see advance_recovery_pc).
-    bool tail_read_only = true;
+    bool tail_store_free = true;
     if (next_idx != rt::kRegionEnd) {
         for (size_t j = next_idx; j < prog.regions.size(); ++j) {
             if (prog.regions[j].may_store) {
-                tail_read_only = false;
+                tail_store_free = false;
                 break;
             }
         }
     }
-    advance_recovery_pc(pc, tail_read_only);
+    if (tail_store_free) {
+        // Deactivate at the last store.  Fence 1 makes the finished
+        // region's heap lines durable; no register slot is written,
+        // since recovery only ever resumes a storing region, whose
+        // inputs are already logged.  Fence 2 publishes the inactive
+        // pc and must retire before the tail releases any lock: a
+        // pending pc flush could still drop at a crash after another
+        // thread took the lock and committed, and recovery would then
+        // re-run this FASE's store over the newer value.
+        if (!pending_.empty())
+            persist_outputs(RegionMeta{}, ctx, FenceSite::kBoundary1);
+        set_recovery_pc(kInactivePc, FenceSite::kDeactivate);
+        phase_ = Phase::kTail;
+        return;
+    }
+    // A region with no outputs and no tracked heap writes has nothing
+    // to order ahead of the recovery_pc update, so its boundary costs a
+    // single fence.
+    const rt::RegionMeta& meta = prog.region(finished_idx);
+    if (meta.out_int || meta.out_float || !pending_.empty())
+        persist_outputs(meta, ctx, FenceSite::kBoundary1);
+    set_recovery_pc(pack_recovery_pc(prog.fase_id, next_idx),
+                    FenceSite::kBoundary2);
+}
+
+void
+IdoThread::on_fase_end(const rt::FaseProgram&, RegionCtx&)
+{
+    // The FASE is durable (recovery_pc inactive): release its frees
+    // here so their allocator fences count as kAlloc.
+    const uint64_t before = tls_persist_counters().fences;
+    drain_deferred_frees();
+    credit_alloc_fences(before);
 }
 
 void
@@ -418,9 +408,10 @@ IdoThread::do_store(uint64_t off, const void* src, size_t n)
         dom().store(p, src, n);
         dom().flush(p, n);
         dom().fence();
+        ++tls_persist_counters().site(FenceSite::kWritethrough);
         return;
     }
-    IDO_ASSERT(activated_,
+    IDO_ASSERT(phase_ == Phase::kActive,
                "store in a region not marked may_store (metadata bug)");
     dom().store(heap().resolve<void>(off), src, n);
     pending_.push_back(PendingRange{off, static_cast<uint32_t>(n)});
@@ -433,7 +424,7 @@ IdoThread::do_store_covered(uint64_t off, const void* src, size_t n)
         do_store(off, src, n); // durable write-through path
         return;
     }
-    IDO_ASSERT(activated_,
+    IDO_ASSERT(phase_ == Phase::kActive,
                "store in a region not marked may_store (metadata bug)");
     // The compiler proved a non-elided witness store in this same
     // region dirties the same cache line, so the witness's pending
@@ -443,7 +434,7 @@ IdoThread::do_store_covered(uint64_t off, const void* src, size_t n)
     dom().store(p, src, n);
     dom().note_covered_store(p, n);
     static std::atomic<uint64_t>& covered =
-        group_metric("ido.elide.covered_stores");
+        metric("ido.elide.covered_stores");
     covered.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -460,20 +451,9 @@ IdoThread::record_lock_op(size_t slot, uint64_t holder_off)
 {
     dom().store_val(&rec_->lock_array[slot], holder_off);
     dom().store_val(&rec_->lock_bitmap, lock_bitmap_mirror_);
+    rec_bitmap_ = lock_bitmap_mirror_;
     flush_lock_record(slot);
-    if (group_mode_) {
-        // Thread-private lock (group contract): nobody else can take
-        // it, so the ownership record may trail until the batch-close
-        // fence.  A crash-torn record at worst skips a reacquisition
-        // that has no contenders, or reacquires an uncontended lock
-        // the resumed unlock region releases again.
-        marker_flush_pending_ = true;
-        static std::atomic<uint64_t>& elided =
-            group_metric("ido.group.fences_elided");
-        elided.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        dom().fence(); // the single ordered write per lock op (III-B)
-    }
+    fence(FenceSite::kLock); // the single ordered write per lock op
 }
 
 void
@@ -494,9 +474,9 @@ IdoThread::do_lock(uint64_t holder_off, rt::TransientLock& l)
                kMaxHeldLocks);
     lock_bitmap_mirror_ |= 1ull << slot;
     held_.push_back(HeldLock{holder_off, static_cast<uint8_t>(slot)});
-    // In the read-only prefix the record is written at activation, if
+    // Outside the active span the record is written at activation, if
     // ever.
-    if (activated_)
+    if (phase_ == Phase::kActive)
         record_lock_op(static_cast<size_t>(slot), holder_off);
 }
 
@@ -513,8 +493,8 @@ IdoThread::do_unlock(uint64_t holder_off, rt::TransientLock& l)
     }
     IDO_ASSERT(slot >= 0, "unlocking a lock not held");
     lock_bitmap_mirror_ &= ~(1ull << slot);
-    // Before activation nothing was recorded, so nothing to clear.
-    if (activated_)
+    // Unrecorded before activation; unread after deactivation.
+    if (phase_ == Phase::kActive)
         record_lock_op(static_cast<size_t>(slot), 0); // then release
     crash_tick();
     l.unlock();

@@ -6,20 +6,35 @@
  *   1. write the output registers of r (Def_r ∩ LiveOut_r, Eq. 1) into
  *      their fixed intRF/floatRF slots, initiate write-back of the
  *      touched register-file lines (persist coalescing: up to eight
- *      registers per clflush) and of every heap line stored in r
+ *      registers per write-back) and of every heap line stored in r
  *      (pointer-accessed writes are tracked at run time), then fence;
  *   2. update recovery_pc to point at s, flush, fence;
  *   3. execute s.
  * Two persist fences per region, independent of the number of stores --
  * this is the paper's entire performance argument.
  *
- * Lock protocol (indirect locking, Sec. III-B): lock ownership records
- * (lock_array entry + bitmap bit) are persisted from activation on.  A
- * lock taken in a FASE's lazily-unactivated read-only prefix lives only
- * in the volatile mirror; activation writes every held lock's record
- * and boundary fence 1 orders it ahead of the activation recovery_pc.
- * After activation each acquire/release pays one persist fence.  A
- * FASE that never stores (a GET) thus pays no fence at all.
+ * Logging is live only between a FASE's first and last storing region:
+ *
+ *  - Lazy activation.  A read-only prefix logs nothing; the first
+ *    may_store region activates the log (live-ins, held-lock records,
+ *    then the first active recovery_pc).
+ *  - Deactivation at the last store.  The boundary that enters a
+ *    store-free tail (no may_store region at a later index) persists
+ *    the heap lines of the finished region (fence 1), then writes
+ *    recovery_pc = inactive (fence 2).  The tail runs unlogged: no pc
+ *    advances, no register slots, no lock records.
+ *
+ * Lock protocol (indirect locking, Sec. III-B): ownership records
+ * (lock_array entry + bitmap bit) are persisted only while the log is
+ * active.  Activation writes every held lock's record (fence 1 orders
+ * it ahead of the activation pc); an active acquire/release pays one
+ * fence.  Prefix and tail lock ops touch only the volatile mirror, so
+ * a GET pays no fence and a set-update or delete-hit pays four.
+ *
+ * The deactivating pc fence must retire before the tail releases a
+ * lock.  Otherwise the durable pc could still name the storing region
+ * after another thread took the lock and committed; recovery would then
+ * re-run the old store over the newer, acknowledged value.
  */
 #pragma once
 
@@ -28,6 +43,7 @@
 
 #include "ido/ido_log.h"
 #include "runtime/runtime.h"
+#include "stats/persist_stats.h"
 
 namespace ido {
 
@@ -68,61 +84,15 @@ class IdoThread final : public rt::RuntimeThread
     /**
      * Recovery step 3 (Sec. III-C): reacquire every lock named in the
      * adopted record's lock_array.
+     * @return number of crash-held locks reclaimed (recovery stats).
      */
-    /** @return number of crash-held locks reclaimed (recovery stats). */
     uint64_t reacquire_crashed_locks();
 
     /** Recovery step 4: rebuild the register file from the log. */
     void restore_ctx(rt::RegionCtx& ctx) const;
 
-    /**
-     * Recovery step 5 epilogue.  A group-mode crash can leave a stale
-     * ownership record: the unfenced slot-clear of an already-released
-     * lock, resolved in favour of the older value.  Recovery then
-     * reacquires a lock the resumed FASE never releases (its unlock
-     * region names a different -- or no -- holder).  Releasing the
-     * leftovers here restores the "no locks held after recovery"
-     * post-condition; under the stock protocol this is a no-op.
-     */
-    void release_leftover_locks();
-
-    /**
-     * Group-persist mode (ido-serve group commit).  Between begin and
-     * end, the two kinds of fences whose only role is to *publish
-     * markers* are deferred:
-     *
-     *  - boundary fence 2 (recovery_pc advance) keeps its store+flush
-     *    but fences lazily WHEN every region still to run in the FASE
-     *    is store-free (the trailing unlock region, and the FASE-end
-     *    inactive marker).  The durable pc then only LAGS program
-     *    order across fenced, idempotent work, so every crash state is
-     *    one the stock protocol already reaches between a boundary's
-     *    fence 1 and fence 2.  The restriction is load-bearing: cache
-     *    lines dirtied by a store persist (or not) independently at a
-     *    crash, regardless of fences, so deferring the pc fence across
-     *    a may_store region lets that region's lines persist while the
-     *    pc drops -- recovery then resumes an earlier region against
-     *    newer state (a cross-region WAR, e.g. a build region
-     *    reloading a list head its link region already moved), or, for
-     *    the activation pc, never resumes at all.  The crash-point
-     *    sweep in test_group_commit.cpp exercises exactly this.
-     *
-     *  - lock-operation fences (Sec. III-B's one-fence-per-lock-op,
-     *    paid only after activation) are deferred entirely.  Sound
-     *    only under the group contract (runtime.h): every lock taken
-     *    inside a group is thread-private, so a crash-torn ownership
-     *    record at worst skips a reacquisition nobody contends, or
-     *    reacquires a lock already released (both handled by the
-     *    existing torn-record and idempotent-unlock paths).
-     *
-     * Boundary fence 1 (persist_outputs) is NEVER deferred: region
-     * outputs must not be outrun by the pc line, and at activation it
-     * also orders the read-only prefix's lock records.  end_persist_group
-     * issues one closing fence covering every deferred marker, so a
-     * reply released after it implies full durability of the batch.
-     */
-    void begin_persist_group() override;
-    void end_persist_group() override;
+    uint64_t nv_alloc(size_t n) override;
+    void nv_free(uint64_t off) override;
 
   protected:
     void on_fase_begin(const rt::FaseProgram& prog,
@@ -132,6 +102,8 @@ class IdoThread final : public rt::RuntimeThread
     void on_region_boundary(const rt::FaseProgram& prog,
                             uint32_t finished_idx, rt::RegionCtx& ctx,
                             uint32_t next_idx) override;
+    void on_fase_end(const rt::FaseProgram& prog,
+                     rt::RegionCtx& ctx) override;
     void do_store(uint64_t off, const void* src, size_t n) override;
     void do_store_covered(uint64_t off, const void* src,
                           size_t n) override;
@@ -139,17 +111,13 @@ class IdoThread final : public rt::RuntimeThread
     void do_unlock(uint64_t holder_off, rt::TransientLock& l) override;
 
   private:
-    /** Step 1 of the boundary protocol: persist OutputSet_r. */
-    void persist_outputs(const rt::RegionMeta& meta,
-                         const rt::RegionCtx& ctx);
-
-    /**
-     * Step 2: durably advance recovery_pc.  The fence is deferred
-     * (group mode) only when `tail_read_only`: the caller asserts that
-     * no may_store region runs before the next fence, the condition
-     * that keeps a lagging durable pc sound (class comment above).
-     */
-    void advance_recovery_pc(uint64_t pc, bool tail_read_only);
+    /** Where the current FASE stands with respect to its log. */
+    enum class Phase : uint8_t
+    {
+        kPrefix, ///< before the first may_store region: nothing logged
+        kActive, ///< recovery_pc names the running region
+        kTail,   ///< past the last store: recovery_pc inactive again
+    };
 
     struct PendingRange
     {
@@ -157,26 +125,40 @@ class IdoThread final : public rt::RuntimeThread
         uint32_t len;
     };
 
-    /** Fence a deferred recovery_pc flush (group mode), if any. */
-    void fence_pending_pc();
+    /** Persist fence attributed to a site (`ido.fence.*`). */
+    void fence(FenceSite site);
+
+    /** Step 1 of the boundary protocol: persist OutputSet_r. */
+    void persist_outputs(const rt::RegionMeta& meta,
+                         const rt::RegionCtx& ctx, FenceSite site);
+
+    /** Step 2: durably set recovery_pc. */
+    void set_recovery_pc(uint64_t pc, FenceSite site);
 
     /** Start write-back of lock_bitmap and lock_array[0..top_slot]. */
     void flush_lock_record(size_t top_slot);
 
     /**
-     * Persist one lock op after activation: store lock_array[slot] and
-     * the bitmap, flush, then fence (or defer to the batch close).
+     * Persist one lock op of an active FASE: store lock_array[slot] and
+     * the bitmap, flush, then fence.
      */
     void record_lock_op(size_t slot, uint64_t holder_off);
 
+    /** Count the fences issued since `fences_before` as kAlloc. */
+    void credit_alloc_fences(uint64_t fences_before);
+
     IdoLogRec* rec_;
     uint64_t rec_off_;
-    /** Held-lock slots; rec_->lock_bitmap matches it once activated. */
+    /** Held-lock slots; rec_->lock_bitmap matches it while active. */
     uint64_t lock_bitmap_mirror_ = 0;
-    bool activated_ = false; ///< lazy: logging live for this FASE?
-    bool group_mode_ = false;      ///< inside begin/end_persist_group?
-    bool pc_flush_pending_ = false;   ///< recovery_pc flushed, unfenced
-    bool marker_flush_pending_ = false; ///< lock records flushed, unfenced
+    /**
+     * Last value stored to rec_->lock_bitmap.  A deactivated tail
+     * releases locks in the mirror only, so the record keeps their
+     * bits (unread: the pc is inactive) until the next activation
+     * clears them.
+     */
+    uint64_t rec_bitmap_ = 0;
+    Phase phase_ = Phase::kPrefix;
     std::vector<PendingRange> pending_;
     /** Scratch for boundary-time pending-line dedup (flush_elision). */
     std::vector<uintptr_t> line_scratch_;

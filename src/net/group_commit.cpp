@@ -3,16 +3,12 @@
 #include <mutex>
 
 #include "fuzz/rr.h"
-#include "runtime/runtime.h"
 #include "stats/metrics.h"
 #include "trace/trace.h"
 
 namespace ido::net {
 
-GroupCommit::GroupCommit(rt::RuntimeThread& th, uint32_t batch_limit,
-                         uint64_t shard_index)
-    : th_(th), batch_limit_(batch_limit == 0 ? 1 : batch_limit),
-      shard_index_(shard_index)
+GroupCommit::GroupCommit(uint64_t shard_index) : shard_index_(shard_index)
 {
 }
 
@@ -30,11 +26,7 @@ GroupCommit::run_batch(const std::vector<ShardJob>& jobs, const Exec& exec,
     requests.fetch_add(jobs.size(), std::memory_order_relaxed);
 
     const auto do_batch = [&] {
-        const bool grouped = batch_limit_ > 1;
-        if (grouped) {
-            trace::emit(trace::EventKind::kGroupOpen, shard_index_);
-            th_.begin_persist_group();
-        }
+        trace::emit(trace::EventKind::kGroupOpen, shard_index_);
         for (const ShardJob& job : jobs) {
             ShardReply r;
             r.conn_id = job.conn_id;
@@ -42,13 +34,8 @@ GroupCommit::run_batch(const std::vector<ShardJob>& jobs, const Exec& exec,
             r.data = exec(job);
             out->push_back(std::move(r));
         }
-        if (grouped) {
-            // Retires every deferred progress-marker fence; only after
-            // this may the replies above reach a client.
-            th_.end_persist_group();
-            trace::emit(trace::EventKind::kGroupClose, shard_index_,
-                        jobs.size());
-        }
+        trace::emit(trace::EventKind::kGroupClose, shard_index_,
+                    jobs.size());
     };
 
     if (!fuzz::rr::active()) [[likely]] {

@@ -1,24 +1,20 @@
 /**
  * @file
- * Group-persist batcher: the reason ido-serve exists.
+ * Group-commit batcher: a shard worker runs up to K pipelined requests
+ * back to back and releases their replies together.
  *
- * iDO pays two persist fences per FASE region boundary plus one per
- * lock operation.  For a network server the client only observes
- * durability when the reply hits the wire, so fences covering pure
- * progress markers (recovery_pc advances, lock-ownership records) can
- * be deferred across a batch of pipelined requests and coalesced into
- * one batch-close fence, provided no reply is released before that
- * fence retires (IdoThread::begin/end_persist_group, ido_runtime.h).
+ * Batching buys fewer wakeups, handoffs and reply syscalls, not fewer
+ * fences.  Every iDO FASE is durable when it returns: its last store's
+ * boundary already fenced the inactive recovery_pc before the FASE
+ * released its locks (ido_runtime.h), so there is nothing left for a
+ * batch-close fence to publish.  A set-update pays its 4 fences at
+ * K=1 and K=16 alike.
  *
- * Durability contract (DESIGN.md Sec. 10): a reply implies the region
- * outputs of every request in the batch are persistent.  Crashing
- * mid-batch may lose *unacknowledged* requests -- each one either
- * replays from its durable activation record or vanishes atomically --
- * but never an acknowledged one, and never corrupts the cache.
- *
- * batch_limit == 1 runs the stock per-request protocol (no group mode
- * at all): that is the K=1 baseline in BENCH_server.json, and it keeps
- * "batch of one" semantically identical to an unbatched server.
+ * Durability contract (DESIGN.md Sec. 10): a reply follows a FASE that
+ * is already durable.  Crashing mid-batch may lose *unacknowledged*
+ * requests -- each either completes through recovery or vanishes
+ * atomically -- but never an acknowledged one, and never corrupts the
+ * cache.
  */
 #pragma once
 
@@ -28,10 +24,6 @@
 #include <vector>
 
 #include "net/memc_protocol.h"
-
-namespace ido::rt {
-class RuntimeThread;
-}
 
 namespace ido::net {
 
@@ -58,24 +50,19 @@ class GroupCommit
     /** Executes one job, returning its wire reply. */
     using Exec = std::function<std::string(const ShardJob&)>;
 
-    GroupCommit(rt::RuntimeThread& th, uint32_t batch_limit,
-                uint64_t shard_index);
+    explicit GroupCommit(uint64_t shard_index);
 
     /**
      * Run every job in `jobs` (the caller bounds its size to the batch
-     * limit), appending replies to `out`.  On return the batch-close
-     * fence has retired: the caller may release the replies to
-     * clients.  Never throws past a job -- exec must handle its own
-     * protocol errors and reply accordingly.
+     * limit), appending replies to `out`.  Every job's FASE is durable
+     * on return, so the caller may release the replies to clients.
+     * Never throws past a job -- exec must handle its own protocol
+     * errors and reply accordingly.
      */
     void run_batch(const std::vector<ShardJob>& jobs, const Exec& exec,
                    std::vector<ShardReply>* out);
 
-    uint32_t batch_limit() const { return batch_limit_; }
-
   private:
-    rt::RuntimeThread& th_;
-    uint32_t batch_limit_;
     uint64_t shard_index_;
 };
 

@@ -7,7 +7,7 @@
  *  - one EventLoop thread owns all sockets (accept, parse, reply);
  *  - N McShardWorker threads, one per McShard, execute FASEs.  The
  *    loop routes each request by MemcachedMini::shard_index(), so each
- *    shard's lock is thread-private -- the group-persist contract.
+ *    shard's lock is taken by one worker only.
  *
  * Reply ordering: the memcached text protocol has no request ids, so
  * replies on a connection must go out in request order even though
@@ -16,10 +16,11 @@
  * completed replies in a reorder buffer until every earlier reply has
  * been written.
  *
- * Durability: a worker publishes a batch's replies only after its
- * batch-close fence (group_commit.h), so any byte a client reads
- * implies the whole batch's region outputs are persistent.  Killing
- * the process at any instant loses at most unacknowledged requests.
+ * Durability: a worker publishes a batch's replies only after every
+ * FASE of the batch returned, and an iDO FASE is durable when it
+ * returns (group_commit.h), so any byte a client reads implies the
+ * whole batch is persistent.  Killing the process at any instant
+ * loses at most unacknowledged requests.
  */
 #pragma once
 
@@ -45,7 +46,7 @@ struct ServerConfig
 {
     uint16_t port = 0;        ///< 0: kernel-assigned; see Server::port()
     uint32_t shards = 4;      ///< == McShard count, 1..7
-    uint32_t batch_limit = 16; ///< K: group-persist batch size (1 = stock)
+    uint32_t batch_limit = 16; ///< K: group-commit batch size
     uint64_t nbuckets = 256;  ///< hash buckets per shard (power of two)
     bool admin = false;       ///< serve /metrics, /stats.json, /recovery
     uint16_t admin_port = 0;  ///< 0: kernel-assigned; see admin_port()
@@ -53,8 +54,8 @@ struct ServerConfig
     /**
      * Replication (ido-cluster): when replica_port != 0 this server is
      * a *primary* -- every shard worker forwards its batch's mutations
-     * to the replica (itself a stock ido_serve) after the local
-     * batch-close fence, and releases the batch's replies only once
+     * to the replica (itself a stock ido_serve) after its local
+     * FASEs returned, and releases the batch's replies only once
      * the replica acknowledged them all.  A client ack then implies
      * durability on two heaps.
      */

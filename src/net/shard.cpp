@@ -107,7 +107,7 @@ McShardWorker::thread_main()
                    == nvm::TypeId::kMcRoot,
                "shard worker handed a root that is not a memcached root");
     apps::MemcachedMini cache(th->heap(), cfg_.root_off);
-    GroupCommit committer(*th, cfg_.batch_limit, cfg_.index);
+    GroupCommit committer(cfg_.index);
 
     static std::atomic<uint64_t>& net_requests =
         *MetricsRegistry::instance().counter("net.requests");
@@ -128,9 +128,9 @@ McShardWorker::thread_main()
 
     // Replication (ido-cluster): this worker's private connection to
     // the replica, plus the cluster.* accounting.  A batch's mutations
-    // go out after its local batch-close fence, and its replies are
-    // released only once the replica acked them, so a client ack
-    // certifies durability on both heaps.
+    // go out after its FASEs returned (each durable on return), and
+    // its replies are released only once the replica acked them, so a
+    // client ack certifies durability on both heaps.
     const bool replicate = cfg_.replica_port != 0;
     MemcClient replica;
     std::atomic<uint64_t>* const rep_batches =
@@ -231,8 +231,8 @@ McShardWorker::thread_main()
     const GroupCommit::Exec exec = [&](const ShardJob& job) -> std::string {
         const MemcRequest& rq = job.req;
         auto [lo, hi] = memc_key_words(rq.key);
-        // Thread-privacy guard: the loop must never route a key here
-        // that another worker's shard owns (the group contract).
+        // Routing guard: the loop must never route a key here that
+        // another worker's shard owns.
         IDO_ASSERT(cache.shard_index(lo, hi) == cfg_.index,
                    "request routed to the wrong shard worker");
         net_requests.fetch_add(1, std::memory_order_relaxed);
@@ -268,7 +268,7 @@ McShardWorker::thread_main()
     /**
      * Release one finished batch: account its publish phase and
      * per-op end-to-end latency, then hand its replies to the loop.
-     * The batch-close fence has retired (and, when replicating, the
+     * Every FASE of the batch is durable (and, when replicating, the
      * replica acked), so the replies are safe to release.
      */
     const auto release = [&](const std::vector<ShardJob>& jobs,
@@ -383,12 +383,13 @@ McShardWorker::thread_main()
             }
             batch.clear();
             replies.clear();
-            // Fold TLS persist counters into the registry on a coarse
-            // cadence so a live `stats` / /metrics scrape sees fence
-            // and flush traffic without waiting for worker exit.
-            // Amortized to five locked adds per 64 batches -- noise
-            // next to a fence.
-            if (++batches_since_fold >= 64) {
+            // Fold TLS persist counters into the registry every 64
+            // batches, and whenever the queue has drained, so a live
+            // `stats` / /metrics scrape -- or a bench reading totals
+            // between phases -- sees the fences of every request
+            // already answered.  A fold is a few relaxed adds.
+            if (++batches_since_fold >= 64
+                || queue_depth_.load(std::memory_order_relaxed) == 0) {
                 persist_counters_flush_tls();
                 batches_since_fold = 0;
             }

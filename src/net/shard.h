@@ -4,9 +4,8 @@
  *
  * The event loop routes every request whose key hashes to shard i onto
  * worker i's queue, so worker i is the *only* thread that ever takes
- * shard i's FASE-boundary lock.  That thread-privacy is what licenses
- * the group-persist batcher to defer lock-record fences (runtime.h);
- * thread_main asserts it per request in debug builds.
+ * shard i's FASE-boundary lock; thread_main asserts the routing per
+ * request.
  *
  * Each worker owns its own RuntimeThread (created on the worker thread
  * itself, so per-thread durable log records and trace rings attach to

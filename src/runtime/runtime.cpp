@@ -254,16 +254,6 @@ RuntimeThread::fase_unlock(uint64_t holder_off)
     trace::emit(trace::EventKind::kLockRelease, holder_off);
 }
 
-void
-RuntimeThread::adopt_lock_for_recovery(uint64_t holder_off)
-{
-    TransientLock& l =
-        rt_.locks().lock_for(heap().resolve<uint64_t>(holder_off));
-    acquire_transient(l, holder_off);
-    held_.push_back(HeldLock{holder_off, 0});
-    trace::emit(trace::EventKind::kLockAcquire, holder_off);
-}
-
 // Default lock instrumentation: plain mutual exclusion (Origin, NVML,
 // NVThreads take this path; iDO/Atlas/JUSTDO override).
 void

@@ -244,46 +244,6 @@ class RuntimeThread
     bool holds_lock(uint64_t holder_off) const;
     size_t locks_held() const { return held_.size(); }
 
-    // ---- group-persist batching (ido-serve, Sec. "group commit") -------
-
-    /**
-     * Enter group-persist mode: until end_persist_group(), the runtime
-     * may defer ordering fences whose only job is to publish progress
-     * markers (recovery_pc advances, lock-ownership records), letting
-     * them coalesce into the next data fence on this thread -- the
-     * paper's persist-coalescing argument applied across whole
-     * requests.  Durability of *data* (region outputs and heap stores)
-     * is never weakened: outputs still persist, fenced, at every
-     * region boundary, so a crash mid-group recovers exactly like a
-     * crash mid-FASE.
-     *
-     * Caller contract (checked only by the crash-sweep tests): while a
-     * group is open, every FASE-boundary lock this thread takes must
-     * be *thread-private* -- no other live thread may acquire it --
-     * because deferred lock-record persists weaken only the
-     * crashed-thread-reacquisition protocol, not mutual exclusion.
-     * ido-serve guarantees this by giving each worker shard exclusive
-     * ownership of its slice of the keyspace.
-     *
-     * Default implementation: no-op (runtimes without a resumption
-     * log have nothing to elide; group_commit still batches replies).
-     */
-    virtual void begin_persist_group() {}
-
-    /**
-     * Close the group: issue one fence that makes every deferred
-     * marker durable, then return to the stock per-boundary protocol.
-     * A reply released after this call implies the region outputs of
-     * every request executed in the group are persistent.
-     */
-    virtual void end_persist_group() {}
-
-    /**
-     * Pre-load the held-lock set during recovery (the recovery thread
-     * re-acquired these locks on the crashed thread's behalf).
-     */
-    void adopt_lock_for_recovery(uint64_t holder_off);
-
     /** Crash-injection opportunity (no-op unless a test armed it). */
     void
     crash_tick()

@@ -1,5 +1,6 @@
 #include "stats/persist_stats.h"
 
+#include <atomic>
 #include <cstdio>
 
 #include "stats/metrics.h"
@@ -7,6 +8,40 @@
 namespace ido {
 
 namespace {
+
+constexpr const char* kFenceSiteMetrics[kNumFenceSites] = {
+    "ido.fence.activate1", "ido.fence.activate2", "ido.fence.boundary1",
+    "ido.fence.boundary2", "ido.fence.deactivate", "ido.fence.lock",
+    "ido.fence.alloc",     "ido.fence.writethrough"};
+
+/** Registry cells the fold adds into: pointer-stable, looked up once. */
+struct FoldCells
+{
+    std::atomic<uint64_t>* stores;
+    std::atomic<uint64_t>* store_bytes;
+    std::atomic<uint64_t>* flushes;
+    std::atomic<uint64_t>* fences;
+    std::atomic<uint64_t>* log_bytes;
+    std::atomic<uint64_t>* sites[kNumFenceSites];
+};
+
+const FoldCells&
+fold_cells()
+{
+    static const FoldCells cells = [] {
+        auto& reg = MetricsRegistry::instance();
+        FoldCells f{reg.counter("persist.stores"),
+                    reg.counter("persist.store_bytes"),
+                    reg.counter("persist.flushes"),
+                    reg.counter("persist.fences"),
+                    reg.counter("persist.log_bytes"),
+                    {}};
+        for (size_t i = 0; i < kNumFenceSites; ++i)
+            f.sites[i] = reg.counter(kFenceSiteMetrics[i]);
+        return f;
+    }();
+    return cells;
+}
 
 /**
  * Thread-local counters that fold themselves into the MetricsRegistry
@@ -24,15 +59,22 @@ struct TlsCounters
     void
     fold()
     {
+        // Every fence site counts a fence, so fences == 0 covers them.
         if (c.stores == 0 && c.store_bytes == 0 && c.flushes == 0 &&
             c.fences == 0 && c.log_bytes == 0)
             return;
-        auto& reg = MetricsRegistry::instance();
-        reg.add("persist.stores", c.stores);
-        reg.add("persist.store_bytes", c.store_bytes);
-        reg.add("persist.flushes", c.flushes);
-        reg.add("persist.fences", c.fences);
-        reg.add("persist.log_bytes", c.log_bytes);
+        const FoldCells& f = fold_cells();
+        const auto add = [](std::atomic<uint64_t>* cell, uint64_t v) {
+            if (v != 0)
+                cell->fetch_add(v, std::memory_order_relaxed);
+        };
+        add(f.stores, c.stores);
+        add(f.store_bytes, c.store_bytes);
+        add(f.flushes, c.flushes);
+        add(f.fences, c.fences);
+        add(f.log_bytes, c.log_bytes);
+        for (size_t i = 0; i < kNumFenceSites; ++i)
+            add(f.sites[i], c.fence_sites[i]);
         c.clear();
     }
 };
@@ -40,6 +82,12 @@ struct TlsCounters
 thread_local TlsCounters t_counters;
 
 } // namespace
+
+const char*
+fence_site_metric(FenceSite site)
+{
+    return kFenceSiteMetrics[static_cast<size_t>(site)];
+}
 
 PersistCounters&
 PersistCounters::operator+=(const PersistCounters& o)
@@ -49,6 +97,8 @@ PersistCounters::operator+=(const PersistCounters& o)
     flushes += o.flushes;
     fences += o.fences;
     log_bytes += o.log_bytes;
+    for (size_t i = 0; i < kNumFenceSites; ++i)
+        fence_sites[i] += o.fence_sites[i];
     return *this;
 }
 
@@ -74,6 +124,8 @@ persist_counters_global()
     c.flushes = reg.counter_value("persist.flushes");
     c.fences = reg.counter_value("persist.fences");
     c.log_bytes = reg.counter_value("persist.log_bytes");
+    for (size_t i = 0; i < kNumFenceSites; ++i)
+        c.fence_sites[i] = reg.counter_value(kFenceSiteMetrics[i]);
     return c;
 }
 
@@ -86,6 +138,8 @@ persist_counters_reset_global()
     reg.set("persist.flushes", 0);
     reg.set("persist.fences", 0);
     reg.set("persist.log_bytes", 0);
+    for (const char* name : kFenceSiteMetrics)
+        reg.set(name, 0);
 }
 
 std::string

@@ -10,10 +10,36 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
 namespace ido {
+
+/**
+ * Where an iDO persist fence was issued.  Each site is published as the
+ * counter `ido.fence.<name>`.  The sites partition the fences of every
+ * FASE an iDO thread runs (and of its stores outside FASEs), so
+ * fences/op decomposes by protocol step.  Fences outside them, such as
+ * linking a new thread's log record or recovery's own, have no site.
+ */
+enum class FenceSite : uint8_t
+{
+    kActivate1,    ///< activation: live-in registers + prefix lock records
+    kActivate2,    ///< activation: the first active recovery_pc
+    kBoundary1,    ///< region boundary: outputs and heap lines
+    kBoundary2,    ///< region boundary: recovery_pc advance
+    kDeactivate,   ///< recovery_pc goes inactive after the last store
+    kLock,         ///< lock-ownership record of an active FASE
+    kAlloc,        ///< allocator calls of the thread (nv_alloc, frees)
+    kWritethrough, ///< store outside any FASE
+    kCount
+};
+
+constexpr size_t kNumFenceSites = static_cast<size_t>(FenceSite::kCount);
+
+/** Metric name of a site, e.g. "ido.fence.activate1". */
+const char* fence_site_metric(FenceSite site);
 
 /** Per-thread persistence-event counters. */
 struct PersistCounters
@@ -23,6 +49,13 @@ struct PersistCounters
     uint64_t flushes = 0;      ///< cache-line write-backs (clwb/clflush)
     uint64_t fences = 0;       ///< persist fences (sfence)
     uint64_t log_bytes = 0;    ///< bytes written to runtime logs
+    uint64_t fence_sites[kNumFenceSites] = {}; ///< iDO fences by site
+
+    uint64_t&
+    site(FenceSite s)
+    {
+        return fence_sites[static_cast<size_t>(s)];
+    }
 
     void clear() { *this = PersistCounters{}; }
 

@@ -1,22 +1,21 @@
 /**
  * @file
- * Group-persist batcher tests (net/group_commit + the IdoThread
- * persist-group protocol).
+ * Group-commit batcher tests (net/group_commit).
  *
  * 1. A deterministic crash-point sweep: a mixed set/get/del batch runs
  *    under the shadow domain with the crash fuse armed at every
- *    successive tick, under all three crash policies.  The batch-close
- *    fence has not retired when the crash fires, so *no* request is
+ *    successive tick, under all three crash policies.  The batch has
+ *    not returned when the crash fires, so *no* request is
  *    acknowledged: after iDO recovery each touched key must hold
  *    exactly its old or its new value (replay or vanish, atomically),
  *    untouched keys must be byte-identical, and the cache structure
  *    must check out.  The post-recovery write probes for leaked locks
- *    (a stale group-mode lock record must not deadlock later FASEs).
+ *    (a stale lock record must not deadlock later FASEs).
  *
  * 2. A deterministic fence count: the same workload at batch limit
- *    K=1 (stock protocol) and K=16 must issue exactly the expected
- *    number of persist fences, and K=16 fewer than K=1 -- the
- *    acceptance criterion the server bench re-verifies end to end.
+ *    K=1 and K=16 must issue exactly the expected number of persist
+ *    fences, the same at both -- batching does not change what a FASE
+ *    persists.  The server bench re-verifies it end to end.
  */
 #include <gtest/gtest.h>
 
@@ -144,8 +143,7 @@ TEST(GroupCommitCrashSweep, BatchAtomicAtEveryCrashPoint)
             {
                 auto th = runtime->make_thread();
                 MemcachedMini cache(heap, root);
-                GroupCommit committer(*th, /*batch_limit=*/16,
-                                      /*shard_index=*/0);
+                GroupCommit committer(/*shard_index=*/0);
                 std::vector<ShardReply> replies;
                 runtime->crash_scheduler().arm(fuse);
                 try {
@@ -193,8 +191,8 @@ TEST(GroupCommitCrashSweep, BatchAtomicAtEveryCrashPoint)
                     << ", policy " << static_cast<int>(policy)
                     << ", fuse " << fuse << ")";
             }
-            // Liveness probe: a leaked lock from a stale group-mode
-            // ownership record would deadlock this FASE.
+            // Liveness probe: a lock leaked by a stale ownership record
+            // would deadlock this FASE.
             auto [plo, phi] = net::memc_key_words("probe");
             cache.set(*th, plo, phi, 777);
             uint64_t pv = 0;
@@ -211,11 +209,11 @@ TEST(GroupCommitCrashSweep, BatchAtomicAtEveryCrashPoint)
  * The acceptance arithmetic on a read-heavy mix (2 sets per 16
  * requests, near memcached's canonical ~10/90 write/read split).
  * GETs never activate the log: their lock records stay volatile, so
- * they cost 0 fences in both modes.  A set-update costs 6 fences under
- * the stock protocol (activation args + pc, update outputs + pc,
- * unlock, final pc).  Group mode keeps every boundary fence guarding a
- * may_store region (soundness: ido_runtime.h) and defers the rest to
- * one close fence per batch.  Deterministic (real domain, fixed keys).
+ * they cost 0 fences.  A set-update costs 4 fences: activation (args +
+ * lock record, pc) and the update boundary, which deactivates the log
+ * (item line, inactive pc); its unlock tail runs unlogged.  Nothing is
+ * left to publish at a batch's end, so K does not change the count.
+ * Deterministic (real domain, fixed keys).
  */
 TEST(GroupCommitFences, ExactCountsAtK1AndK16)
 {
@@ -235,7 +233,7 @@ TEST(GroupCommitFences, ExactCountsAtK1AndK16)
             auto [lo, hi] = net::memc_key_words(key_name(i));
             cache.set(*th, lo, hi, 1);
         }
-        GroupCommit committer(*th, batch_limit, 0);
+        GroupCommit committer(/*shard_index=*/0);
         const uint64_t fences_before = tls_persist_counters().fences;
         for (int b = 0; b < kBatches; ++b) {
             std::vector<ShardJob> jobs;
@@ -251,8 +249,8 @@ TEST(GroupCommitFences, ExactCountsAtK1AndK16)
                 }
                 jobs.push_back(std::move(j));
             }
-            // K=1 degenerates to one-request batches of the stock
-            // protocol, exactly like an unbatched server.
+            // K=1 degenerates to one-request batches, exactly like an
+            // unbatched server.
             std::vector<ShardReply> replies;
             if (batch_limit == 1) {
                 for (ShardJob& j : jobs)
@@ -276,13 +274,9 @@ TEST(GroupCommitFences, ExactCountsAtK1AndK16)
 
     const uint64_t fences_k1 = fences_for(1);
     const uint64_t fences_k16 = fences_for(16);
-    // 8 batches x 2 sets x 6 fences; the 112 GETs add none.
-    EXPECT_EQ(fences_k1, 96u);
-    // 8 batches x 8: each set keeps 3 store-guarding fences, the
-    // second set's activation fences the first one's deferred pc, and
-    // one close fence publishes the rest.
+    // 8 batches x 2 sets x 4 fences; the 112 GETs add none.
+    EXPECT_EQ(fences_k1, 64u);
     EXPECT_EQ(fences_k16, 64u);
-    EXPECT_LT(fences_k16, fences_k1);
 }
 
 /**
@@ -336,7 +330,7 @@ TEST(GroupCommitRecordReplay, CrossShardBatchOrderReplays)
         fuzz::rr::ThreadScope scope(tid);
         auto th = env.runtime.make_thread();
         MemcachedMini cache(env.heap, env.root);
-        GroupCommit committer(*th, /*batch_limit=*/4, /*shard_index=*/tid);
+        GroupCommit committer(/*shard_index=*/tid);
         for (int b = 0; b < 6; ++b) {
             std::vector<ShardJob> jobs;
             for (int i = 0; i < 4; ++i) {

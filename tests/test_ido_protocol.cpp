@@ -3,9 +3,10 @@
  * Protocol-level tests for iDO normal execution: log-record lifecycle,
  * recovery_pc sequencing, fence economy (two per boundary with outputs,
  * one without; zero extra for acquires, one for releases), persist
- * coalescing of register outputs, lock_array maintenance, and exact
- * per-op fence/flush counts of the memcached FASEs (read-only FASEs
- * persist nothing).
+ * coalescing of register outputs, lock_array maintenance, deactivation
+ * at the last store, and exact per-op fence/flush counts of the
+ * memcached FASEs (read-only FASEs persist nothing), broken down by
+ * fence site.
  */
 #include <gtest/gtest.h>
 
@@ -17,7 +18,9 @@
 #include "nvm/persist_domain.h"
 #include "nvm/shadow_domain.h"
 #include "runtime/crash_sim.h"
+#include "stats/metrics.h"
 #include "stats/persist_stats.h"
+#include "stats/stat_plane.h"
 
 namespace ido {
 namespace {
@@ -61,7 +64,71 @@ TEST_F(IdoFixture, RecoveryPcInactiveAfterFase)
     ds::PStack stack(ds::PStack::create(*th));
     stack.push(*th, 42);
     EXPECT_EQ(ido_th->rec()->recovery_pc, kInactivePc);
+    EXPECT_EQ(th->locks_held(), 0u);
+    // The push released its lock in the deactivated tail, so the record
+    // still names it; recovery never reads it behind an inactive pc,
+    // and the next activation clears it.
+    EXPECT_EQ(ido_th->rec()->lock_bitmap, 1u);
+    stack.push(*th, 43);
+    EXPECT_EQ(ido_th->rec()->lock_bitmap, 1u);
+}
+
+TEST_F(IdoFixture, ActivationClearsStaleLockRecord)
+{
+    // A lock-free storing FASE after a push: its activation finds the
+    // push's tail-released lock still in the record and clears it.
+    static uint64_t data_off;
+    auto store_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        t.store_u64(data_off, 7);
+        return rt::kRegionEnd;
+    };
+    rt::FaseProgram p;
+    p.fase_id = 9007;
+    p.name = "store_only";
+    p.regions = {{store_r, "s", 0, 0, 0, 0}};
+
+    auto th = runtime.make_thread();
+    auto* ido_th = static_cast<IdoThread*>(th.get());
+    ds::PStack stack(ds::PStack::create(*th));
+    stack.push(*th, 42);
+    ASSERT_EQ(ido_th->rec()->lock_bitmap, 1u);
+    data_off = runtime.allocator().alloc(64, dom);
+    rt::RegionCtx ctx;
+    th->run_fase(p, ctx);
     EXPECT_EQ(ido_th->rec()->lock_bitmap, 0u);
+    EXPECT_EQ(ido_th->rec()->lock_array[0], 0u);
+    EXPECT_EQ(ido_th->rec()->recovery_pc, kInactivePc);
+}
+
+TEST_F(IdoFixture, StoreAfterDeactivationPanics)
+{
+    // Region 1 is read-only and the highest-numbered region, so the
+    // boundary entering it deactivates the log; it then branches back
+    // to storing region 0.  Running that store unlogged would tear the
+    // FASE, so the runtime refuses.
+    static uint64_t data_off;
+    static int laps;
+    auto store_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        t.store_u64(data_off, 1);
+        return 1;
+    };
+    auto latch_r = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
+        return ++laps < 2 ? 0 : rt::kRegionEnd;
+    };
+    rt::FaseProgram p;
+    p.fase_id = 9008;
+    p.name = "loop_back";
+    p.regions = {{store_r, "store", 0, 0, 0, 0},
+                 {latch_r, "latch", 0, 0, 0, 0, /*may_store=*/0}};
+    data_off = runtime.allocator().alloc(64, dom);
+    laps = 0;
+    EXPECT_DEATH(
+        {
+            auto th = runtime.make_thread();
+            rt::RegionCtx ctx;
+            th->run_fase(p, ctx);
+        },
+        "runs after the log deactivated");
 }
 
 TEST_F(IdoFixture, RecoveryPcTracksRegions)
@@ -172,12 +239,15 @@ TEST_F(IdoFixture, StackPushFenceBudget)
     stack.push(*th, 1); // warm the lock table
     tls_persist_counters().clear();
     stack.push(*th, 2);
-    // begin(2: args+pc) + lock-boundary(1) + build(2) + publish(2)
-    // + unlock(1) + final(1) = 9 fences; acquire piggybacks, release
-    // pays one.  Allocator adds its own internal fences, so bound it.
-    EXPECT_GE(tls_persist_counters().fences, 9u);
-    EXPECT_LE(tls_persist_counters().fences, 13u);
-    tls_persist_counters().clear();
+    // The lock is taken in the read-only prefix and released in the
+    // store-free tail: activation at build (args + lock record, pc) 2,
+    // build -> publish 2, publish deactivates (node + head, pc) 2.
+    // The allocator's own fences are counted apart.
+    PersistCounters& c = tls_persist_counters();
+    EXPECT_EQ(c.fences - c.site(FenceSite::kAlloc), 6u);
+    EXPECT_EQ(c.site(FenceSite::kDeactivate), 1u);
+    EXPECT_EQ(c.site(FenceSite::kLock), 0u);
+    c.clear();
 }
 
 TEST_F(IdoFixture, PersistCoalescingFlushesWholeRfLines)
@@ -280,11 +350,11 @@ TEST_F(IdoFixture, PrefixLockForcesActivationFenceOne)
     tls_persist_counters().clear();
     rt::RegionCtx ctx;
     th->run_fase(p, ctx);
-    // Activation: lock record + fence 1, pc 2; store boundary 2;
-    // unlock 1; final pc 1.
-    EXPECT_EQ(tls_persist_counters().fences, 6u);
-    // Lock line, pc; data, pc; lock line; pc.
-    EXPECT_EQ(tls_persist_counters().flushes, 6u);
+    // Activation: lock record + fence 1, pc 2; the store boundary
+    // deactivates (data, inactive pc) 2; the unlock tail pays nothing.
+    EXPECT_EQ(tls_persist_counters().fences, 4u);
+    // Lock line, pc; data, pc.
+    EXPECT_EQ(tls_persist_counters().flushes, 4u);
     tls_persist_counters().clear();
 }
 
@@ -293,12 +363,20 @@ struct OpCost
 {
     uint64_t fences;
     uint64_t flushes;
+    /** Published `ido.fence.*` deltas, by site. */
+    uint64_t sites[kNumFenceSites];
+
+    uint64_t
+    site(FenceSite s) const
+    {
+        return sites[static_cast<size_t>(s)];
+    }
 };
 
 /**
- * One cache with keys 1..4 present, driven by one iDO thread.  In
- * group mode every op is its own persist group, so its cost includes
- * the batch-close fence, if the op left anything to publish.
+ * One cache with keys 1..4 present, driven by one iDO thread.  Costs
+ * are read from the published registry totals (persist.fences and the
+ * ido.fence.* sites), so they cover the fold as well as the counting.
  */
 struct McCostFixture : public ::testing::Test
 {
@@ -314,17 +392,22 @@ struct McCostFixture : public ::testing::Test
 
     template <typename Op>
     OpCost
-    cost(bool group, Op&& op)
+    cost(Op&& op)
     {
-        tls_persist_counters().clear();
-        if (group)
-            th->begin_persist_group();
+        persist_counters_flush_tls();
+        const PersistCounters before = persist_counters_global();
         op();
-        if (group)
-            th->end_persist_group();
-        const OpCost c{tls_persist_counters().fences,
-                       tls_persist_counters().flushes};
-        tls_persist_counters().clear();
+        persist_counters_flush_tls();
+        const PersistCounters after = persist_counters_global();
+        OpCost c{after.fences - before.fences,
+                 after.flushes - before.flushes, {}};
+        uint64_t sum = 0;
+        for (size_t i = 0; i < kNumFenceSites; ++i) {
+            c.sites[i] = after.fence_sites[i] - before.fence_sites[i];
+            sum += c.sites[i];
+        }
+        // Every fence of an iDO thread has exactly one site.
+        EXPECT_EQ(sum, c.fences);
         return c;
     }
 
@@ -339,70 +422,73 @@ TEST_F(McCostFixture, ReadOnlyFasesPersistNothing)
 {
     // GETs and delete-misses never reach a may_store region, so the
     // log never activates: their lock records stay in the volatile
-    // mirror, and no group-mode close fence is owed either.
-    for (const bool group : {false, true}) {
-        uint64_t v = 0;
-        const OpCost hit = cost(group, [&] {
-            EXPECT_TRUE(cache.get(*th, 1, 0, &v));
-        });
-        const OpCost miss = cost(group, [&] {
-            EXPECT_FALSE(cache.get(*th, 99, 0, &v));
-        });
-        const OpCost del_miss = cost(group, [&] {
-            EXPECT_FALSE(cache.del(*th, 99, 0));
-        });
-        for (const OpCost& c : {hit, miss, del_miss}) {
-            EXPECT_EQ(c.fences, 0u) << "group=" << group;
-            EXPECT_EQ(c.flushes, 0u) << "group=" << group;
-        }
+    // mirror.
+    uint64_t v = 0;
+    const OpCost hit = cost([&] { EXPECT_TRUE(cache.get(*th, 1, 0, &v)); });
+    const OpCost miss =
+        cost([&] { EXPECT_FALSE(cache.get(*th, 99, 0, &v)); });
+    const OpCost del_miss =
+        cost([&] { EXPECT_FALSE(cache.del(*th, 99, 0)); });
+    for (const OpCost& c : {hit, miss, del_miss}) {
+        EXPECT_EQ(c.fences, 0u);
+        EXPECT_EQ(c.flushes, 0u);
     }
 }
 
-TEST_F(McCostFixture, StockWriteFenceCounts)
+TEST_F(McCostFixture, WriteFenceCounts)
 {
-    // set-update: activation (args + lock record, pc) 2, update
-    // boundary (r9, pc) 2, unlock 1, final pc 1.  The lock record rides
-    // the activation's fence 1 instead of paying its own.
-    const OpCost update = cost(false, [&] { cache.set(*th, 2, 0, 7); });
-    EXPECT_EQ(update.fences, 6u);
-    // Flushes: lock line, 2 RF lines, pc; item, RF, pc; unlock; pc.
-    EXPECT_EQ(update.flushes, 9u);
-    // set-insert: activation 2, build 2, link 2, unlock 1, final 1,
+    // set-update: activation (args + lock record, pc) 2, then the
+    // update boundary deactivates (item line, inactive pc) 2.  The
+    // unlock runs in the store-free tail and persists nothing.
+    const OpCost update = cost([&] { cache.set(*th, 2, 0, 7); });
+    EXPECT_EQ(update.fences, 4u);
+    // Flushes: lock line, 2 RF lines, pc; item, pc.
+    EXPECT_EQ(update.flushes, 6u);
+    EXPECT_EQ(update.site(FenceSite::kActivate1), 1u);
+    EXPECT_EQ(update.site(FenceSite::kActivate2), 1u);
+    EXPECT_EQ(update.site(FenceSite::kBoundary1), 1u);
+    EXPECT_EQ(update.site(FenceSite::kDeactivate), 1u);
+    // set-insert: activation 2, build boundary 2, link deactivates 2,
     // plus one allocator fence for the fresh item.
-    const OpCost insert = cost(false, [&] { cache.set(*th, 50, 0, 7); });
-    EXPECT_EQ(insert.fences, 9u);
-    EXPECT_EQ(insert.flushes, 17u);
-    // delete-hit activates at unlink: activation 2, unlink 2,
-    // unlock 1, final 1.
-    const OpCost del = cost(false, [&] { cache.del(*th, 50, 0); });
-    EXPECT_EQ(del.fences, 6u);
-    EXPECT_EQ(del.flushes, 12u);
+    const OpCost insert = cost([&] { cache.set(*th, 50, 0, 7); });
+    EXPECT_EQ(insert.fences, 7u);
+    EXPECT_EQ(insert.flushes, 14u); // was 17: RF line, unlock, final pc
+    EXPECT_EQ(insert.site(FenceSite::kBoundary2), 1u);
+    EXPECT_EQ(insert.site(FenceSite::kDeactivate), 1u);
+    EXPECT_EQ(insert.site(FenceSite::kAlloc), 1u);
+    // delete-hit activates at unlink, which also deactivates: 2 + 2.
+    const OpCost del = cost([&] { cache.del(*th, 50, 0); });
+    EXPECT_EQ(del.fences, 4u);
+    EXPECT_EQ(del.flushes, 9u); // was 12, for the same three lines
+    EXPECT_EQ(del.site(FenceSite::kDeactivate), 1u);
+    for (const OpCost& c : {update, insert, del})
+        EXPECT_EQ(c.site(FenceSite::kLock), 0u);
 }
 
-TEST_F(McCostFixture, GroupWriteFenceCounts)
+TEST_F(McCostFixture, FenceSitesPublished)
 {
-    // Group mode keeps the activation pc fence and every fence 1, and
-    // folds the trailing pc advances and the unlock into one close
-    // fence.  Flushes are unchanged: only their ordering is deferred.
-    const OpCost update = cost(true, [&] { cache.set(*th, 2, 0, 7); });
-    EXPECT_EQ(update.fences, 4u);
-    EXPECT_EQ(update.flushes, 9u);
-    // set-insert: activation 2, build 2 (link still stores ahead), link
-    // fence 1, close 1, allocator 1.
-    const OpCost insert = cost(true, [&] { cache.set(*th, 50, 0, 7); });
-    EXPECT_EQ(insert.fences, 7u);
-    EXPECT_EQ(insert.flushes, 17u);
-    const OpCost del = cost(true, [&] { cache.del(*th, 50, 0); });
-    EXPECT_EQ(del.fences, 4u);
-    EXPECT_EQ(del.flushes, 12u);
+    // The sites reach /metrics (Prometheus text) and /stats.json (the
+    // registry's JSON, which every BENCH_*.json row embeds).
+    cache.set(*th, 2, 0, 8);
+    persist_counters_flush_tls();
+    const std::string prom = stat_prometheus_text();
+    const std::string json = MetricsRegistry::instance().format_json();
+    for (size_t i = 0; i < kNumFenceSites; ++i) {
+        std::string name = fence_site_metric(static_cast<FenceSite>(i));
+        EXPECT_NE(json.find("\"" + name + "\""), std::string::npos)
+            << name;
+        for (char& ch : name)
+            ch = ch == '.' ? '_' : ch;
+        EXPECT_NE(prom.find(name + "_total"), std::string::npos) << name;
+    }
 }
 
 TEST(IdoReadOnlyFase, GetLeavesDurableLogUntouched)
 {
     // Crash a GET at every opportunity, and once more after it
     // finishes, keeping every dirty line: the durable log record must
-    // still read inactive with an empty lock bitmap, because nothing
-    // the GET did was ever written.
+    // still read inactive with the lock bitmap the set left, because
+    // nothing the GET did was ever written.
     apps::MemcachedMini::register_programs();
     for (int64_t k = 1;; ++k) {
         ASSERT_LT(k, 1000) << "GET never completed";
@@ -415,6 +501,8 @@ TEST(IdoReadOnlyFase, GetLeavesDurableLogUntouched)
                                   apps::MemcachedMini::create(*th, 1, 64));
         cache.set(*th, 1, 0, 10);
         shadow.drain_all();
+        const IdoLogRec* rec = static_cast<IdoThread*>(th.get())->rec();
+        const uint64_t bitmap_before = rec->lock_bitmap;
 
         runtime.crash_scheduler().arm(k);
         bool crashed = false;
@@ -429,9 +517,8 @@ TEST(IdoReadOnlyFase, GetLeavesDurableLogUntouched)
         shadow.crash(nvm::CrashPolicy::kPersistAll);
         EXPECT_EQ(shadow.last_crash_census().lines_outstanding, 0u)
             << "k=" << k;
-        const IdoLogRec* rec = static_cast<IdoThread*>(th.get())->rec();
         EXPECT_EQ(rec->recovery_pc, kInactivePc) << "k=" << k;
-        EXPECT_EQ(rec->lock_bitmap, 0u) << "k=" << k;
+        EXPECT_EQ(rec->lock_bitmap, bitmap_before) << "k=" << k;
         if (!crashed)
             break;
     }

@@ -2,8 +2,10 @@
  * @file
  * iDO recovery tests (paper Sec. III-C): resumption at every possible
  * crash point, lock reclamation, the stolen-lock window, multi-thread
- * recovery with a barrier, crash-during-recovery idempotence, and the
- * lock records of a read-only prefix, written only at activation.
+ * recovery with a barrier, crash-during-recovery idempotence, the
+ * lock records of a read-only prefix, written only at activation, and
+ * a second writer taking a lock the first released in its deactivated
+ * tail.
  *
  * Methodology: run under ShadowDomain with the crash scheduler armed at
  * every successive opportunity k = 1, 2, 3, ... until the operation
@@ -13,8 +15,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "apps/memcached_mini.h"
@@ -517,6 +524,119 @@ TEST(IdoRecovery, LockBeforeAndAfterActivationEveryCrashPoint)
             EXPECT_EQ(words[1], 6u);
         }
         EXPECT_GT(active_crashes, 0);
+    }
+}
+
+/** recover(), failing the test binary outright if it never returns. */
+void
+recover_or_die(RecoveryWorld& world, const std::string& where)
+{
+    auto done = std::async(std::launch::async, [&] {
+        world.make_runtime();
+        world.runtime->recover();
+        world.shadow.drain_all();
+    });
+    if (done.wait_for(std::chrono::seconds(30))
+        == std::future_status::timeout) {
+        std::fprintf(stderr, "recovery deadlocked (%s)\n", where.c_str());
+        std::abort();
+    }
+    done.get();
+}
+
+TEST(IdoRecovery, SecondWriterAfterTailUnlockEveryCrashPoint)
+{
+    // T1's set deactivates the log at its update boundary and releases
+    // the shard lock in the unlogged tail.  T2, on another thread (a
+    // fence persists only its own thread's lines), then takes the lock
+    // and writes the same key, crashed at every tick and once more
+    // after it returns.  T1's inactive pc was fenced before its unlock,
+    // so recovery can never re-run T1's store over T2's value.
+    constexpr uint64_t kKey = 1;
+    apps::MemcachedMini::register_programs();
+    for (const bool t2_deletes : {false, true}) {
+        for (const CrashPolicy policy :
+             {CrashPolicy::kDropAll, CrashPolicy::kRandom,
+              CrashPolicy::kPersistAll}) {
+            bool returned = false;
+            int64_t k = 1;
+            for (; !returned; ++k) {
+                ASSERT_LT(k, 500) << "T2 never completed";
+                RecoveryWorld world(9000 + k);
+                uint64_t root;
+                {
+                    auto setup = world.runtime->make_thread();
+                    root = apps::MemcachedMini::create(*setup, 1, 64);
+                    apps::MemcachedMini(world.heap, root)
+                        .set(*setup, kKey, 0, 100);
+                }
+                world.shadow.drain_all();
+                apps::MemcachedMini cache(world.heap, root);
+                std::thread([&] {
+                    auto t1 = world.runtime->make_thread();
+                    cache.set(*t1, kKey, 0, 200);
+                }).join();
+
+                world.runtime->crash_scheduler().arm(k);
+                std::thread([&] {
+                    auto t2 = world.runtime->make_thread();
+                    try {
+                        if (t2_deletes)
+                            cache.del(*t2, kKey, 0);
+                        else
+                            cache.set(*t2, kKey, 0, 300);
+                        returned = true;
+                    } catch (const rt::SimCrashException&) {
+                    }
+                }).join();
+                world.runtime->crash_scheduler().disarm();
+                world.shadow.crash(policy);
+                const std::string where = "delete="
+                    + std::to_string(t2_deletes) + " policy "
+                    + std::to_string(static_cast<int>(policy))
+                    + " k=" + std::to_string(k);
+                // Only the lock's current holder may name it in an
+                // active record; two would deadlock recovery.
+                std::multiset<uint64_t> named;
+                for (uint64_t off : world.runtime->log_rec_offsets()) {
+                    const auto* rec = world.heap.resolve<IdoLogRec>(off);
+                    if (rec->recovery_pc != kInactivePc)
+                        for (uint64_t h : durable_holders(*rec))
+                            named.insert(h);
+                }
+                bool shared = false;
+                for (uint64_t h : named)
+                    shared = shared || named.count(h) > 1;
+                EXPECT_FALSE(shared)
+                    << where << ": two active records name one lock";
+                if (shared)
+                    continue;
+                recover_or_die(world, where);
+                ASSERT_TRUE(
+                    apps::MemcachedMini::check_invariants(world.heap, root))
+                    << where;
+                for (uint64_t off : world.runtime->log_rec_offsets()) {
+                    EXPECT_EQ(world.heap.resolve<IdoLogRec>(off)->recovery_pc,
+                              kInactivePc)
+                        << where;
+                }
+                auto th = world.runtime->make_thread();
+                uint64_t v = 0;
+                const bool present = cache.get(*th, kKey, 0, &v);
+                const bool t2_value = t2_deletes ? !present
+                                                 : (present && v == 300);
+                if (returned)
+                    EXPECT_TRUE(t2_value) << where << " v=" << v;
+                else
+                    EXPECT_TRUE(t2_value || (present && v == 200))
+                        << where << " present=" << present << " v=" << v;
+                // Live: recovery left no lock behind.
+                cache.set(*th, kKey, 0, 400);
+                ASSERT_TRUE(cache.get(*th, kKey, 0, &v));
+                EXPECT_EQ(v, 400u) << where;
+            }
+            EXPECT_GT(k, 10) << "T2 has suspiciously few crash points";
+        }
     }
 }
 

@@ -361,6 +361,54 @@ TEST(PersistVerify, FalseDeferralClaimsAreRejected)
     EXPECT_EQ(count_check(verify(u, zero), "unsound-deferral"), 1u);
 }
 
+TEST(PersistVerify, DeferralPastALoopBackEdgeIsRejected)
+{
+    // A loop whose body stores and then ends in fase_lock: the region
+    // after the acquire is read-only and numbered above the store, but
+    // its back edge re-enters the storing region.  The index scan
+    // (every region j >= r store-free) calls it a store-free tail;
+    // reachability over the region CFG does not.
+    FnBuilder b("fix.lock_latch");
+    const uint32_t entry = b.block("entry");
+    const uint32_t body = b.block("body");
+    const uint32_t exit = b.block("exit");
+    b.switch_to(entry);
+    const uint32_t root = b.arg();
+    b.br(body);
+    b.switch_to(body);
+    const uint32_t one = b.cconst(1);        // body:0
+    b.store(root, 64, one);                  // body:1
+    b.lock(root, 0);                         // body:2
+    const uint32_t more = b.cmp_lt(one, root); // body:3
+    b.cond_br(more, body, exit);             // body:4
+    b.switch_to(exit);
+    b.unlock(root, 0);
+    b.ret();
+    lint::LintUnit u(b.take());
+
+    const uint32_t store_region = u.part.region_of(InstrRef{body, 1});
+    const uint32_t latch = u.part.region_of(InstrRef{body, 3});
+    ASSERT_GT(latch, store_region);
+    bool index_scan_store_free = true;
+    for (uint32_t j = latch; j < u.part.num_regions(); ++j)
+        index_scan_store_free =
+            index_scan_store_free && u.info[j].num_stores == 0;
+    ASSERT_TRUE(index_scan_store_free);
+    EXPECT_TRUE(reachable_regions(u.fn, u.cfg, u.part, latch)[store_region]);
+
+    // The planner no longer claims the latch ...
+    const PersistPlan honest = plan_of(u);
+    EXPECT_TRUE(verify(u, honest).empty());
+    for (const uint32_t r : honest.deferrable_boundaries)
+        EXPECT_NE(r, latch);
+    // ... and a plan that does is rejected.
+    PersistPlan seeded;
+    seeded.deferrable_boundaries.push_back(latch);
+    const auto diags = verify(u, seeded);
+    ASSERT_EQ(count_check(diags, "unsound-deferral"), 1u);
+    EXPECT_EQ(diags.front().severity, lint::Severity::kError);
+}
+
 TEST(PersistVerify, StructurallyBrokenProofsAreRejected)
 {
     lint::LintUnit u(ir_stack_push().fn);

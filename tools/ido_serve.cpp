@@ -3,7 +3,7 @@
  * ido-serve: the memcached-protocol server binary over the iDO FASE
  * runtime (src/net).  This is the process the kill -9 harness aims
  * at: a file-backed persistent heap, iDO recovery on reattach, and
- * group-persist batching of pipelined requests.
+ * group-commit batching of pipelined requests.
  *
  * Usage:
  *   ido_serve --heap=/path/cache.heap [--port=0] [--port-file=PATH]

@@ -182,8 +182,8 @@ main(int argc, char** argv)
                             s.block, s.index);
             }
             for (const uint32_t r : plan.deferrable_boundaries) {
-                std::printf("    defer: pc fence entering region %u "
-                            "(store-free tail)\n",
+                std::printf("    defer: log deactivates entering region "
+                            "%u (store-free tail)\n",
                             r);
             }
         }
