@@ -271,8 +271,13 @@ finish_sample(World& w, const FuzzCase& fc, uint64_t root, bool crashed,
     if (hashes_image(fc.workload))
         rec.hash_post_recovery = hash_heap_image(w.heap);
 
-    // Audit.  Post-crash leaks are legal (recover_leaks reclaims them
-    // lazily); dangling links and allocator-walk violations are not.
+    // Audit.  Dangling links and allocator-walk violations always fail.
+    // Post-crash leaks fail a data-structure workload (whose FASEs do
+    // all its allocation, reachable from the app root) under iDO, which
+    // logs every FASE allocation and free.  They stay legal for the
+    // baselines, whose crashed allocations only an offline `ido_heap
+    // gc` reclaims, and for heap_churn, which allocates outside FASEs
+    // and roots nothing.
     std::string reason;
     bool ok = true;
     if (with_runtime) {
@@ -286,6 +291,16 @@ finish_sample(World& w, const FuzzCase& fc, uint64_t root, bool crashed,
             ok = false;
             reason = "gc audit: " + std::to_string(stats.dangling_links)
                      + " dangling links";
+            if (!stats.findings.empty())
+                reason += " (" + stats.findings.front() + ")";
+        } else if (stats.leaked_blocks != 0
+                   && is_ds_workload(fc.workload)
+                   && fc.runtime
+                          == static_cast<uint32_t>(
+                              baselines::RuntimeKind::kIdo)) {
+            ok = false;
+            reason = "gc audit: " + std::to_string(stats.leaked_blocks)
+                     + " leaked blocks under ido";
             if (!stats.findings.empty())
                 reason += " (" + stats.findings.front() + ")";
         }

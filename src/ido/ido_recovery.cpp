@@ -10,6 +10,13 @@
  *     beginning of its interrupted idempotent region;
  *  5. each thread executes to the end of its FASE, at which point no
  *     lock is held and recovery is complete.
+ *
+ * Around those steps: the allocator's crash strays are relinked first
+ * (blocks an interrupted FASE's entries name are pinned), and every
+ * free a finished FASE recorded but may not have completed is finished
+ * before any resumed FASE can allocate.  Recovery never walks the heap
+ * for leaks: a FASE's allocations and frees are logged (ido_log.h), so
+ * a crash leaves none.  Auditing reachability is `ido_heap audit`.
  */
 #include <atomic>
 #include <barrier>
@@ -19,7 +26,6 @@
 
 #include "common/panic.h"
 #include "ido/ido_runtime.h"
-#include "nvm/heap_gc.h"
 #include "stats/persist_stats.h"
 #include "stats/recovery_timeline.h"
 #include "stats/stat_plane.h"
@@ -35,29 +41,6 @@ IdoRuntime::recover()
     persist_counters_flush_tls();
     const PersistCounters persist_before = persist_counters_global();
     std::atomic<uint64_t> locks_reacquired{0};
-    // Reachability GC rides the recovery timeline: audit by default
-    // (census + leak report, writes nothing), repair when the config
-    // opts in.  It runs after the log-driven phases so resumed FASEs
-    // have retired their log records -- an interrupted record pins the
-    // heap and would otherwise show up as a pinned finding.
-    const auto run_heap_gc = [&] {
-        const uint64_t t = stat_now_ns();
-        nvm::HeapGc gc(alloc_, dom_);
-        const nvm::GcStats gs =
-            cfg_.gc_repair_on_recovery ? gc.repair() : gc.audit();
-        nvm::HeapGc::publish(gs);
-        tl.add_phase("heap-gc", stat_now_ns() - t, gs.leaked_blocks);
-        tl.set_field("leaked_blocks", gs.leaked_blocks);
-        tl.set_field("leaked_bytes", gs.leaked_bytes);
-        // Where the heap-gc phase went, from the GC's own stamps.
-        tl.set_field("gc_index_ms", gs.index_ns / 1000000);
-        tl.set_field("gc_mark_ms", gs.mark_ns / 1000000);
-        tl.set_field("gc_census_ms", gs.census_ns / 1000000);
-        tl.set_field("gc_reclaim_ms", gs.reclaim_ns / 1000000);
-        tl.set_field("gc_mark_threads", gs.mark_threads);
-        if (cfg_.gc_repair_on_recovery)
-            tl.set_field("gc_reclaimed_blocks", gs.reclaimed_blocks);
-    };
     const auto seal_timeline = [&] {
         // Worker-thread persist counters folded at their exits; only
         // the caller's TLS still needs flushing.
@@ -86,15 +69,22 @@ IdoRuntime::recover()
 
     t0 = stat_now_ns();
     std::vector<uint64_t> active;
+    std::vector<uint64_t> inactive;
     for (uint64_t off : log_rec_offsets()) {
         auto* rec = heap_.resolve<IdoLogRec>(off);
         if (dom_.load_val(&rec->recovery_pc) != kInactivePc)
             active.push_back(off);
+        else
+            inactive.push_back(off);
     }
     tl.add_phase("scan-log-records", stat_now_ns() - t0, active.size());
     tl.set_field("fases_resumed", active.size());
+
+    t0 = stat_now_ns();
+    const uint64_t frees = complete_recorded_frees(inactive);
+    tl.add_phase("finish-frees", stat_now_ns() - t0, frees);
+    tl.set_field("frees_finished", frees);
     if (active.empty()) {
-        run_heap_gc();
         seal_timeline();
         return;
     }
@@ -143,7 +133,6 @@ IdoRuntime::recover()
         t.join();
     trace::emit(trace::EventKind::kRecoveryEnd, 0, active.size());
     tl.add_phase("resume-fases", stat_now_ns() - t0, active.size());
-    run_heap_gc();
     seal_timeline();
 
     // Post-condition: every record is inactive and no locks are held
@@ -156,6 +145,45 @@ IdoRuntime::recover()
                        "recovery left an active FASE behind");
         }
     }
+}
+
+uint64_t
+IdoRuntime::complete_recorded_frees(const std::vector<uint64_t>& recs)
+{
+    // A finished FASE cleared its free entries only after their FREEING
+    // marks were durable, and the clear reaches memory before any of
+    // those blocks can be reused.  So an entry that is still set names
+    // a block that is either still LIVE (the crash beat the FREEING
+    // mark: free it now) or freed and never reused (recover_leaks has
+    // relinked it: nothing to do).  The FREEING marks are fenced before
+    // the clear, so a crash in here redoes at most the LIVE ones.
+    std::vector<std::pair<uint64_t*, uint64_t>> pending; // tag, raw
+    for (uint64_t off : recs) {
+        auto* rec = heap_.resolve<IdoLogRec>(off);
+        for (IdoLogEntry& e : rec->entries) {
+            const uint64_t tag = dom_.load_val(&e.tag);
+            if (tag != 0 && entry_kind(tag) == LogEntryKind::kFree)
+                pending.emplace_back(&e.tag, dom_.load_val(&e.block));
+        }
+    }
+    if (pending.empty())
+        return 0;
+    std::vector<uint64_t> freed;
+    for (const auto& [tag, raw] : pending) {
+        if (alloc_.is_live(raw, dom_))
+            freed.push_back(alloc_.begin_free(raw, dom_));
+    }
+    crash_.tick();
+    dom_.fence();
+    crash_.tick();
+    for (const auto& [tag, raw] : pending) {
+        dom_.store_val(tag, uint64_t{0});
+        dom_.flush(tag, sizeof(uint64_t));
+    }
+    dom_.fence();
+    for (const uint64_t raw : freed)
+        alloc_.finish_free(raw, dom_);
+    return freed.size();
 }
 
 } // namespace ido

@@ -38,6 +38,21 @@ const bool g_ido_log_type = [] {
         const auto* rec = heap.resolve<IdoLogRec>(payload_off);
         return rec->recovery_pc != kInactivePc;
     };
+    // An interrupted FASE's current-instance entries name blocks its
+    // resumed region takes back (allocations) or frees at deactivation;
+    // the crash may have left them FREEING or FREE-unlisted, which
+    // recover_leaks would otherwise relink.
+    d.reserved_blocks = [](const nvm::PersistentHeap& heap,
+                           uint64_t payload_off, std::vector<uint64_t>* out) {
+        const auto* rec = heap.resolve<IdoLogRec>(payload_off);
+        if (rec->recovery_pc == kInactivePc)
+            return;
+        const uint32_t inst = recovery_pc_instance(rec->recovery_pc);
+        for (const IdoLogEntry& e : rec->entries) {
+            if (e.tag != 0 && entry_instance(e.tag) == inst)
+                out->push_back(entry_block_raw(e.block));
+        }
+    };
     nvm::TypeRegistry::instance().register_type(nvm::TypeId::kIdoLogRec,
                                                 std::move(d));
     return true;
@@ -121,6 +136,55 @@ IdoThread::IdoThread(IdoRuntime& rt, uint64_t existing_rec_off)
     rec_bitmap_ = lock_bitmap_mirror_;
     pending_.reserve(32);
     phase_ = Phase::kActive; // an interrupted FASE was, by definition, live
+    recovering_ = true;
+    resuming_ = true;
+    // The interrupted instance resumes at its durable pc's region: the
+    // entries of earlier regions stay, and their frees still await the
+    // deactivation; the resumed region re-records from its first slot.
+    const uint64_t pc = dom().load_val(&rec_->recovery_pc);
+    instance_ = recovery_pc_instance(pc);
+    entries_ = region_entries_ = recovery_pc_entries(pc);
+    // Earlier regions' allocations are committed, but their deferred
+    // LIVE marks rode the fence that advanced the pc and may have
+    // lost the race to it: mark them again.
+    nvm::NvHeap& heap_alloc = rt_.allocator();
+    bool relive = false;
+    for (uint32_t slot = 0; slot < entries_; ++slot) {
+        const uint64_t tag = dom().load_val(&rec_->entries[slot].tag);
+        if (tag == 0 || entry_instance(tag) != instance_)
+            continue;
+        const uint64_t block = dom().load_val(&rec_->entries[slot].block);
+        const uint64_t raw = entry_block_raw(block);
+        if (entry_kind(tag) == LogEntryKind::kFree) {
+            deferred_frees_.push_back(raw);
+            free_slots_ |= static_cast<uint8_t>(1u << slot);
+        } else if (!heap_alloc.is_live(raw, dom())) {
+            heap_alloc.mark_live(
+                raw, static_cast<nvm::TypeId>(entry_block_type(block)),
+                entry_block_aligned(block), dom());
+            relive = true;
+        }
+    }
+    if (relive)
+        fence(FenceSite::kAlloc);
+    // An earlier instance's free entry can outlive its clear (a plain
+    // store the crash dropped) while recover_leaks relinks its block
+    // for reuse.  Clear it durably now, or it would read as pending
+    // once this record goes inactive.  (Stale allocation entries are
+    // harmless: only the current instance's are ever matched.)
+    bool stale = false;
+    for (IdoLogEntry& e : rec_->entries) {
+        const uint64_t tag = dom().load_val(&e.tag);
+        if (tag != 0 && entry_instance(tag) != instance_
+            && entry_kind(tag) == LogEntryKind::kFree) {
+            dom().store_val(&e.tag, uint64_t{0});
+            stale = true;
+        }
+    }
+    if (stale) {
+        dom().flush(&rec_->entries[0], sizeof(rec_->entries));
+        fence(FenceSite::kAlloc);
+    }
     trace::emit(trace::EventKind::kLogRecAttach, rec_off_,
                 dom().load_val(&rec_->thread_tag));
 }
@@ -179,11 +243,104 @@ IdoThread::credit_alloc_fences(uint64_t fences_before)
     c.site(FenceSite::kAlloc) += c.fences - fences_before;
 }
 
+void
+IdoThread::require_storing_region(const char* what) const
+{
+    // Only an active storing region has a boundary fence 1 to make an
+    // entry durable.  In the read-only prefix or the deactivated tail
+    // an allocation would leak, or a free be lost, at the next crash.
+    if (phase_ != Phase::kActive
+        || !cur_prog_->region(cur_region_).may_store)
+        panic("FASE '%s': %s in region '%s' outside an active storing "
+              "region",
+              cur_prog_->name, what, cur_prog_->region(cur_region_).name);
+}
+
+uint32_t
+IdoThread::next_entry_slot(const char* what) const
+{
+    if (entries_ >= kMaxLogEntries)
+        panic("FASE '%s': %s in region '%s' exceeds the %zu allocation "
+              "and free entries of a log record",
+              cur_prog_->name, what, cur_prog_->region(cur_region_).name,
+              kMaxLogEntries);
+    return entries_;
+}
+
+void
+IdoThread::write_entry(uint32_t slot, uint64_t tag, uint64_t block)
+{
+    const IdoLogEntry e{tag, block};
+    dom().store(&rec_->entries[slot], &e, sizeof(e));
+    dom().flush(&rec_->entries[slot], sizeof(e));
+    // The write-back carries the last FASE's cleared free entries too.
+    rt_.allocator().note_written_back(&rec_->entries[0]);
+}
+
+/** Names the block in an allocation entry when NvHeap hands it out. */
+struct IdoThread::AllocEntryClaim final : nvm::NvHeap::Claim
+{
+    AllocEntryClaim(IdoThread& th, uint32_t slot, uint64_t tag,
+                    nvm::TypeId type, bool aligned)
+        : th(th), slot(slot), tag(tag), type(type), aligned(aligned)
+    {
+    }
+
+    void
+    name(uint64_t raw) override
+    {
+        th.write_entry(slot, tag,
+                       make_entry_block(raw, static_cast<uint8_t>(type),
+                                        aligned));
+    }
+
+    IdoThread& th;
+    uint32_t slot;
+    uint64_t tag;
+    nvm::TypeId type;
+    bool aligned;
+};
+
 uint64_t
 IdoThread::nv_alloc(size_t n)
 {
     const uint64_t before = tls_persist_counters().fences;
-    const uint64_t off = RuntimeThread::nv_alloc(n);
+    if (!in_fase_) {
+        const uint64_t off = RuntimeThread::nv_alloc(n);
+        credit_alloc_fences(before);
+        return off;
+    }
+    crash_tick();
+    require_storing_region("nv_alloc");
+    const nvm::TypeId type = pending_alloc_type_;
+    pending_alloc_type_ = nvm::TypeId::kUntyped;
+    const bool aligned = force_line_align_ || n >= kCacheLineBytes;
+    const uint32_t slot = next_entry_slot("nv_alloc");
+    const uint64_t tag =
+        make_entry_tag(instance_, LogEntryKind::kAlloc, cur_region_,
+                       entries_ - region_entries_, slot);
+    nvm::NvHeap& heap_alloc = rt_.allocator();
+    uint64_t raw;
+    bool live_deferred = true;
+    if (resuming_ && dom().load_val(&rec_->entries[slot].tag) == tag) {
+        // The crashed run already took a block for this very call; its
+        // entry pinned it through recovery.  Take it back.
+        raw = entry_block_raw(dom().load_val(&rec_->entries[slot].block));
+        heap_alloc.adopt_claimed(raw, n, aligned, dom());
+    } else {
+        AllocEntryClaim claim(*this, slot, tag, type, aligned);
+        raw = heap_alloc.alloc_claimed(n, dom(), type, aligned, claim,
+                                       &live_deferred);
+        if (raw == 0)
+            panic("nv_alloc: persistent arena exhausted (%zu bytes "
+                  "requested)",
+                  n);
+    }
+    if (live_deferred)
+        claimed_.push_back(ClaimedBlock{raw, type, aligned});
+    ++entries_;
+    const uint64_t off =
+        aligned ? heap_alloc.publish_aligned(raw, dom()) : raw;
     credit_alloc_fences(before);
     return off;
 }
@@ -191,8 +348,68 @@ IdoThread::nv_alloc(size_t n)
 void
 IdoThread::nv_free(uint64_t off)
 {
+    if (!in_fase_) {
+        const uint64_t before = tls_persist_counters().fences;
+        RuntimeThread::nv_free(off);
+        credit_alloc_fences(before);
+        return;
+    }
+    require_storing_region("nv_free");
+    if (off == 0)
+        return;
+    // Recorded, not performed: the block is freed at deactivation, and
+    // a re-executed region records the same entry again.
+    const uint32_t slot = next_entry_slot("nv_free");
+    const uint64_t raw = rt_.allocator().raw_payload(off, dom());
+    write_entry(slot,
+                make_entry_tag(instance_, LogEntryKind::kFree, cur_region_,
+                               entries_ - region_entries_, slot),
+                make_entry_block(raw));
+    deferred_frees_.push_back(raw);
+    free_slots_ |= static_cast<uint8_t>(1u << slot);
+    ++entries_;
+}
+
+void
+IdoThread::mark_claimed_live()
+{
+    // Fence 1 made this region's allocation entries durable; the LIVE
+    // marks ride fence 2.  If the crash keeps that fence's pc and drops
+    // a mark, the adopting recovery thread marks the block again.
+    for (const ClaimedBlock& b : claimed_)
+        rt_.allocator().mark_live(b.raw, b.type, b.aligned, dom());
+    claimed_.clear();
+}
+
+void
+IdoThread::begin_recorded_frees()
+{
+    // Every free entry is durable (its region's fence 1), so a FREEING
+    // mark that reaches memory early is pinned by the entry while the
+    // pc is active, and the inactive pc orders it otherwise.
+    for (const uint64_t raw : deferred_frees_)
+        rt_.allocator().begin_free(raw, dom(), recovering_);
+}
+
+void
+IdoThread::finish_recorded_frees()
+{
+    if (deferred_frees_.empty())
+        return;
+    // The FREEING marks are durable (fence 2).  Clearing the entries
+    // needs no write-back of its own: the allocator writes the line
+    // back before any of these blocks leaves this thread's cache.
     const uint64_t before = tls_persist_counters().fences;
-    RuntimeThread::nv_free(off);
+    for (uint32_t slot = 0; slot < kMaxLogEntries; ++slot) {
+        if (free_slots_ & (1u << slot))
+            dom().store_val(&rec_->entries[slot].tag, uint64_t{0});
+    }
+    nvm::NvHeap& heap_alloc = rt_.allocator();
+    heap_alloc.set_reuse_guard(&rec_->entries[0], dom());
+    for (const uint64_t raw : deferred_frees_)
+        heap_alloc.finish_free(raw, dom());
+    deferred_frees_.clear();
+    free_slots_ = 0;
     credit_alloc_fences(before);
 }
 
@@ -285,6 +502,8 @@ IdoThread::on_fase_begin(const rt::FaseProgram&, RegionCtx&)
     // store-free FASE prefix to a crash is indistinguishable from it
     // never having run, so recovery_pc can stay inactive.
     phase_ = Phase::kPrefix;
+    entries_ = region_entries_ = 0;
+    resuming_ = false;
 }
 
 void
@@ -338,7 +557,18 @@ IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
     }
     if (args_meta.out_int || args_meta.out_float || lock_record)
         persist_outputs(args_meta, ctx, FenceSite::kActivate1);
-    set_recovery_pc(pack_recovery_pc(prog.fase_id, idx),
+    // A new instance number makes every entry an earlier FASE left
+    // behind stale.  Before the 24-bit count wraps, the entries are
+    // wiped durably, so an old tag can never match a reused number.
+    if (instance_ == kMaxInstance) {
+        for (IdoLogEntry& e : rec_->entries)
+            dom().store_val(&e.tag, uint64_t{0});
+        dom().flush(&rec_->entries[0], sizeof(rec_->entries));
+        fence(FenceSite::kAlloc);
+        instance_ = 0;
+    }
+    ++instance_;
+    set_recovery_pc(pack_recovery_pc(prog.fase_id, idx, instance_, 0),
                     FenceSite::kActivate2);
     phase_ = Phase::kActive;
 }
@@ -363,39 +593,49 @@ IdoThread::on_region_boundary(const rt::FaseProgram& prog,
             }
         }
     }
+    // Entries recorded in this region become durable at fence 1, and
+    // only then may the region's claimed blocks be marked LIVE.
+    const bool new_entries = entries_ != region_entries_;
     if (tail_store_free) {
         // Deactivate at the last store.  Fence 1 makes the finished
-        // region's heap lines durable; no register slot is written,
-        // since recovery only ever resumes a storing region, whose
-        // inputs are already logged.  Fence 2 publishes the inactive
-        // pc and must retire before the tail releases any lock: a
-        // pending pc flush could still drop at a crash after another
-        // thread took the lock and committed, and recovery would then
-        // re-run this FASE's store over the newer value.
-        if (!pending_.empty())
+        // region's heap lines and entries durable; no register slot is
+        // written, since recovery only ever resumes a storing region,
+        // whose inputs are already logged.  Fence 2 publishes the
+        // inactive pc with the FREEING marks of the FASE's frees, and
+        // must retire before the tail releases any lock: a pending pc
+        // flush could still drop at a crash after another thread took
+        // the lock and committed, and recovery would then re-run this
+        // FASE's store over the newer value.
+        if (!pending_.empty() || new_entries)
             persist_outputs(RegionMeta{}, ctx, FenceSite::kBoundary1);
+        // A LIVE mark must not share fence 2 with the inactive pc: a
+        // crash could keep the pc and lose the mark, and an inactive
+        // record no longer says which block it was.  Only a FASE whose
+        // last storing region takes a block from the transient cache
+        // pays this fence.
+        if (!claimed_.empty()) {
+            mark_claimed_live();
+            fence(FenceSite::kAlloc);
+        }
+        begin_recorded_frees();
         set_recovery_pc(kInactivePc, FenceSite::kDeactivate);
         phase_ = Phase::kTail;
+        resuming_ = false;
+        finish_recorded_frees();
         return;
     }
     // A region with no outputs and no tracked heap writes has nothing
     // to order ahead of the recovery_pc update, so its boundary costs a
     // single fence.
     const rt::RegionMeta& meta = prog.region(finished_idx);
-    if (meta.out_int || meta.out_float || !pending_.empty())
+    if (meta.out_int || meta.out_float || !pending_.empty() || new_entries)
         persist_outputs(meta, ctx, FenceSite::kBoundary1);
-    set_recovery_pc(pack_recovery_pc(prog.fase_id, next_idx),
-                    FenceSite::kBoundary2);
-}
-
-void
-IdoThread::on_fase_end(const rt::FaseProgram&, RegionCtx&)
-{
-    // The FASE is durable (recovery_pc inactive): release its frees
-    // here so their allocator fences count as kAlloc.
-    const uint64_t before = tls_persist_counters().fences;
-    drain_deferred_frees();
-    credit_alloc_fences(before);
+    mark_claimed_live();
+    set_recovery_pc(
+        pack_recovery_pc(prog.fase_id, next_idx, instance_, entries_),
+        FenceSite::kBoundary2);
+    region_entries_ = entries_;
+    resuming_ = false;
 }
 
 void

@@ -35,6 +35,21 @@
  * lock.  Otherwise the durable pc could still name the storing region
  * after another thread took the lock and committed; recovery would then
  * re-run the old store over the newer, acknowledged value.
+ *
+ * Allocation protocol (DESIGN.md Sec. 5a): a FASE allocates and frees
+ * only in an active storing region, and records each call in an entry
+ * of its log record, written back with the region's outputs.
+ *
+ *  - nv_alloc names the block in its entry before the block can be
+ *    durably LIVE: the allocator's own fence orders the two, or, on a
+ *    transient-cache hit, boundary fence 1 does and the LIVE mark
+ *    rides fence 2.  A resumed region's nv_alloc returns the block its
+ *    entry names instead of allocating again.
+ *  - nv_free records the block; the deactivating boundary marks it
+ *    FREEING between its fences, then clears the entry with a plain
+ *    store that the next reuse of the block writes back first.
+ *
+ * So a crash leaks nothing, and recovery walks no heap.
  */
 #pragma once
 
@@ -66,6 +81,13 @@ class IdoRuntime final : public rt::Runtime
     std::vector<uint64_t> log_rec_offsets();
 
   private:
+    /**
+     * Recovery: complete the free entries inactive records still hold,
+     * exactly once, before any resumed FASE can reuse a block.
+     * @return blocks freed (the rest were freed before the crash).
+     */
+    uint64_t complete_recorded_frees(const std::vector<uint64_t>& recs);
+
     std::atomic<uint64_t> next_thread_tag_{1};
 };
 
@@ -91,7 +113,18 @@ class IdoThread final : public rt::RuntimeThread
     /** Recovery step 4: rebuild the register file from the log. */
     void restore_ctx(rt::RegionCtx& ctx) const;
 
+    /**
+     * Inside a FASE: allocate in an active storing region, recorded in
+     * an allocation entry (a resumed region gets its block back).
+     * Outside: the base allocator, durable once the caller publishes.
+     */
     uint64_t nv_alloc(size_t n) override;
+
+    /**
+     * Inside a FASE: record a free entry; the block is freed when the
+     * log deactivates (or by recovery, exactly once, after a crash).
+     * Outside: an immediate free.
+     */
     void nv_free(uint64_t off) override;
 
   protected:
@@ -102,8 +135,6 @@ class IdoThread final : public rt::RuntimeThread
     void on_region_boundary(const rt::FaseProgram& prog,
                             uint32_t finished_idx, rt::RegionCtx& ctx,
                             uint32_t next_idx) override;
-    void on_fase_end(const rt::FaseProgram& prog,
-                     rt::RegionCtx& ctx) override;
     void do_store(uint64_t off, const void* src, size_t n) override;
     void do_store_covered(uint64_t off, const void* src,
                           size_t n) override;
@@ -147,6 +178,35 @@ class IdoThread final : public rt::RuntimeThread
     /** Count the fences issued since `fences_before` as kAlloc. */
     void credit_alloc_fences(uint64_t fences_before);
 
+    /** Panic unless the current region may allocate or free. */
+    void require_storing_region(const char* what) const;
+
+    /** Claim slot of the next entry; panics when the record is full. */
+    uint32_t next_entry_slot(const char* what) const;
+
+    /** Store and write back entry `slot` (no fence). */
+    void write_entry(uint32_t slot, uint64_t tag, uint64_t block);
+
+    /** After fence 1: mark this region's claimed blocks LIVE. */
+    void mark_claimed_live();
+
+    /** Deactivation: mark the recorded frees FREEING (before fence 2). */
+    void begin_recorded_frees();
+
+    /** After the deactivating fence 2: clear the free entries (the
+     *  next reuse writes the clear back) and park the blocks. */
+    void finish_recorded_frees();
+
+    struct AllocEntryClaim;
+
+    /** A block allocated in the current region, awaiting its LIVE mark. */
+    struct ClaimedBlock
+    {
+        uint64_t raw;
+        nvm::TypeId type;
+        bool aligned;
+    };
+
     IdoLogRec* rec_;
     uint64_t rec_off_;
     /** Held-lock slots; rec_->lock_bitmap matches it while active. */
@@ -159,6 +219,21 @@ class IdoThread final : public rt::RuntimeThread
      */
     uint64_t rec_bitmap_ = 0;
     Phase phase_ = Phase::kPrefix;
+    /** Activations of this record so far, packed into its pcs and tags. */
+    uint32_t instance_ = 0;
+    /** Entries the current FASE instance has recorded. */
+    uint32_t entries_ = 0;
+    /** entries_ when recovery_pc last named a region (its first slot). */
+    uint32_t region_entries_ = 0;
+    /** Running the region a recovery thread resumed: an allocation
+     *  entry the crashed run left for the same call is taken back. */
+    bool resuming_ = false;
+    /** Adopted from a crashed run (recovery thread). */
+    bool recovering_ = false;
+    std::vector<ClaimedBlock> claimed_;
+    /** Entry slots of the FASE's frees (their raw payloads wait in
+     *  deferred_frees_ until the log deactivates). */
+    uint8_t free_slots_ = 0;
     std::vector<PendingRange> pending_;
     /** Scratch for boundary-time pending-line dedup (flush_elision). */
     std::vector<uintptr_t> line_scratch_;

@@ -935,7 +935,10 @@ HeapGc::compact()
     if (s.pinned_blocks != 0 || s.opaque_live != 0) {
         // A pinned log record's register snapshot -- or any opaque
         // block's uninspectable interior -- may hold offsets we cannot
-        // retarget.  Empty chunks still retire (no offset dies).
+        // retarget.  Empty chunks still retire (no offset dies) unless
+        // a log record pins: its interrupted FASE may have reserved a
+        // block that walks as free, or was never carved, in a chunk
+        // that looks empty.
         s.relocation_refused = true;
         note(&s, [&] {
             return "relocation refused: " + std::to_string(s.pinned_blocks)
@@ -977,8 +980,10 @@ HeapGc::compact()
             if (b.opaque || b.pinned)
                 movable = false;
         }
-        if (live_bytes == 0)
-            retire_set.push_back(c.off);
+        if (live_bytes == 0) {
+            if (s.pinned_blocks == 0)
+                retire_set.push_back(c.off);
+        }
         else if (!s.relocation_refused && movable
                  && live_bytes * 100
                         <= NvHeap::kChunkBytes * kVictimLivePct)

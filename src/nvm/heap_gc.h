@@ -34,11 +34,12 @@
  *               fuse-point crash sweep can kill it anywhere: an
  *               interrupted compaction is finished (or harmlessly
  *               discarded) by the journal-resolution prologue of the
- *               next GC.  Relocation is refused -- but fully-empty
- *               chunks are still retired -- while any pinning block
- *               (interrupted-FASE log record) or any opaque LIVE block
- *               exists, since their interiors may hold offsets the GC
- *               cannot retarget.
+ *               next GC.  Relocation is refused while any pinning
+ *               block (interrupted-FASE log record) or any opaque LIVE
+ *               block exists, since their interiors may hold offsets
+ *               the GC cannot retarget.  Fully-empty chunks are still
+ *               retired, except while a log record pins: its FASE may
+ *               have reserved a block in a chunk that walks as empty.
  *
  * Concurrency contract: quiescent callers only (no mutator threads
  * between construction and the call's return).  Transient caches are

@@ -1,10 +1,11 @@
 #include "nvm/nv_heap.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <unordered_map>
-#include <unordered_set>
 
+#include "common/cacheline.h"
 #include "common/panic.h"
 #include "nvm/persist_domain.h"
 #include "stats/metrics.h"
@@ -332,7 +333,8 @@ NvHeap::set_meta(uint64_t payload_off, uint64_t meta, PersistDomain& dom,
 
 uint64_t
 NvHeap::carve_from_chunk(ThreadCache& tc, size_t payload, uint16_t owner,
-                         PersistDomain& dom, TypeId type, bool aligned)
+                         PersistDomain& dom, TypeId type, bool aligned,
+                         Claim* claim)
 {
     const uint64_t need = sizeof(BlockHeader) + payload;
     if (tc.chunk_cursor == 0 || tc.chunk_cursor + need > tc.chunk_end)
@@ -342,9 +344,19 @@ NvHeap::carve_from_chunk(ThreadCache& tc, size_t payload, uint16_t owner,
                     pack_meta(kBlockLive, owner, epoch(), type, aligned)};
     auto* hp = heap_.resolve<BlockHeader>(block_off);
     hook();
-    dom.store(hp, &hdr, sizeof(hdr));
-    dom.flush(hp, sizeof(hdr));
-    dom.fence();
+    if (claim != nullptr) {
+        // The carve's one fence moves ahead of the header: it orders
+        // the claim's name (and this thread's previous header) before
+        // the LIVE header, which rides the caller's next fence.
+        claim->name(block_off + sizeof(BlockHeader));
+        dom.fence();
+        dom.store(hp, &hdr, sizeof(hdr));
+        dom.flush(hp, sizeof(hdr));
+    } else {
+        dom.store(hp, &hdr, sizeof(hdr));
+        dom.flush(hp, sizeof(hdr));
+        dom.fence();
+    }
     // The cursor is transient: a crash here leaks a LIVE-marked block
     // (exactly like v1's pre-bump-advance window), never corrupts.
     tc.chunk_cursor = block_off + need;
@@ -402,7 +414,7 @@ NvHeap::refill_chunk(ThreadCache& tc, PersistDomain& dom)
 
 uint64_t
 NvHeap::carve_global(size_t payload, uint16_t owner, PersistDomain& dom,
-                     TypeId type, bool aligned)
+                     TypeId type, bool aligned, bool claimed)
 {
     fuzz::rr::OrderedGuard g(refill_mutex_,
                              fuzz::obj_key(fuzz::ObjKind::kHeapRefill));
@@ -413,7 +425,9 @@ NvHeap::carve_global(size_t payload, uint16_t owner, PersistDomain& dom,
         return 0;
     auto* hp = heap_.resolve<BlockHeader>(bump);
     BlockHeader hdr{payload,
-                    pack_meta(kBlockLive, owner, epoch(), type, aligned)};
+                    claimed ? pack_meta(kBlockFreeing, owner, epoch())
+                            : pack_meta(kBlockLive, owner, epoch(), type,
+                                        aligned)};
     hook();
     dom.store(hp, &hdr, sizeof(hdr));
     dom.flush(hp, sizeof(hdr));
@@ -462,6 +476,9 @@ NvHeap::spill_cache(ThreadCache& tc, size_t cls, PersistDomain& dom,
         return;
     const size_t shard = home_shard(tc);
     HeapState* st = state();
+    // The guard's write-back rides the batch fence, ahead of the head
+    // publish that lets other threads take these blocks.
+    flush_reuse_guard(tc, dom);
     fuzz::rr::OrderedGuard g(shard_mutexes_[shard],
                              fuzz::obj_key(fuzz::ObjKind::kHeapShard, shard));
     uint64_t* head = &st->shards[shard].heads[cls];
@@ -504,8 +521,53 @@ NvHeap::alloc(size_t size, PersistDomain& dom, TypeId type)
 }
 
 uint64_t
+NvHeap::alloc_claimed(size_t size, PersistDomain& dom, TypeId type,
+                      bool aligned, Claim& claim, bool* live_deferred)
+{
+    *live_deferred = false;
+    return alloc_impl(aligned ? size + 8 + 64 : size, dom, type, aligned,
+                      &claim, live_deferred);
+}
+
+size_t
+NvHeap::payload_for(size_t size)
+{
+    if (size == 0)
+        size = 1;
+    const size_t cls = class_for_size(size);
+    return cls < kNumClasses ? class_payload(cls)
+                             : (size + 15) & ~size_t{15};
+}
+
+void
+NvHeap::flush_reuse_guard(ThreadCache& tc, PersistDomain& dom)
+{
+    if (tc.reuse_guard == nullptr)
+        return;
+    dom.flush(tc.reuse_guard, kCacheLineBytes);
+    tc.reuse_guard = nullptr;
+}
+
+void
+NvHeap::set_reuse_guard(const void* line, PersistDomain& dom)
+{
+    ThreadCache& tc = tcache();
+    if (tc.reuse_guard != line)
+        flush_reuse_guard(tc, dom);
+    tc.reuse_guard = line;
+}
+
+void
+NvHeap::note_written_back(const void* line)
+{
+    ThreadCache& tc = tcache();
+    if (tc.reuse_guard == line)
+        tc.reuse_guard = nullptr;
+}
+
+uint64_t
 NvHeap::alloc_impl(size_t size, PersistDomain& dom, TypeId type,
-                   bool aligned)
+                   bool aligned, Claim* claim, bool* live_deferred)
 {
     if (size == 0)
         size = 1;
@@ -514,9 +576,16 @@ NvHeap::alloc_impl(size_t size, PersistDomain& dom, TypeId type,
 
     if (cls >= kNumClasses) {
         const size_t payload = (size + 15) & ~size_t{15};
-        const uint64_t off =
-            carve_global(payload, tc.owner_tag, dom, type, aligned);
+        // A claimed oversize block is carved FREEING (a crash before
+        // the claim leaves free space, not a leak) and marked LIVE by
+        // the caller once the claim is durable.
+        const uint64_t off = carve_global(payload, tc.owner_tag, dom, type,
+                                          aligned, claim != nullptr);
         if (off != 0) {
+            if (claim != nullptr) {
+                claim->name(off);
+                *live_deferred = true;
+            }
             m_alloc_->fetch_add(1, std::memory_order_relaxed);
             m_oversize_->fetch_add(1, std::memory_order_relaxed);
             oversize_blocks_.fetch_add(1, std::memory_order_relaxed);
@@ -529,6 +598,8 @@ NvHeap::alloc_impl(size_t size, PersistDomain& dom, TypeId type,
 
     const size_t payload = class_payload(cls);
     uint64_t off = 0;
+    const uint64_t live = pack_meta(kBlockLive, tc.owner_tag, epoch(), type,
+                                    aligned);
 
     // 1. Transient cache: blocks this thread freed (state FREEING).
     //    One line write-back flips them LIVE; no shared state and no
@@ -536,50 +607,70 @@ NvHeap::alloc_impl(size_t size, PersistDomain& dom, TypeId type,
     //    on this thread.  A caller that durably publishes the offset
     //    fences first, which persists the LIVE mark ahead of the
     //    publish; a caller that never fences loses the block to a
-    //    crash either way (it surfaces as a reclaimable stray).
+    //    crash either way (it surfaces as a reclaimable stray).  A
+    //    claimed block stays FREEING: its LIVE mark waits for the
+    //    caller's fence, which also orders the claim before it.
     auto& cache = tc.free_blocks[cls];
     if (!cache.empty()) {
         off = cache.back();
         cache.pop_back();
         hook();
-        set_meta(off,
-                 pack_meta(kBlockLive, tc.owner_tag, epoch(), type, aligned),
-                 dom, /*fence=*/false);
+        if (claim != nullptr) {
+            claim->name(off); // may write the guard line back itself
+            *live_deferred = true;
+        }
+        if (tc.reuse_guard != nullptr) {
+            flush_reuse_guard(tc, dom);
+            if (claim == nullptr)
+                dom.fence();
+        }
+        if (claim == nullptr)
+            set_meta(off, live, dom, /*fence=*/false);
         m_cache_hit_->fetch_add(1, std::memory_order_relaxed);
     }
+    // Shard pops unlink behind one fence and publish LIVE behind a
+    // second; a claim is named between them, so the second fence also
+    // orders it before the LIVE mark (which then rides the caller's
+    // next fence instead).
+    const auto take_popped = [&] {
+        hook();
+        if (claim != nullptr) {
+            claim->name(off);
+            dom.fence();
+            set_meta(off, live, dom, /*fence=*/false);
+        } else {
+            set_meta(off, live, dom);
+        }
+    };
     // 2. Home-shard free list (cheap racy peek before locking).
     if (off == 0) {
         off = shard_pop(home_shard(tc), cls, dom);
-        if (off != 0) {
-            hook();
-            set_meta(off,
-                     pack_meta(kBlockLive, tc.owner_tag, epoch(), type,
-                               aligned),
-                     dom);
-        }
+        if (off != 0)
+            take_popped();
     }
     // 3. Private bump chunk (refilled from the global arena).
     if (off == 0) {
         off = carve_from_chunk(tc, payload, tc.owner_tag, dom, type,
-                               aligned);
+                               aligned, claim);
         if (off == 0 && refill_chunk(tc, dom))
             off = carve_from_chunk(tc, payload, tc.owner_tag, dom, type,
-                                   aligned);
+                                   aligned, claim);
     }
     // 4. Steal from any shard, then the arena tail, before giving up.
     if (off == 0) {
         for (size_t s = 0; s < kNumShards && off == 0; ++s)
             off = shard_pop(s, cls, dom);
-        if (off != 0) {
-            hook();
-            set_meta(off,
-                     pack_meta(kBlockLive, tc.owner_tag, epoch(), type,
-                               aligned),
-                     dom);
+        if (off != 0)
+            take_popped();
+    }
+    if (off == 0) {
+        off = carve_global(payload, tc.owner_tag, dom, type, aligned,
+                           claim != nullptr);
+        if (off != 0 && claim != nullptr) {
+            claim->name(off);
+            *live_deferred = true;
         }
     }
-    if (off == 0)
-        off = carve_global(payload, tc.owner_tag, dom, type, aligned);
     if (off != 0) {
         m_alloc_->fetch_add(1, std::memory_order_relaxed);
         cls_alloc_[cls].fetch_add(1, std::memory_order_relaxed);
@@ -589,14 +680,9 @@ NvHeap::alloc_impl(size_t size, PersistDomain& dom, TypeId type,
 }
 
 uint64_t
-NvHeap::alloc_aligned(size_t size, PersistDomain& dom, TypeId type)
+NvHeap::publish_aligned(uint64_t raw, PersistDomain& dom)
 {
-    // Room for the 8-byte tagged back-pointer plus worst-case slack.
-    const uint64_t raw = alloc_impl(size + 8 + 64, dom, type,
-                                    /*aligned=*/true);
-    if (raw == 0)
-        return 0;
-    const uint64_t aligned = (raw + 8 + 63) & ~uint64_t{63};
+    const uint64_t aligned = aligned_payload(raw);
     IDO_ASSERT(aligned >= raw + 8);
     // Tag nibble 0x1 distinguishes the back-pointer from a plain
     // block's header meta word (whose low nibble is 0xe or 0x2).
@@ -610,12 +696,60 @@ NvHeap::alloc_aligned(size_t size, PersistDomain& dom, TypeId type)
     return aligned;
 }
 
+uint64_t
+NvHeap::alloc_aligned(size_t size, PersistDomain& dom, TypeId type)
+{
+    // Room for the 8-byte tagged back-pointer plus worst-case slack.
+    const uint64_t raw = alloc_impl(size + 8 + 64, dom, type,
+                                    /*aligned=*/true);
+    return raw == 0 ? 0 : publish_aligned(raw, dom);
+}
+
+void
+NvHeap::mark_live(uint64_t raw, TypeId type, bool aligned,
+                  PersistDomain& dom)
+{
+    hook();
+    set_meta(raw, pack_meta(kBlockLive, tcache().owner_tag, epoch(), type,
+                            aligned),
+             dom, /*fence=*/false);
+}
+
+void
+NvHeap::adopt_claimed(uint64_t raw, size_t size, bool aligned,
+                      PersistDomain& dom)
+{
+    auto* hdr = heap_.resolve<BlockHeader>(raw - sizeof(BlockHeader));
+    dom.store_val(&hdr->size,
+                  uint64_t{payload_for(aligned ? size + 8 + 64 : size)});
+    dom.flush(&hdr->size, sizeof(uint64_t));
+}
+
+uint64_t
+NvHeap::raw_payload(uint64_t payload_off, PersistDomain& dom) const
+{
+    // For a plain block the word below the payload is its header's
+    // meta word; an aligned block's is its tagged back-pointer.
+    const uint64_t below =
+        dom.load_val(heap_.resolve<uint64_t>(payload_off - 8));
+    return (below & 0xf) == 0x1 ? below & ~uint64_t{0xf} : payload_off;
+}
+
+bool
+NvHeap::is_live(uint64_t raw, PersistDomain& dom) const
+{
+    const auto* hdr = heap_.resolve<BlockHeader>(raw - sizeof(BlockHeader));
+    return meta_state(dom.load_val(&hdr->meta)) == kBlockLive;
+}
+
 void
 NvHeap::validate_for_free(uint64_t payload_off, const BlockHeader* hdr,
-                          uint64_t meta) const
+                          uint64_t meta, bool resumed) const
 {
     const uint64_t st = meta_state(meta);
-    if (st != kBlockLive) {
+    const bool redo = resumed && st == kBlockFreeing
+        && meta_epoch(meta) < epoch_tag(epoch());
+    if (st != kBlockLive && !redo) {
         panic("nvheap: free of non-LIVE block: payload=0x%llx "
               "header={size=0x%llx meta=0x%llx} state=%s "
               "owner=%u epoch=%llu cur_epoch=%llu -- %s",
@@ -641,6 +775,12 @@ NvHeap::validate_for_free(uint64_t payload_off, const BlockHeader* hdr,
 void
 NvHeap::free_block(uint64_t payload_off, PersistDomain& dom)
 {
+    finish_free(begin_free(payload_off, dom), dom);
+}
+
+uint64_t
+NvHeap::begin_free(uint64_t payload_off, PersistDomain& dom, bool resumed)
+{
     // Validate the offset itself before dereferencing anything.
     if (payload_off < data_begin_ + sizeof(BlockHeader)
         || payload_off >= heap_.size() || (payload_off & 0xf) != 0) {
@@ -657,18 +797,14 @@ NvHeap::free_block(uint64_t payload_off, PersistDomain& dom)
         dom.load_val(heap_.resolve<uint64_t>(payload_off - 8));
     if ((below & 0xf) == 0x1) {
         // Aligned block: redirect to the underlying raw payload.
-        free_block(below & ~uint64_t{0xf}, dom);
-        return;
+        return begin_free(below & ~uint64_t{0xf}, dom, resumed);
     }
     ThreadCache& tc = tcache();
     auto* hdr =
         heap_.resolve<BlockHeader>(payload_off - sizeof(BlockHeader));
     const uint64_t meta = below;
-    validate_for_free(payload_off, hdr, meta);
+    validate_for_free(payload_off, hdr, meta, resumed);
     trace::emit(trace::EventKind::kFree, payload_off);
-
-    const uint64_t size = dom.load_val(&hdr->size);
-    const size_t cls = class_for_size(size);
 
     // Phase 1: mark the block FREEING, tagged with this thread and
     // epoch.  From here on it can never be handed out again until
@@ -684,11 +820,21 @@ NvHeap::free_block(uint64_t payload_off, PersistDomain& dom)
     set_meta(payload_off, pack_meta(kBlockFreeing, tc.owner_tag, epoch()),
              dom, /*fence=*/false);
     m_free_->fetch_add(1, std::memory_order_relaxed);
+    return payload_off;
+}
 
+void
+NvHeap::finish_free(uint64_t raw, PersistDomain& dom)
+{
+    ThreadCache& tc = tcache();
+    const uint64_t size =
+        dom.load_val(&heap_.resolve<BlockHeader>(raw - sizeof(BlockHeader))
+                          ->size);
+    const size_t cls = class_for_size(size);
     if (cls < kNumClasses && class_payload(cls) == size) {
         cls_free_[cls].fetch_add(1, std::memory_order_relaxed);
         auto& cache = tc.free_blocks[cls];
-        cache.push_back(payload_off);
+        cache.push_back(raw);
         if (cache.size() >= kCacheCap)
             spill_cache(tc, cls, dom);
     } else {
@@ -698,8 +844,7 @@ NvHeap::free_block(uint64_t payload_off, PersistDomain& dom)
         oversize_freed_bytes_.fetch_add(size + sizeof(BlockHeader),
                                         std::memory_order_relaxed);
         hook();
-        set_meta(payload_off, pack_meta(kBlockFree, tc.owner_tag, epoch()),
-                 dom);
+        set_meta(raw, pack_meta(kBlockFree, tc.owner_tag, epoch()), dom);
     }
 }
 
@@ -857,20 +1002,43 @@ NvHeap::recover_leaks(PersistDomain& dom)
     HeapState* st = state();
     const uint64_t cur_epoch = dom.load_val(&st->epoch);
 
-    // Pass 1: index every block reachable from a free list.
-    std::unordered_set<uint64_t> listed;
+    // Pass 1: index every block reachable from a free list, one bit
+    // per 16-byte payload granule below the bump pointer.
+    const uint64_t bump = dom.load_val(&st->bump);
+    std::vector<uint64_t> listed(((bump - data_begin_) / 16 + 63) / 64);
+    const auto granule = [&](uint64_t payload) {
+        return (payload - data_begin_) / 16;
+    };
     for (size_t s = 0; s < kNumShards; ++s) {
         for (size_t c = 0; c < kNumClasses; ++c) {
             uint64_t p = st->shards[s].heads[c];
             size_t hops = 0;
             while (p != 0) {
-                listed.insert(p);
+                IDO_ASSERT(p > data_begin_ && p < bump,
+                           "nvheap: free-list entry outside the arena");
+                listed[granule(p) / 64] |= uint64_t{1} << (granule(p) % 64);
                 p = *heap_.resolve<uint64_t>(p);
                 IDO_ASSERT(++hops <= heap_.size() / 16,
                            "nvheap: free-list cycle during reclaim");
             }
         }
     }
+    const auto is_listed = [&](uint64_t payload) {
+        return (listed[granule(payload) / 64] >> (granule(payload) % 64))
+               & 1;
+    };
+
+    // Blocks a LIVE block's type declares reserved (an interrupted
+    // FASE's allocations and frees) are never relinked, whatever
+    // state the crash left them in.
+    const TypeDescriptor* claimers[128] = {};
+    for (size_t t = 0; t < static_cast<size_t>(TypeId::kMaxTypes); ++t) {
+        const TypeDescriptor* d =
+            TypeRegistry::instance().describe(static_cast<TypeId>(t));
+        if (d != nullptr && d->reserved_blocks)
+            claimers[t] = d;
+    }
+    std::vector<uint64_t> reserved;
 
     // Pass 2: find strays.  FREEING with a stale epoch means the
     // freeing run died between the phases; FREE but unlisted means it
@@ -878,9 +1046,20 @@ NvHeap::recover_leaks(PersistDomain& dom)
     // shard pop's unlink and the LIVE flip).  Current-epoch FREEING
     // blocks are parked in live transient caches -- leave them alone.
     std::vector<uint64_t> strays;
-    walk_blocks(heap_, data_begin_, st->bump, heap_.size(), nullptr,
+    walk_blocks(heap_, data_begin_, bump, heap_.size(), nullptr,
                 [&](uint64_t payload, uint64_t size, uint64_t meta) {
                     const uint64_t s = meta_state(meta);
+                    if (s == kBlockLive) {
+                        const TypeDescriptor* d =
+                            claimers[static_cast<size_t>(meta_type(meta))];
+                        if (d != nullptr)
+                            d->reserved_blocks(
+                                heap_,
+                                meta_aligned(meta) ? aligned_payload(payload)
+                                                   : payload,
+                                &reserved);
+                        return;
+                    }
                     const size_t cls = class_for_size(size);
                     const bool exact = cls < kNumClasses
                         && kClassSizes[cls] == size;
@@ -893,9 +1072,15 @@ NvHeap::recover_leaks(PersistDomain& dom)
                     if (s == kBlockFreeing
                         && meta_epoch(meta) < epoch_tag(cur_epoch))
                         strays.push_back(payload);
-                    else if (s == kBlockFree && !listed.count(payload))
+                    else if (s == kBlockFree && !is_listed(payload))
                         strays.push_back(payload);
                 });
+    if (!reserved.empty()) {
+        std::sort(reserved.begin(), reserved.end());
+        std::erase_if(strays, [&](uint64_t p) {
+            return std::binary_search(reserved.begin(), reserved.end(), p);
+        });
+    }
 
     // Pass 3: relink, one durable two-step per block (link+meta fence,
     // then head publish fence) -- crashing mid-reclaim just leaves the

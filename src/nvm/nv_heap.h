@@ -133,6 +133,88 @@ class NvHeap
      */
     void free_block(uint64_t payload_off, PersistDomain& dom);
 
+    /**
+     * A durable name for a block being allocated, supplied by a runtime
+     * whose allocations must survive re-execution (iDO's allocation
+     * entries, ido_log.h).  alloc_claimed() calls name() once the block
+     * is off every free list, and the block cannot become durably LIVE
+     * before a fence has followed that call.
+     */
+    class Claim
+    {
+      public:
+        /** Store and write back a name for the raw payload; no fence. */
+        virtual void name(uint64_t raw_payload) = 0;
+
+      protected:
+        ~Claim() = default;
+    };
+
+    /**
+     * alloc()/alloc_aligned() for a claimed block.  Returns the *raw*
+     * payload offset, 0 if exhausted; publish an aligned one with
+     * publish_aligned().  The shard-pop and chunk-carve paths order the
+     * LIVE mark behind a fence they already issue.  The transient-cache
+     * and oversize paths have no such fence: they leave the block
+     * FREEING, set *live_deferred, and the caller mark_live()s it after
+     * its own next fence.
+     */
+    uint64_t alloc_claimed(size_t size, PersistDomain& dom, TypeId type,
+                           bool aligned, Claim& claim, bool* live_deferred);
+
+    /** Write an aligned block's back-pointer (written back, fence
+     *  coalesced) and return its published payload offset. */
+    uint64_t publish_aligned(uint64_t raw, PersistDomain& dom);
+
+    /** Mark a claimed block LIVE: written back, no fence. */
+    void mark_live(uint64_t raw, TypeId type, bool aligned,
+                   PersistDomain& dom);
+
+    /**
+     * Take back a block a crashed run claimed for the same call.  Its
+     * header may be FREEING, FREE-unlisted, LIVE, or -- if the crash
+     * beat a carve's header store -- never written, so the size word
+     * is rewritten (written back, no fence); the caller mark_live()s
+     * the block after its next fence.
+     */
+    void adopt_claimed(uint64_t raw, size_t size, bool aligned,
+                       PersistDomain& dom);
+
+    /** The raw payload behind a published payload offset (follows an
+     *  aligned block's back-pointer). */
+    uint64_t raw_payload(uint64_t payload_off, PersistDomain& dom) const;
+
+    /** Whether the block at a raw payload offset is LIVE. */
+    bool is_live(uint64_t raw, PersistDomain& dom) const;
+
+    /**
+     * Phase 1 of free_block() alone: validate and mark the block
+     * FREEING (written back, no fence), returning its raw payload.
+     * `resumed` also accepts a block a crashed epoch already marked
+     * FREEING: a resumed FASE redoing a free its crash interrupted.
+     */
+    uint64_t begin_free(uint64_t payload_off, PersistDomain& dom,
+                        bool resumed = false);
+
+    /** The rest of free_block(): park a begin_free()d block in the
+     *  calling thread's cache, spilling half of it when full. */
+    void finish_free(uint64_t raw, PersistDomain& dom);
+
+    /**
+     * Name a line that must be written back before any block parked in
+     * the calling thread's cache is handed out or spilled: iDO clears
+     * its free entries with a plain store and lets the next reuse of a
+     * freed block carry the write-back.  A spill writes the line back
+     * ahead of its first fence; a cache hit writes it back, and fences
+     * too unless a Claim defers the LIVE mark past the caller's fence.
+     * A different pending line is written back when replaced.
+     */
+    void set_reuse_guard(const void* line, PersistDomain& dom);
+
+    /** The caller wrote `line` back itself: a pending reuse guard on
+     *  it needs no write-back of its own. */
+    void note_written_back(const void* line);
+
     /** Typed convenience: allocate sizeof(T), return offset. */
     template <typename T>
     uint64_t
@@ -201,7 +283,10 @@ class NvHeap
      * kBlockFree but unreachable from any free list) into the sharded
      * free lists.  Safe to call while the current epoch is allocating:
      * blocks parked in live transient caches carry the current epoch
-     * and are left alone.  Returns the number of blocks reclaimed.
+     * and are left alone, as are the blocks a LIVE block's type
+     * declares reserved (TypeDescriptor::reserved_blocks: the
+     * allocations and frees of an interrupted iDO FASE).  Returns the
+     * number of blocks reclaimed.
      */
     uint64_t recover_leaks(PersistDomain& dom);
 
@@ -293,6 +378,8 @@ class NvHeap
         uint64_t chunk_end = 0;
         uint16_t owner_tag = 0;
         std::vector<uint64_t> free_blocks[kNumClasses];
+        /** set_reuse_guard() line not yet written back (null: none). */
+        const void* reuse_guard = nullptr;
     };
 
     // Meta word layout: state(16) | owner(16) | type(7) | aligned(1) |
@@ -356,14 +443,26 @@ class NvHeap
     void set_meta(uint64_t payload_off, uint64_t meta, PersistDomain& dom,
                   bool fence = true);
 
-    /** Shared allocation path behind alloc()/alloc_aligned(). */
+    /** Shared allocation path behind alloc()/alloc_aligned() and
+     *  alloc_claimed() (claim non-null). */
     uint64_t alloc_impl(size_t size, PersistDomain& dom, TypeId type,
-                        bool aligned);
+                        bool aligned, Claim* claim = nullptr,
+                        bool* live_deferred = nullptr);
 
     /** Carve one block from the thread's chunk; 0 if it doesn't fit. */
     uint64_t carve_from_chunk(ThreadCache& tc, size_t payload,
                               uint16_t owner, PersistDomain& dom,
-                              TypeId type, bool aligned);
+                              TypeId type, bool aligned, Claim* claim);
+
+    /** Write back tc's reuse guard, if any, and forget it. */
+    void flush_reuse_guard(ThreadCache& tc, PersistDomain& dom);
+
+    /** Published payload of an aligned block's raw payload. */
+    static uint64_t
+    aligned_payload(uint64_t raw)
+    {
+        return (raw + 8 + 63) & ~uint64_t{63};
+    }
 
     /** Refill the thread's chunk: retired-chunk list first, then the
      *  global arena bump. */
@@ -378,13 +477,19 @@ class NvHeap
                      bool spill_all = false);
 
     /** Carve an exact-size block from the global arena (oversize and
-     *  arena-tail allocations). */
+     *  arena-tail allocations).  A claimed block is carved FREEING. */
     uint64_t carve_global(size_t payload, uint16_t owner,
-                          PersistDomain& dom, TypeId type, bool aligned);
+                          PersistDomain& dom, TypeId type, bool aligned,
+                          bool claimed = false);
 
-    /** Validate a block header before freeing; panics on violation. */
+    /** Validate a block header before freeing; panics on violation.
+     *  `resumed` accepts a stale-epoch FREEING block (begin_free). */
     void validate_for_free(uint64_t payload_off, const BlockHeader* hdr,
-                           uint64_t meta) const;
+                           uint64_t meta, bool resumed = false) const;
+
+    /** Class payload (or oversize round-up) the allocator gives a
+     *  request of `size` bytes. */
+    static size_t payload_for(size_t size);
 
     PersistentHeap& heap_;
     uint64_t state_off_ = 0;

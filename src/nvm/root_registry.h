@@ -126,6 +126,17 @@ struct TypeDescriptor
      */
     std::function<bool(const PersistentHeap&, uint64_t payload_off)>
         pins_relocation;
+
+    /**
+     * Blocks this LIVE block durably claims although they need not be
+     * LIVE themselves: an interrupted FASE's log record names the
+     * blocks its resumed region will take back or free.  Appends raw
+     * payload offsets to out; NvHeap::recover_leaks never relinks
+     * them.
+     */
+    std::function<void(const PersistentHeap&, uint64_t payload_off,
+                       std::vector<uint64_t>* out)>
+        reserved_blocks;
 };
 
 /** Process-wide TypeId -> TypeDescriptor table. */

@@ -23,6 +23,11 @@ FaseRegistry::register_program(const FaseProgram* prog)
 {
     IDO_ASSERT(prog != nullptr);
     IDO_ASSERT(!prog->regions.empty(), "FASE with no regions");
+    // A recovery_pc packs 16-bit FASE ids and region indexes, and the
+    // all-ones pc is the inactive sentinel.
+    IDO_ASSERT(prog->fase_id < 0xffffu && prog->regions.size() < 0xffffu,
+               "FASE '%s': id or region count does not fit a recovery_pc",
+               prog->name);
     if (table_.size() <= prog->fase_id)
         table_.resize(prog->fase_id + 1, nullptr);
     table_[prog->fase_id] = prog;

@@ -24,7 +24,8 @@
  *    boundaries immediately after acquires and before releases,
  *    Sec. III-B);
  *  - nv_free is deferred by the runtime to FASE completion, so a
- *    re-executed region never double-frees.
+ *    re-executed region never double-frees (iDO records it in its log
+ *    so a crash cannot lose it either; ido_runtime.h).
  */
 #pragma once
 
@@ -73,11 +74,12 @@ struct RuntimeConfig
     size_t log_bytes_per_thread = 1u << 20;
 
     /**
-     * Run the heap GC in repair mode during recover(): unreachable
-     * LIVE blocks are reclaimed after the log-driven recovery settles.
-     * Off by default -- audit-only -- because reachability is decided
-     * from the typed root registry, and a harness holding block offsets
-     * in transient variables (tests do) would see its data collected.
+     * No effect.  Recovery once ran a whole-heap GC, in repair mode
+     * when this was set; iDO FASEs now log their allocations and frees,
+     * so recovery leaves no leak to collect and walks no heap (audit
+     * with `ido_heap audit`).  Kept only because the repo benchmark's
+     * harness still assigns it; the field is deleted once that
+     * assignment is dropped in a benchmark-only change.
      */
     bool gc_repair_on_recovery = false;
 };
@@ -194,7 +196,12 @@ class RuntimeThread
 
     // ---- allocation -----------------------------------------------------
 
-    /** Allocate persistent memory; leaks (never corrupts) on crash. */
+    /**
+     * Allocate persistent memory.  Under iDO a FASE allocation is
+     * logged, so a crash never leaks it and a resumed region gets the
+     * same block back (ido_runtime.h); the baselines may leak (never
+     * corrupt) a block allocated by a crashed FASE.
+     */
     virtual uint64_t nv_alloc(size_t n);
 
     /**

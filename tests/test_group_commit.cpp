@@ -32,6 +32,7 @@
 #include "ido/ido_runtime.h"
 #include "net/group_commit.h"
 #include "net/memc_protocol.h"
+#include "nvm/heap_gc.h"
 #include "nvm/persist_domain.h"
 #include "nvm/shadow_domain.h"
 #include "runtime/crash_sim.h"
@@ -131,6 +132,8 @@ TEST(GroupCommitCrashSweep, BatchAtomicAtEveryCrashPoint)
             {
                 auto setup = runtime->make_thread();
                 root = MemcachedMini::create(*setup, 1, 64);
+                nvm::RootRegistry::set_ref(heap, nvm::RootSlot::kAppRoot,
+                                           root, shadow);
                 MemcachedMini cache(heap, root);
                 for (const auto& [i, v] : before) {
                     auto [lo, hi] = net::memc_key_words(key_name(i));
@@ -171,6 +174,19 @@ TEST(GroupCommitCrashSweep, BatchAtomicAtEveryCrashPoint)
             ASSERT_TRUE(MemcachedMini::check_invariants(heap, root))
                 << "policy " << static_cast<int>(policy) << " fuse "
                 << fuse;
+            // Recovery repairs nothing: the batch's inserts and deletes
+            // must leave no leaked block behind, whatever FASE the
+            // crash interrupted.
+            {
+                nvm::HeapGc gc(runtime->allocator(), shadow);
+                const nvm::GcStats gs = gc.audit();
+                EXPECT_EQ(gs.leaked_blocks, 0u)
+                    << "policy " << static_cast<int>(policy) << " fuse "
+                    << fuse << " " << gs.to_json();
+                EXPECT_EQ(gs.dangling_links, 0u)
+                    << "policy " << static_cast<int>(policy) << " fuse "
+                    << fuse << " " << gs.to_json();
+            }
 
             auto th = runtime->make_thread();
             MemcachedMini cache(heap, root);

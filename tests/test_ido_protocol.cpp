@@ -131,6 +131,57 @@ TEST_F(IdoFixture, StoreAfterDeactivationPanics)
         "runs after the log deactivated");
 }
 
+TEST_F(IdoFixture, AllocationInReadOnlyPrefixPanics)
+{
+    // An allocation before activation has no entry that a boundary
+    // fence could make durable: a crash would leak the block.
+    auto scan_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        t.nv_alloc(16);
+        return rt::kRegionEnd;
+    };
+    rt::FaseProgram p;
+    p.fase_id = 9010;
+    p.name = "prefix_alloc";
+    p.regions = {{scan_r, "scan", 0, 0, 0, 0, /*may_store=*/0}};
+    EXPECT_DEATH(
+        {
+            auto th = runtime.make_thread();
+            rt::RegionCtx ctx;
+            th->run_fase(p, ctx);
+        },
+        "FASE 'prefix_alloc': nv_alloc in region 'scan' outside an active "
+        "storing region");
+}
+
+TEST_F(IdoFixture, FreeInDeactivatedTailPanics)
+{
+    // The boundary entering the read-only tail deactivates the log; a
+    // free recorded after that would be lost by a crash.
+    static uint64_t data_off;
+    auto store_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        t.store_u64(data_off, 1);
+        return 1;
+    };
+    auto tail_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        t.nv_free(data_off);
+        return rt::kRegionEnd;
+    };
+    rt::FaseProgram p;
+    p.fase_id = 9011;
+    p.name = "tail_free";
+    p.regions = {{store_r, "store", 0, 0, 0, 0},
+                 {tail_r, "tail", 0, 0, 0, 0, /*may_store=*/0}};
+    data_off = runtime.allocator().alloc(64, dom);
+    EXPECT_DEATH(
+        {
+            auto th = runtime.make_thread();
+            rt::RegionCtx ctx;
+            th->run_fase(p, ctx);
+        },
+        "FASE 'tail_free': nv_free in region 'tail' outside an active "
+        "storing region");
+}
+
 TEST_F(IdoFixture, RecoveryPcTracksRegions)
 {
     // A probe program that snapshots its own log record mid-FASE.
@@ -152,7 +203,10 @@ TEST_F(IdoFixture, RecoveryPcTracksRegions)
     probe_th = static_cast<IdoThread*>(th.get());
     rt::RegionCtx ctx;
     th->run_fase(p, ctx);
-    EXPECT_EQ(pc_seen_in_r1, pack_recovery_pc(9000, 1));
+    // The first activation of a fresh record is instance 1, and r0
+    // recorded no allocation or free entry.
+    EXPECT_EQ(pc_seen_in_r1, pack_recovery_pc(9000, 1, /*instance=*/1,
+                                              /*entries=*/0));
 }
 
 TEST_F(IdoFixture, OutputRegistersLandInFixedSlots)
@@ -452,14 +506,18 @@ TEST_F(McCostFixture, WriteFenceCounts)
     // plus one allocator fence for the fresh item.
     const OpCost insert = cost([&] { cache.set(*th, 50, 0, 7); });
     EXPECT_EQ(insert.fences, 7u);
-    EXPECT_EQ(insert.flushes, 14u); // was 17: RF line, unlock, final pc
+    // 15: the 14 of a set-insert before allocation entries, plus the
+    // entry naming the new item (its LIVE mark moved, not added).
+    EXPECT_EQ(insert.flushes, 15u);
     EXPECT_EQ(insert.site(FenceSite::kBoundary2), 1u);
     EXPECT_EQ(insert.site(FenceSite::kDeactivate), 1u);
     EXPECT_EQ(insert.site(FenceSite::kAlloc), 1u);
     // delete-hit activates at unlink, which also deactivates: 2 + 2.
     const OpCost del = cost([&] { cache.del(*th, 50, 0); });
     EXPECT_EQ(del.fences, 4u);
-    EXPECT_EQ(del.flushes, 9u); // was 12, for the same three lines
+    // 10: the 9 of a delete-hit before free entries, plus the entry
+    // recording the free; the entry's clear is not written back here.
+    EXPECT_EQ(del.flushes, 10u);
     EXPECT_EQ(del.site(FenceSite::kDeactivate), 1u);
     for (const OpCost& c : {update, insert, del})
         EXPECT_EQ(c.site(FenceSite::kLock), 0u);

@@ -3,15 +3,18 @@
  * iDO recovery tests (paper Sec. III-C): resumption at every possible
  * crash point, lock reclamation, the stolen-lock window, multi-thread
  * recovery with a barrier, crash-during-recovery idempotence, the
- * lock records of a read-only prefix, written only at activation, and
- * a second writer taking a lock the first released in its deactivated
- * tail.
+ * lock records of a read-only prefix, written only at activation, a
+ * second writer taking a lock the first released in its deactivated
+ * tail, and the allocation and free entries that keep every crash
+ * leak-free.
  *
  * Methodology: run under ShadowDomain with the crash scheduler armed at
  * every successive opportunity k = 1, 2, 3, ... until the operation
  * completes without crashing.  Each crash discards un-persisted lines
  * (randomized), bumps the lock epoch, re-registers programs, and runs
- * recovery; the resulting state must be exactly pre-op or post-op.
+ * recovery; the resulting state must be exactly pre-op or post-op, and
+ * a read-only heap audit -- no repair in between -- must find no
+ * leaked block and no dangling link.
  */
 #include <gtest/gtest.h>
 
@@ -30,6 +33,7 @@
 #include "ds/stack.h"
 #include "ds/workload.h"
 #include "ido/ido_runtime.h"
+#include "nvm/heap_gc.h"
 #include "nvm/shadow_domain.h"
 #include "stats/metrics.h"
 
@@ -56,6 +60,40 @@ struct RecoveryWorld
         runtime = std::make_unique<IdoRuntime>(heap, shadow, cfg);
     }
 
+    /** Name the structure under test as the heap's app root, so the
+     *  heap audit traces it. */
+    void
+    set_root(uint64_t off)
+    {
+        nvm::RootRegistry::set_ref(heap, nvm::RootSlot::kAppRoot, off,
+                                   shadow);
+    }
+
+    /**
+     * Read-only reachability audit of the recovered heap: recovery
+     * repairs nothing, so every crash must leave no leaked block and
+     * no dangling link.
+     */
+    void
+    expect_clean_heap(const std::string& where = "")
+    {
+        nvm::HeapGc gc(runtime->allocator(), shadow);
+        const nvm::GcStats s = gc.audit();
+        EXPECT_EQ(s.leaked_blocks, 0u) << where << " " << s.to_json();
+        EXPECT_EQ(s.dangling_links, 0u) << where << " " << s.to_json();
+    }
+
+    /** Every log record must be inactive after a finished recovery. */
+    void
+    expect_records_inactive(const std::string& where = "")
+    {
+        for (uint64_t off : runtime->log_rec_offsets()) {
+            EXPECT_EQ(heap.resolve<IdoLogRec>(off)->recovery_pc,
+                      kInactivePc)
+                << where;
+        }
+    }
+
     /** Simulate fail-stop + restart: lose volatile state, recover. */
     void
     crash_and_recover(CrashPolicy policy)
@@ -64,6 +102,7 @@ struct RecoveryWorld
         make_runtime(); // fresh process: new lock table epoch, etc.
         runtime->recover();
         shadow.drain_all(); // recovery's cache state, made visible
+        expect_clean_heap();
     }
 
     nvm::PersistentHeap heap;
@@ -97,6 +136,7 @@ TEST(IdoRecovery, StackPushAtEveryCrashPoint)
             RecoveryWorld world(1000 + k);
             auto setup = world.runtime->make_thread();
             ds::PStack stack(ds::PStack::create(*setup));
+            world.set_root(stack.root_off());
             stack.push(*setup, 111);
             world.shadow.drain_all();
             setup.reset();
@@ -136,6 +176,7 @@ TEST(IdoRecovery, StackPopAtEveryCrashPoint)
         RecoveryWorld world(2000 + k);
         auto setup = world.runtime->make_thread();
         ds::PStack stack(ds::PStack::create(*setup));
+        world.set_root(stack.root_off());
         stack.push(*setup, 5);
         stack.push(*setup, 6);
         world.shadow.drain_all();
@@ -171,6 +212,7 @@ TEST(IdoRecovery, QueueEnqueueAtEveryCrashPoint)
         RecoveryWorld world(3000 + k);
         auto setup = world.runtime->make_thread();
         ds::PQueue queue(ds::PQueue::create(*setup));
+        world.set_root(queue.root_off());
         queue.enqueue(*setup, 1);
         world.shadow.drain_all();
         setup.reset();
@@ -207,6 +249,7 @@ TEST(IdoRecovery, RecoveryIsIdempotentUnderRepeatedCrashes)
         RecoveryWorld world(4000 + op_k);
         auto setup = world.runtime->make_thread();
         ds::PStack stack(ds::PStack::create(*setup));
+        world.set_root(stack.root_off());
         stack.push(*setup, 1);
         world.shadow.drain_all();
         setup.reset();
@@ -257,6 +300,7 @@ TEST(IdoRecovery, MultiThreadCrashRecoversAllFases)
         cfg.get_pct = 30;
         cfg.seed = seed;
         const uint64_t root = ds::workload_setup(*world.runtime, cfg);
+        world.set_root(root);
         world.shadow.drain_all();
 
         world.runtime->crash_scheduler().arm(
@@ -270,10 +314,7 @@ TEST(IdoRecovery, MultiThreadCrashRecoversAllFases)
             world.heap, ds::DsKind::kHashMap, root))
             << "seed " << seed;
         // Post-recovery, all log records must be inactive.
-        for (uint64_t off : world.runtime->log_rec_offsets()) {
-            EXPECT_EQ(world.heap.resolve<IdoLogRec>(off)->recovery_pc,
-                      kInactivePc);
-        }
+        world.expect_records_inactive("seed " + std::to_string(seed));
     }
 }
 
@@ -282,6 +323,7 @@ TEST(IdoRecovery, CleanRunNeedsNoRecoveryWork)
     RecoveryWorld world(7);
     auto th = world.runtime->make_thread();
     ds::PStack stack(ds::PStack::create(*th));
+    world.set_root(stack.root_off());
     stack.push(*th, 9);
     th.reset();
     world.crash_and_recover(CrashPolicy::kDropAll);
@@ -332,6 +374,7 @@ TEST(IdoRecovery, PrefixLockRecordedAtActivationEveryCrashPoint)
                 {
                     auto setup = world.runtime->make_thread();
                     root = apps::MemcachedMini::create(*setup, 1, 64);
+                    world.set_root(root);
                     apps::MemcachedMini(world.heap, root)
                         .set(*setup, 1, 0, 100);
                 }
@@ -376,6 +419,7 @@ TEST(IdoRecovery, PrefixLockRecordedAtActivationEveryCrashPoint)
                 }
                 ASSERT_TRUE(
                     apps::MemcachedMini::check_invariants(world.heap, root));
+                world.expect_clean_heap("k=" + std::to_string(k));
 
                 // Atomic, and live: a leaked lock would hang these FASEs.
                 auto th = world.runtime->make_thread();
@@ -470,6 +514,13 @@ TEST(IdoRecovery, LockBeforeAndAfterActivationEveryCrashPoint)
             const uint64_t lock_a = alloc.alloc(64, world.shadow);
             const uint64_t lock_b = alloc.alloc(64, world.shadow);
             const uint64_t data = alloc.alloc(64, world.shadow);
+            // Untyped, so the audit keeps them as opaque roots.
+            nvm::RootRegistry::set_ref(world.heap, nvm::RootSlot::kUser0,
+                                       lock_a, world.shadow);
+            nvm::RootRegistry::set_ref(world.heap, nvm::RootSlot::kUser1,
+                                       lock_b, world.shadow);
+            nvm::RootRegistry::set_ref(world.heap, nvm::RootSlot::kUser2,
+                                       data, world.shadow);
             world.shadow.drain_all();
             auto run = [&](rt::RuntimeThread& th, uint64_t value) {
                 rt::RegionCtx ctx;
@@ -512,6 +563,7 @@ TEST(IdoRecovery, LockBeforeAndAfterActivationEveryCrashPoint)
             EXPECT_EQ(locks_reacquired_total() - reacquired_before,
                       pc == kInactivePc ? 0u : durable.size())
                 << "k=" << k;
+            world.expect_clean_heap("k=" + std::to_string(k));
 
             // All or nothing, and a rerun (both locks again) must not
             // deadlock on a lock recovery failed to release.
@@ -567,6 +619,7 @@ TEST(IdoRecovery, SecondWriterAfterTailUnlockEveryCrashPoint)
                 {
                     auto setup = world.runtime->make_thread();
                     root = apps::MemcachedMini::create(*setup, 1, 64);
+                    world.set_root(root);
                     apps::MemcachedMini(world.heap, root)
                         .set(*setup, kKey, 0, 100);
                 }
@@ -615,11 +668,8 @@ TEST(IdoRecovery, SecondWriterAfterTailUnlockEveryCrashPoint)
                 ASSERT_TRUE(
                     apps::MemcachedMini::check_invariants(world.heap, root))
                     << where;
-                for (uint64_t off : world.runtime->log_rec_offsets()) {
-                    EXPECT_EQ(world.heap.resolve<IdoLogRec>(off)->recovery_pc,
-                              kInactivePc)
-                        << where;
-                }
+                world.expect_records_inactive(where);
+                world.expect_clean_heap(where);
                 auto th = world.runtime->make_thread();
                 uint64_t v = 0;
                 const bool present = cache.get(*th, kKey, 0, &v);
@@ -638,6 +688,379 @@ TEST(IdoRecovery, SecondWriterAfterTailUnlockEveryCrashPoint)
             EXPECT_GT(k, 10) << "T2 has suspiciously few crash points";
         }
     }
+}
+
+// --------------------------------------------------------------------------
+// Leak-free FASEs: allocation and free entries
+// --------------------------------------------------------------------------
+
+constexpr CrashPolicy kAllPolicies[] = {
+    CrashPolicy::kDropAll, CrashPolicy::kRandom, CrashPolicy::kPersistAll};
+
+std::string
+where_of(CrashPolicy policy, int64_t k)
+{
+    return "policy " + std::to_string(static_cast<int>(policy))
+           + " k=" + std::to_string(k);
+}
+
+/**
+ * Run `trial(world, k)` -- set up, then crash one operation at its k-th
+ * tick -- for k = 1, 2, ... under every CrashPolicy until the operation
+ * completes.  A crashed trial is recovered (crash_and_recover audits
+ * the heap); either way `check(world, where)` then verifies the state
+ * and every record must be inactive.
+ */
+template <typename Trial, typename Check>
+void
+sweep_crash_points(uint64_t seed_base, Trial&& trial, Check&& check)
+{
+    for (const CrashPolicy policy : kAllPolicies) {
+        int64_t k = 1;
+        for (;; ++k) {
+            ASSERT_LT(k, 2000) << "operation never completed";
+            RecoveryWorld world(seed_base + static_cast<uint64_t>(k));
+            const std::string where = where_of(policy, k);
+            const bool crashed = trial(world, k);
+            if (crashed)
+                world.crash_and_recover(policy);
+            else
+                world.expect_clean_heap(where);
+            world.expect_records_inactive(where);
+            check(world, where);
+            if (!crashed)
+                break;
+        }
+        EXPECT_GT(k, 10) << "suspiciously few crash points";
+    }
+}
+
+/**
+ * Allocate `n` blocks of `size` bytes and require them all distinct: a
+ * block freed twice sits on the free lists twice and is handed out
+ * twice.
+ */
+void
+expect_no_double_handout(RecoveryWorld& world, size_t size, size_t n,
+                         const std::string& where)
+{
+    std::set<uint64_t> seen;
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t off =
+            world.runtime->allocator().alloc(size, world.shadow);
+        ASSERT_NE(off, 0u) << where;
+        EXPECT_TRUE(seen.insert(off).second)
+            << where << ": block 0x" << std::hex << off
+            << " handed out twice";
+    }
+}
+
+/** A one-shard cache with key 1 = 100 (and key 2 = 200 if asked). */
+uint64_t
+make_cache(RecoveryWorld& world, rt::RuntimeThread& th, bool with_key2)
+{
+    const uint64_t root = apps::MemcachedMini::create(th, 1, 64);
+    world.set_root(root);
+    apps::MemcachedMini cache(world.heap, root);
+    cache.set(th, 1, 0, 100);
+    if (with_key2)
+        cache.set(th, 2, 0, 200);
+    world.shadow.drain_all();
+    return root;
+}
+
+TEST(IdoRecovery, SetInsertAllocationEveryCrashPoint)
+{
+    // The build region allocates the item.  A crash between the
+    // allocation and the boundary that leaves build re-runs build:
+    // its allocation entry hands the same block back.  With `reuse`,
+    // the item comes from the thread's transient cache (key 3 was just
+    // deleted), whose LIVE mark rides the fence that advances the pc.
+    apps::MemcachedMini::register_programs();
+    uint64_t root = 0;
+    for (const bool reuse : {false, true}) {
+        sweep_crash_points(
+            11000,
+            [&](RecoveryWorld& world, int64_t k) {
+                auto th = world.runtime->make_thread();
+                root = make_cache(world, *th, false);
+                apps::MemcachedMini cache(world.heap, root);
+                if (reuse) {
+                    cache.set(*th, 3, 0, 333);
+                    cache.del(*th, 3, 0);
+                    world.shadow.drain_all();
+                }
+                return run_with_crash_at(world, k,
+                                         [&] { cache.set(*th, 2, 0, 222); });
+            },
+            [&](RecoveryWorld& world, const std::string& where) {
+                ASSERT_TRUE(apps::MemcachedMini::check_invariants(world.heap,
+                                                                  root))
+                    << where;
+                auto th = world.runtime->make_thread();
+                apps::MemcachedMini cache(world.heap, root);
+                uint64_t v = 0;
+                EXPECT_TRUE(cache.get(*th, 1, 0, &v) && v == 100) << where;
+                EXPECT_TRUE(!cache.get(*th, 2, 0, &v) || v == 222) << where;
+                EXPECT_FALSE(cache.get(*th, 3, 0, &v)) << where;
+            });
+    }
+}
+
+TEST(IdoRecovery, DeleteHitFreeEveryCrashPoint)
+{
+    // The unlink region records the item's free; the deactivating
+    // boundary marks it FREEING.  Whether the crash lands before the
+    // entry, between the marks, or after the inactive pc, the item is
+    // freed exactly once.
+    apps::MemcachedMini::register_programs();
+    uint64_t root = 0;
+    sweep_crash_points(
+        12000,
+        [&](RecoveryWorld& world, int64_t k) {
+            auto th = world.runtime->make_thread();
+            root = make_cache(world, *th, true);
+            apps::MemcachedMini cache(world.heap, root);
+            return run_with_crash_at(world, k,
+                                     [&] { cache.del(*th, 2, 0); });
+        },
+        [&](RecoveryWorld& world, const std::string& where) {
+            ASSERT_TRUE(apps::MemcachedMini::check_invariants(world.heap,
+                                                              root))
+                << where;
+            auto th = world.runtime->make_thread();
+            apps::MemcachedMini cache(world.heap, root);
+            uint64_t v = 0;
+            EXPECT_TRUE(cache.get(*th, 1, 0, &v) && v == 100) << where;
+            EXPECT_TRUE(!cache.get(*th, 2, 0, &v) || v == 200) << where;
+            expect_no_double_handout(world, sizeof(apps::McItem), 300,
+                                     where);
+        });
+}
+
+TEST(IdoRecovery, BackToBackSetsNeverReuseAStaleEntry)
+{
+    // One thread inserts key 2, then key 3.  The first set leaves a
+    // durable allocation entry for (region build, index 0, slot 0);
+    // the second set's entry for the same call differs only in its
+    // instance.  A crash in the second set before its own entry is
+    // durable must not hand key 2's item back to it.
+    apps::MemcachedMini::register_programs();
+    uint64_t root = 0;
+    sweep_crash_points(
+        13000,
+        [&](RecoveryWorld& world, int64_t k) {
+            auto th = world.runtime->make_thread();
+            root = make_cache(world, *th, false);
+            apps::MemcachedMini cache(world.heap, root);
+            cache.set(*th, 2, 0, 222);
+            world.shadow.drain_all();
+            return run_with_crash_at(world, k,
+                                     [&] { cache.set(*th, 3, 0, 333); });
+        },
+        [&](RecoveryWorld& world, const std::string& where) {
+            ASSERT_TRUE(apps::MemcachedMini::check_invariants(world.heap,
+                                                              root))
+                << where;
+            auto th = world.runtime->make_thread();
+            apps::MemcachedMini cache(world.heap, root);
+            uint64_t v = 0;
+            EXPECT_TRUE(cache.get(*th, 1, 0, &v) && v == 100) << where;
+            EXPECT_TRUE(cache.get(*th, 2, 0, &v) && v == 222)
+                << where << " v=" << v;
+            EXPECT_TRUE(!cache.get(*th, 3, 0, &v) || v == 333) << where;
+        });
+}
+
+/** Test block for the pair program: two links and a value. */
+struct PairNode
+{
+    uint64_t next[2];
+    uint64_t value;
+};
+
+const bool g_pair_type = [] {
+    nvm::TypeDescriptor d;
+    d.name = "pair_node";
+    d.payload_size = sizeof(PairNode);
+    d.link_offsets = {offsetof(PairNode, next),
+                      offsetof(PairNode, next) + 8};
+    nvm::TypeRegistry::instance().register_type(nvm::TypeId::kTestBlock,
+                                                std::move(d));
+    return true;
+}();
+
+// pair_replace(r0 = root, r3 = value): replace root's two children with
+// two fresh nodes holding the value, allocated in one region, and free
+// the old children in the next.
+uint32_t
+pair_read(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    ctx.r[1] = t.load_u64(ctx.r[0] + offsetof(PairNode, next));
+    ctx.r[2] = t.load_u64(ctx.r[0] + offsetof(PairNode, next) + 8);
+    return 1;
+}
+
+uint32_t
+pair_build(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    ctx.r[4] = t.nv_alloc_as(nvm::TypeId::kTestBlock, sizeof(PairNode));
+    ctx.r[5] = t.nv_alloc_as(nvm::TypeId::kTestBlock, sizeof(PairNode));
+    for (const uint64_t n : {ctx.r[4], ctx.r[5]}) {
+        t.store_u64(n + offsetof(PairNode, next), 0);
+        t.store_u64(n + offsetof(PairNode, next) + 8, 0);
+        t.store_u64(n + offsetof(PairNode, value), ctx.r[3]);
+    }
+    return 2;
+}
+
+uint32_t
+pair_link(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    t.store_u64(ctx.r[0] + offsetof(PairNode, next), ctx.r[4]);
+    t.store_u64(ctx.r[0] + offsetof(PairNode, next) + 8, ctx.r[5]);
+    t.nv_free(ctx.r[1]);
+    t.nv_free(ctx.r[2]);
+    return rt::kRegionEnd;
+}
+
+const rt::FaseProgram&
+pair_program()
+{
+    static const rt::FaseProgram prog = [] {
+        constexpr uint16_t R0 = 1, R1 = 2, R2 = 4, R3 = 8, R4 = 16,
+                           R5 = 32;
+        rt::FaseProgram p;
+        p.fase_id = 9201;
+        p.name = "pair_replace";
+        p.regions = {
+            {pair_read, "read", R0, R1 | R2, 0, 0, 0},
+            {pair_build, "build", R3, R4 | R5, 0, 0},
+            {pair_link, "link", R0 | R1 | R2 | R4 | R5, 0, 0, 0},
+        };
+        return p;
+    }();
+    return prog;
+}
+
+void
+pair_replace(rt::RuntimeThread& th, uint64_t root, uint64_t value)
+{
+    rt::RegionCtx ctx;
+    ctx.r[0] = root;
+    ctx.r[3] = value;
+    th.run_fase(pair_program(), ctx);
+}
+
+TEST(IdoRecovery, TwoAllocationsInOneRegionEveryCrashPoint)
+{
+    // Two allocations share a region (entry indexes 0 and 1) and two
+    // frees follow in the next: all four entries of a log record.
+    rt::FaseRegistry::instance().register_program(&pair_program());
+    uint64_t root = 0;
+    sweep_crash_points(
+        14000,
+        [&](RecoveryWorld& world, int64_t k) {
+            auto th = world.runtime->make_thread();
+            root = th->nv_alloc_as(nvm::TypeId::kTestBlock,
+                                   sizeof(PairNode));
+            const PairNode zero{};
+            world.shadow.store(world.heap.resolve<void>(root), &zero,
+                               sizeof(zero));
+            world.shadow.flush(world.heap.resolve<void>(root),
+                               sizeof(zero));
+            world.shadow.fence();
+            world.set_root(root);
+            // The second replace frees the first's nodes into the
+            // transient cache, where the crashed one allocates.
+            pair_replace(*th, root, 1);
+            pair_replace(*th, root, 1);
+            world.shadow.drain_all();
+            return run_with_crash_at(world, k,
+                                     [&] { pair_replace(*th, root, 2); });
+        },
+        [&](RecoveryWorld& world, const std::string& where) {
+            const auto* r = world.heap.resolve<PairNode>(root);
+            ASSERT_NE(r->next[0], 0u) << where;
+            ASSERT_NE(r->next[1], 0u) << where;
+            const uint64_t v0 =
+                world.heap.resolve<PairNode>(r->next[0])->value;
+            const uint64_t v1 =
+                world.heap.resolve<PairNode>(r->next[1])->value;
+            EXPECT_EQ(v0, v1) << where;
+            EXPECT_TRUE(v0 == 1 || v0 == 2) << where;
+            EXPECT_NE(r->next[0], r->next[1]) << where;
+            expect_no_double_handout(world, sizeof(PairNode), 300, where);
+        });
+}
+
+TEST(IdoRecovery, RecordedFreesCompleteOnceUnderRecoveryCrashes)
+{
+    // Crash a delete-hit at every tick, then crash recovery itself at
+    // every one of its ticks before a last recovery runs to the end.
+    // Each recovery pass may redo a free the previous one began, but a
+    // block is never freed twice nor left LIVE and unlinked.
+    apps::MemcachedMini::register_programs();
+    const uint64_t finished_before =
+        MetricsRegistry::instance().counter_value("recovery.frees_finished");
+    for (const CrashPolicy policy : kAllPolicies) {
+        int recovery_crashes = 0;
+        bool op_done = false;
+        for (int64_t op_k = 1; !op_done; ++op_k) {
+            ASSERT_LT(op_k, 2000) << "delete never completed";
+            bool recovery_done = false;
+            for (int64_t rk = 1; !recovery_done; ++rk) {
+                ASSERT_LT(rk, 2000) << "recovery never completed";
+                RecoveryWorld world(15000 + static_cast<uint64_t>(op_k));
+                const std::string where = where_of(policy, op_k)
+                    + " recovery k=" + std::to_string(rk);
+                uint64_t root;
+                {
+                    auto th = world.runtime->make_thread();
+                    root = make_cache(world, *th, true);
+                    apps::MemcachedMini cache(world.heap, root);
+                    op_done = !run_with_crash_at(
+                        world, op_k, [&] { cache.del(*th, 2, 0); });
+                }
+                if (op_done)
+                    break;
+                world.shadow.crash(policy);
+                world.make_runtime();
+                world.runtime->crash_scheduler().arm(rk);
+                try {
+                    world.runtime->recover();
+                } catch (const rt::SimCrashException&) {
+                }
+                // A resumed FASE's crash is caught on its worker thread.
+                recovery_done = !world.runtime->crash_scheduler().crashed();
+                recovery_crashes += recovery_done ? 0 : 1;
+                world.runtime->crash_scheduler().disarm();
+                if (!recovery_done)
+                    world.crash_and_recover(policy);
+                else
+                    world.shadow.drain_all();
+                world.expect_clean_heap(where);
+                world.expect_records_inactive(where);
+                ASSERT_TRUE(
+                    apps::MemcachedMini::check_invariants(world.heap, root))
+                    << where;
+                auto th = world.runtime->make_thread();
+                apps::MemcachedMini cache(world.heap, root);
+                uint64_t v = 0;
+                EXPECT_TRUE(cache.get(*th, 1, 0, &v) && v == 100) << where;
+                EXPECT_TRUE(!cache.get(*th, 2, 0, &v) || v == 200)
+                    << where;
+                expect_no_double_handout(world, sizeof(apps::McItem), 300,
+                                         where);
+            }
+        }
+        EXPECT_GT(recovery_crashes, 10) << where_of(policy, 0);
+    }
+    // Some crashes left an inactive record whose free recovery had to
+    // finish itself.
+    EXPECT_GT(
+        MetricsRegistry::instance().counter_value("recovery.frees_finished"),
+        finished_before);
 }
 
 } // namespace
