@@ -39,24 +39,16 @@ transport_from_env()
     return apps::McTransport::kInProcess;
 }
 
-/** One runtime configuration of the sweep. */
-struct RunCfg
-{
-    baselines::RuntimeKind kind;
-    const char* label;
-    bool flush_elision;
-};
-
 /**
  * Measure one point on a fresh world: set up the cache, reset the
  * persist counters, run the timed mix.  False if socket prefill failed.
  */
 bool
-run_point(const RunCfg& rc, uint32_t threads, uint32_t set_pct,
+run_point(baselines::RuntimeKind kind, uint32_t threads, uint32_t set_pct,
           double secs, apps::McTransport transport,
           apps::MemcachedWorkloadResult* result)
 {
-    BenchWorld world(rc.kind, 512u << 20, 0, 4u << 20, rc.flush_elision);
+    BenchWorld world(kind);
     apps::MemcachedWorkloadConfig cfg;
     cfg.threads = threads;
     cfg.set_pct = set_pct;
@@ -101,13 +93,7 @@ main()
     };
     const Mix mixes[] = {{"insertion-intensive (50/50)", 50},
                          {"search-intensive (10/90)", 10}};
-    // Every runtime at its stock configuration, plus the flush elision
-    // ablation of iDO (ido_noelide): CI's fence-diet gate compares the
-    // two iDO rows' flushes/op.
-    std::vector<RunCfg> run_cfgs;
-    for (auto kind : baselines::all_runtime_kinds())
-        run_cfgs.push_back({kind, baselines::runtime_kind_name(kind), true});
-    run_cfgs.push_back({baselines::RuntimeKind::kIdo, "ido_noelide", false});
+    const auto& kinds = baselines::all_runtime_kinds();
 
     for (const Mix& mix : mixes) {
         print_header((std::string("Fig.5 memcached, ") + mix.name
@@ -121,20 +107,21 @@ main()
         // bimodal from run to run.  A 1-thread, one-point warm-up was
         // not enough.
         apps::MemcachedWorkloadResult result;
-        if (!run_point(run_cfgs.front(), thread_sweep().back(),
+        if (!run_point(kinds.front(), thread_sweep().back(),
                        mix.set_pct, std::max(secs, 2.0), transport,
                        &result)) {
             std::fprintf(stderr, "fig5: socket prefill failed\n");
             return 1;
         }
-        for (const RunCfg& rc : run_cfgs) {
+        for (const baselines::RuntimeKind kind : kinds) {
+            const char* label = baselines::runtime_kind_name(kind);
             for (uint32_t threads : thread_sweep()) {
-                if (!run_point(rc, threads, mix.set_pct, secs, transport,
+                if (!run_point(kind, threads, mix.set_pct, secs, transport,
                                &result)) {
                     std::fprintf(stderr, "fig5: socket prefill failed\n");
                     return 1;
                 }
-                std::printf("%-10s %8u %10.3f %9s   %s\n", rc.label,
+                std::printf("%-10s %8u %10.3f %9s   %s\n", label,
                             threads, result.mops(),
                             apps::transport_name(transport),
                             persist_profile(result.total_ops).c_str());
@@ -143,7 +130,7 @@ main()
                                     ? "fig5_memcached_5050"
                                     : "fig5_memcached_1090")
                     + "_" + apps::transport_name(transport);
-                emit_json_row(row_name.c_str(), rc.label, threads,
+                emit_json_row(row_name.c_str(), label, threads,
                               result.total_ops, secs);
             }
         }

@@ -193,70 +193,59 @@ run_alloc_series()
 }
 
 // --------------------------------------------------------------------------
-// Compiled-FASE boundary series (BENCH_micro.json): flush elision ablation
+// Compiled-FASE boundary series (BENCH_micro.json)
 // --------------------------------------------------------------------------
 
 /**
- * The iDO boundary protocol's write-back cost with the verified flush
- * elision off (ido_elide0) and on (ido_elide1): compiled stack
- * push/pop pairs under IdoRuntime, single thread.  CI's fence-diet
- * gate asserts flushes/op of ido_elide1 < ido_elide0 from the emitted
- * BENCH_micro.json rows -- elision must actually shrink the boundary,
- * not just prove that it could.
+ * The iDO boundary protocol's write-back cost on compiled stack
+ * push/pop pairs under IdoRuntime, single thread (row ido_compiled).
+ * Each pair writes back 17 lines; test_ido_protocol pins that count.
  */
 void
 run_boundary_series()
 {
     using namespace ido::compiler;
-    std::printf("\n=== compiled push/pop boundary cost, "
-                "flush elision off/on ===\n");
+    std::printf("\n=== compiled push/pop boundary cost ===\n");
     std::printf("%-12s %10s %14s   %s\n", "config", "ops", "ops/sec",
                 "persist profile");
-    for (int elide = 0; elide <= 1; ++elide) {
-        IrFase push_ir = ir_stack_push();
-        IrFase pop_ir = ir_stack_pop();
-        CompiledFase push(9101 + elide, std::move(push_ir.fn),
-                          LintMode::kWarn, elide != 0);
-        CompiledFase pop(9103 + elide, std::move(pop_ir.fn),
-                         LintMode::kWarn, elide != 0);
-        nvm::PersistentHeap heap({.size = 64u << 20});
-        nvm::RealDomain dom;
-        rt::RuntimeConfig cfg;
-        cfg.flush_elision = elide != 0;
-        IdoRuntime runtime(heap, dom, cfg);
-        auto th = runtime.make_thread();
-        const uint64_t root = ds::PStack::create(*th);
+    IrFase push_ir = ir_stack_push();
+    IrFase pop_ir = ir_stack_pop();
+    CompiledFase push(9101, std::move(push_ir.fn));
+    CompiledFase pop(9103, std::move(pop_ir.fn));
+    nvm::PersistentHeap heap({.size = 64u << 20});
+    nvm::RealDomain dom;
+    IdoRuntime runtime(heap, dom, rt::RuntimeConfig{});
+    auto th = runtime.make_thread();
+    const uint64_t root = ds::PStack::create(*th);
 
-        // Setup counts (and any residue of the google-benchmark loops
-        // above) must not leak into this row's profile.
-        persist_counters_flush_tls();
-        persist_counters_reset_global();
+    // Setup counts (and any residue of the google-benchmark loops
+    // above) must not leak into this row's profile.
+    persist_counters_flush_tls();
+    persist_counters_reset_global();
 
-        constexpr uint64_t kPairs = 20000;
-        const auto t0 = std::chrono::steady_clock::now();
-        for (uint64_t i = 0; i < kPairs; ++i) {
-            rt::RegionCtx c1;
-            c1.r[push_ir.arg0] = root;
-            c1.r[push_ir.arg1] = i;
-            th->run_fase(push.program(), c1);
-            rt::RegionCtx c2;
-            c2.r[pop_ir.arg0] = root;
-            th->run_fase(pop.program(), c2);
-        }
-        const double seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        persist_counters_flush_tls();
-
-        const uint64_t ops = kPairs * 2;
-        const char* name = elide ? "ido_elide1" : "ido_elide0";
-        std::printf("%-12s %10llu %14.0f   %s\n", name,
-                    static_cast<unsigned long long>(ops),
-                    seconds > 0 ? double(ops) / seconds : 0.0,
-                    bench::persist_profile(ops).c_str());
-        bench::emit_json_row("micro", name, 1, ops, seconds);
+    constexpr uint64_t kPairs = 20000;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (uint64_t i = 0; i < kPairs; ++i) {
+        rt::RegionCtx c1;
+        c1.r[push_ir.arg0] = root;
+        c1.r[push_ir.arg1] = i;
+        th->run_fase(push.program(), c1);
+        rt::RegionCtx c2;
+        c2.r[pop_ir.arg0] = root;
+        th->run_fase(pop.program(), c2);
     }
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now()
+                                      - t0)
+            .count();
+    persist_counters_flush_tls();
+
+    const uint64_t ops = kPairs * 2;
+    std::printf("%-12s %10llu %14.0f   %s\n", "ido_compiled",
+                static_cast<unsigned long long>(ops),
+                seconds > 0 ? double(ops) / seconds : 0.0,
+                bench::persist_profile(ops).c_str());
+    bench::emit_json_row("micro", "ido_compiled", 1, ops, seconds);
 }
 
 // --------------------------------------------------------------------------

@@ -57,16 +57,11 @@ struct BenchWorld
     explicit BenchWorld(baselines::RuntimeKind kind,
                         size_t heap_bytes = 512u << 20,
                         uint32_t flush_delay_ns = 0,
-                        size_t log_bytes = 4u << 20,
-                        bool flush_elision = true)
+                        size_t log_bytes = 4u << 20)
         : heap({.size = heap_bytes}), dom(flush_delay_ns)
     {
         rt::RuntimeConfig cfg;
         cfg.log_bytes_per_thread = log_bytes;
-        // Elision-ablation worlds (CI's fence-reduction gate compares
-        // them against the stock ones) switch the runtime half of
-        // ido-verify off: no covered stores, no boundary line dedup.
-        cfg.flush_elision = flush_elision;
         runtime = baselines::make_runtime(kind, heap, dom, cfg);
         persist_counters_reset_global();
     }

@@ -2,14 +2,13 @@
 
 #include "common/panic.h"
 #include "compiler/interpreter.h"
-#include "compiler/persistency/flush_elision.h"
 #include "compiler/persistency/persist_verify.h"
 
 namespace ido::compiler {
 
 CompiledFase::CompiledFase(uint32_t fase_id, Function fn,
-                           LintMode lint_mode, bool elide_flushes)
-    : fn_(std::move(fn)), elide_(elide_flushes)
+                           LintMode lint_mode)
+    : fn_(std::move(fn))
 {
     fn_.validate();
     IDO_ASSERT(fn_.num_regs() <= rt::kNumIntRegs,
@@ -34,15 +33,15 @@ CompiledFase::CompiledFase(uint32_t fase_id, Function fn,
 
     info_ = compute_region_info(fn_, *cfg_, *liveness_, partition_);
 
-    // ido-verify stage: the flush-elision plan is computed and then
+    // ido-verify stage: the deferral claims are computed and then
     // independently re-proved (translation validation).  Any finding
-    // is a proved crash-consistency bug in the optimizer, so this
+    // is a proved crash-consistency bug in the planner, so this
     // panics regardless of lint mode.
-    plan_ = persistency::compute_persist_plan(fn_, *cfg_, *aa_,
-                                              partition_, info_);
+    const persistency::PersistPlan plan =
+        persistency::compute_persist_plan(fn_, *cfg_, partition_, info_);
     const std::vector<lint::Diagnostic> verify_diags =
-        persistency::verify_persist_plan(fn_, *cfg_, *aa_, partition_,
-                                         info_, plan_);
+        persistency::verify_persist_plan(fn_, *cfg_, partition_, info_,
+                                         plan);
     if (!verify_diags.empty()) {
         for (const lint::Diagnostic& d : verify_diags)
             warn("ido-verify: %s", d.render().c_str());

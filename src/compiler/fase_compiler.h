@@ -23,7 +23,6 @@
 #include "compiler/dataflow.h"
 #include "compiler/idempotence_verifier.h"
 #include "compiler/lint/lint.h"
-#include "compiler/persistency/persist_plan.h"
 #include "compiler/region_info.h"
 #include "compiler/region_partition.h"
 #include "runtime/fase_program.h"
@@ -48,18 +47,13 @@ class CompiledFase
      * additionally panics if any lint check reports an error-severity
      * diagnostic (lock leak, unprotected store, use-after-free, ...).
      *
-     * The ido-verify stage always runs: a flush-elision PersistPlan is
-     * computed and independently re-proved (persist_verify.h), and the
-     * build panics if any claim fails -- an unsound plan is a compiler
-     * bug, never a warning.  `elide_flushes` controls only whether the
-     * interpreter *consumes* the plan (covered stores skip their
-     * pending write-back, co-located allocations are line-aligned);
-     * off, every store keeps the stock protocol, which is how the
-     * benchmarks measure the flush diet.
+     * The ido-verify stage always runs: the PersistPlan's deferral
+     * claims are computed and independently re-proved
+     * (persist_verify.h), and the build panics if any claim fails --
+     * an unsound plan is a compiler bug, never a warning.
      */
     CompiledFase(uint32_t fase_id, Function fn,
-                 LintMode lint_mode = LintMode::kWarn,
-                 bool elide_flushes = true);
+                 LintMode lint_mode = LintMode::kWarn);
 
     CompiledFase(const CompiledFase&) = delete;
     CompiledFase& operator=(const CompiledFase&) = delete;
@@ -72,15 +66,6 @@ class CompiledFase
     const RegionPartition& partition() const { return partition_; }
     const std::vector<RegionInfo>& region_info() const { return info_; }
     const VerifyResult& verification() const { return verification_; }
-
-    /** The verified flush-elision plan (ido-verify stage). */
-    const persistency::PersistPlan& persist_plan() const
-    {
-        return plan_;
-    }
-
-    /** Does the interpreter consume the plan for this program? */
-    bool elide_flushes() const { return elide_; }
 
     /** Diagnostics from the lint stage (empty under LintMode::kOff). */
     const std::vector<lint::Diagnostic>& diagnostics() const
@@ -96,8 +81,6 @@ class CompiledFase
     RegionPartition partition_;
     std::vector<RegionInfo> info_;
     VerifyResult verification_;
-    persistency::PersistPlan plan_;
-    bool elide_ = true;
     std::vector<lint::Diagnostic> diagnostics_;
     rt::FaseProgram program_;
 };

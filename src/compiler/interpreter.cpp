@@ -64,25 +64,10 @@ interpret_region(const CompiledFase& cf, rt::RuntimeThread& th,
             ctx.r[ins.dst] = th.load_u64(ctx.r[ins.a] + ins.imm);
             break;
           case Opcode::kStore:
-            // Stores the verified persist plan elides carry their
-            // redundancy proof to the runtime: a same-region witness
-            // provably dirties the same cache line, so the runtime may
-            // skip this store's own write-back bookkeeping.
-            if (cf.elide_flushes()
-                && cf.persist_plan().store_elided(pos))
-                th.store_u64_covered(ctx.r[ins.a] + ins.imm,
-                                     ctx.r[ins.b]);
-            else
-                th.store_u64(ctx.r[ins.a] + ins.imm, ctx.r[ins.b]);
+            th.store_u64(ctx.r[ins.a] + ins.imm, ctx.r[ins.b]);
             break;
           case Opcode::kAlloc:
-            // Plan placement directive: line-align the object so the
-            // co-location proofs against this site hold.
-            if (cf.elide_flushes()
-                && cf.persist_plan().alloc_aligned(pos))
-                ctx.r[ins.dst] = th.nv_alloc_line(ins.imm);
-            else
-                ctx.r[ins.dst] = th.nv_alloc(ins.imm);
+            ctx.r[ins.dst] = th.nv_alloc(ins.imm);
             break;
           case Opcode::kFree:
             th.nv_free(ctx.r[ins.a]);

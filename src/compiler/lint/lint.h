@@ -19,9 +19,9 @@
  *   region-pressure   regions whose live sets overflow the log ABI
  *   dead-boundary     cuts that neither separate an antidependence
  *                     pair nor follow a mandatory placement rule
- *   persist-ordering  cache-line persist-state dataflow: validates the
- *                     flush-elision plan (missing-persist,
- *                     fence-without-flush, unsound-deferral)
+ *   persist-ordering  region-CFG reachability: validates each claimed
+ *                     log deactivation at a store-free tail
+ *                     (unsound-deferral)
  */
 #pragma once
 

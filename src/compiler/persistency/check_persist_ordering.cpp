@@ -1,19 +1,17 @@
 /**
  * @file
  * The persist-ordering lint check: translation validation of the
- * flush-elision optimizer.
+ * planner's deferral claims.
  *
  * Runs compute_persist_plan over the FASE and then re-proves every
- * claim the plan makes with verify_persist_plan.  A sound pipeline
- * produces no diagnostics at all; any finding is an error naming the
- * crash-frontier it exhibits ("missing-persist",
- * "fence-without-flush", "unsound-deferral").  Hand-crafted unsound
- * plans are exercised directly through verify_persist_plan in tests;
- * this pass is the always-on gate over what the compiler actually
- * ships.
+ * boundary it claims enters a store-free tail with
+ * verify_persist_plan.  A sound pipeline produces no diagnostics at
+ * all; any finding is an "unsound-deferral" error naming the store
+ * that would run unlogged.  Hand-crafted unsound plans are exercised
+ * directly through verify_persist_plan in tests; this pass is the
+ * always-on gate over what the compiler actually ships.
  */
 #include "compiler/lint/lint.h"
-#include "compiler/persistency/flush_elision.h"
 #include "compiler/persistency/persist_verify.h"
 
 namespace ido::compiler::lint {
@@ -32,8 +30,8 @@ class PersistOrderingCheck final : public LintPass
     const char*
     summary() const override
     {
-        return "cache-line persist-state dataflow validates the "
-               "flush-elision plan";
+        return "region-CFG reachability validates the log-deactivation "
+               "(deferral) claims";
     }
 
     void
@@ -41,11 +39,10 @@ class PersistOrderingCheck final : public LintPass
                  std::vector<Diagnostic>& out) const override
     {
         const persistency::PersistPlan plan =
-            persistency::compute_persist_plan(ctx.fn, ctx.cfg, ctx.aa,
-                                              ctx.part, ctx.info);
-        std::vector<Diagnostic> diags =
-            persistency::verify_persist_plan(ctx.fn, ctx.cfg, ctx.aa,
-                                             ctx.part, ctx.info, plan);
+            persistency::compute_persist_plan(ctx.fn, ctx.cfg, ctx.part,
+                                              ctx.info);
+        std::vector<Diagnostic> diags = persistency::verify_persist_plan(
+            ctx.fn, ctx.cfg, ctx.part, ctx.info, plan);
         for (Diagnostic& d : diags)
             out.push_back(std::move(d));
     }

@@ -1,107 +1,26 @@
 #include "compiler/persistency/persist_plan.h"
 
-#include <algorithm>
-
 namespace ido::compiler::persistency {
 
-const char*
-proof_kind_name(ProofKind k)
+PersistPlan
+compute_persist_plan(const Function& fn, const Cfg& cfg,
+                     const RegionPartition& part,
+                     const std::vector<RegionInfo>& info)
 {
-    switch (k) {
-      case ProofKind::kSameLineCoLocation:
-        return "same-line-co-location";
-      case ProofKind::kAlreadyPersisted:
-        return "already-persisted";
-      case ProofKind::kDeferredTailFence:
-        return "deferred-tail-fence";
-    }
-    return "?";
-}
-
-LineFootprint
-LineFootprint::of_store(const AliasAnalysis& aa, const Instr& ins)
-{
-    LineFootprint fp;
-    if (!ins.is_store())
-        return fp;
-    const MemRef ref = aa.mem_ref(ins);
-    fp.prov = ref.prov;
-    if (ref.prov.base != Provenance::Base::kUnknown
-        && ref.prov.offset_known) {
-        fp.lo = ref.prov.offset + ref.disp;
-        fp.hi = fp.lo + ref.size;
-        fp.known = true;
-    }
-    return fp;
-}
-
-bool
-PersistPlan::store_elided(InstrRef pos) const
-{
-    for (const ElisionProof& e : elisions) {
-        if (e.store == pos)
-            return true;
-    }
-    return false;
-}
-
-bool
-PersistPlan::alloc_aligned(InstrRef pos) const
-{
-    for (const InstrRef& s : aligned_alloc_sites) {
-        if (s == pos)
-            return true;
-    }
-    return false;
-}
-
-uint32_t
-base_alignment(const Function& fn, const Provenance& prov,
-               const PersistPlan& plan)
-{
-    if (prov.base != Provenance::Base::kAlloc)
-        return 0;
-    const std::vector<InstrRef> sites = alloc_site_positions(fn);
-    if (prov.id >= sites.size())
-        return 0;
-    const InstrRef site = sites[prov.id];
-    const Instr& ins = fn.block(site.block).instrs[site.index];
-    if (ins.imm >= kCacheLineBytes || plan.alloc_aligned(site))
-        return static_cast<uint32_t>(kCacheLineBytes);
-    return 16; // NvHeap::alloc payload alignment
-}
-
-bool
-provably_same_line(const LineFootprint& a, const LineFootprint& b,
-                   uint32_t align)
-{
-    if (!a.known || !b.known || !a.prov.same_base(b.prov))
-        return false;
-    if (a.lo == b.lo && a.hi == b.hi)
-        return true; // identical bytes dirty identical lines
-    const int64_t g = std::min<int64_t>(align, kCacheLineBytes);
-    if (g < 2)
-        return false;
-    const int64_t lo = std::min(a.lo, b.lo);
-    const int64_t hi = std::max(a.hi, b.hi);
-    if (lo < 0)
-        return false;
-    return lo / g == (hi - 1) / g;
-}
-
-std::vector<InstrRef>
-alloc_site_positions(const Function& fn)
-{
-    // Same block-major order as AliasAnalysis assigns site ids.
-    std::vector<InstrRef> sites;
-    for (uint32_t b = 0; b < fn.num_blocks(); ++b) {
-        const BasicBlock& bb = fn.block(b);
-        for (uint32_t i = 0; i < bb.instrs.size(); ++i) {
-            if (bb.instrs[i].op == Opcode::kAlloc)
-                sites.push_back(InstrRef{b, i});
+    PersistPlan plan;
+    // Back edges included: a loop latch reaching a storing header is
+    // not a store-free tail.
+    for (uint32_t r = 1; r < info.size(); ++r) {
+        const std::vector<bool> reach = reachable_regions(fn, cfg, part, r);
+        bool store_free = true;
+        for (uint32_t j = 0; j < info.size(); ++j) {
+            if (reach[j] && info[j].num_stores > 0)
+                store_free = false;
         }
+        if (store_free)
+            plan.deferrable_boundaries.push_back(r);
     }
-    return sites;
+    return plan;
 }
 
 std::vector<bool>

@@ -16,7 +16,7 @@ using rt::RegionMeta;
 
 namespace {
 
-// Stable MetricsRegistry cell for the flush-elision accounting.
+// Stable MetricsRegistry cell for the boundary line-dedup count.
 std::atomic<uint64_t>&
 metric(const char* name)
 {
@@ -314,7 +314,7 @@ IdoThread::nv_alloc(size_t n)
     require_storing_region("nv_alloc");
     const nvm::TypeId type = pending_alloc_type_;
     pending_alloc_type_ = nvm::TypeId::kUntyped;
-    const bool aligned = force_line_align_ || n >= kCacheLineBytes;
+    const bool aligned = n >= kCacheLineBytes;
     const uint32_t slot = next_entry_slot("nv_alloc");
     const uint64_t tag =
         make_entry_tag(instance_, LogEntryKind::kAlloc, cur_region_,
@@ -439,45 +439,31 @@ IdoThread::persist_outputs(const RegionMeta& meta, const RegionCtx& ctx,
     }
     // Heap writes of the finished region, tracked at run time
     // (Sec. III-A: pointer-accessed locations are written back at the
-    // end of each idempotent region).  With flush_elision on, ranges
-    // are deduplicated to distinct cache lines first: two stores of one
-    // region that landed on one line need one clwb, not two (the
-    // dynamic half of ido-verify's flush diet; duplicate line flushes
-    // before one fence are redundant by ISA semantics).
-    if (rt_.config().flush_elision && pending_.size() > 1) {
-        line_scratch_.clear();
-        for (const PendingRange& p : pending_) {
-            const uintptr_t a = reinterpret_cast<uintptr_t>(
-                heap().resolve<void>(p.off));
-            const uintptr_t first = line_base(a);
-            const uintptr_t last = line_base(a + p.len - 1);
-            for (uintptr_t lb = first; lb <= last;
-                 lb += kCacheLineBytes) {
-                bool seen = false;
-                for (const uintptr_t s : line_scratch_) {
-                    if (s == lb) {
-                        seen = true;
-                        break;
-                    }
-                }
-                if (seen)
-                    continue;
-                line_scratch_.push_back(lb);
-                dom().flush(reinterpret_cast<void*>(lb), 1);
-            }
+    // end of each idempotent region), each distinct line once: two
+    // stores of one region that landed on one line need one clwb, not
+    // two.  A repeat write-back before the same fence persists nothing
+    // the first did not, so skipping it needs no proof.
+    line_scratch_.clear();
+    for (const PendingRange& p : pending_) {
+        const uintptr_t a =
+            reinterpret_cast<uintptr_t>(heap().resolve<void>(p.off));
+        const uintptr_t last = line_base(a + p.len - 1);
+        for (uintptr_t lb = line_base(a); lb <= last;
+             lb += kCacheLineBytes) {
+            if (std::find(line_scratch_.begin(), line_scratch_.end(), lb)
+                != line_scratch_.end())
+                continue;
+            line_scratch_.push_back(lb);
+            dom().flush(reinterpret_cast<void*>(lb), 1);
         }
-        if (line_scratch_.size() < pending_.size()) {
-            static std::atomic<uint64_t>& deduped =
-                metric("ido.elide.boundary_lines_deduped");
-            deduped.fetch_add(pending_.size() - line_scratch_.size(),
-                              std::memory_order_relaxed);
-        }
-    } else {
-        for (const PendingRange& p : pending_)
-            dom().flush(heap().resolve<void>(p.off), p.len);
+    }
+    if (line_scratch_.size() < pending_.size()) {
+        static std::atomic<uint64_t>& deduped =
+            metric("ido.elide.boundary_lines_deduped");
+        deduped.fetch_add(pending_.size() - line_scratch_.size(),
+                          std::memory_order_relaxed);
     }
     pending_.clear();
-    dom().audit_covered_boundary(); // ido-verify elision cross-check
     fence(site); // boundary fence 1
     trace::emit(trace::EventKind::kPersistOutputs,
                 dom().load_val(&rec_->recovery_pc));
@@ -655,27 +641,6 @@ IdoThread::do_store(uint64_t off, const void* src, size_t n)
                "store in a region not marked may_store (metadata bug)");
     dom().store(heap().resolve<void>(off), src, n);
     pending_.push_back(PendingRange{off, static_cast<uint32_t>(n)});
-}
-
-void
-IdoThread::do_store_covered(uint64_t off, const void* src, size_t n)
-{
-    if (!in_fase_) {
-        do_store(off, src, n); // durable write-through path
-        return;
-    }
-    IDO_ASSERT(phase_ == Phase::kActive,
-               "store in a region not marked may_store (metadata bug)");
-    // The compiler proved a non-elided witness store in this same
-    // region dirties the same cache line, so the witness's pending
-    // range already gets this line written back at the boundary; skip
-    // the push.  The shadow domain's audit mode checks the claim.
-    void* p = heap().resolve<void>(off);
-    dom().store(p, src, n);
-    dom().note_covered_store(p, n);
-    static std::atomic<uint64_t>& covered =
-        metric("ido.elide.covered_stores");
-    covered.fetch_add(1, std::memory_order_relaxed);
 }
 
 void

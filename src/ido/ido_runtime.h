@@ -136,8 +136,6 @@ class IdoThread final : public rt::RuntimeThread
                             uint32_t finished_idx, rt::RegionCtx& ctx,
                             uint32_t next_idx) override;
     void do_store(uint64_t off, const void* src, size_t n) override;
-    void do_store_covered(uint64_t off, const void* src,
-                          size_t n) override;
     void do_lock(uint64_t holder_off, rt::TransientLock& l) override;
     void do_unlock(uint64_t holder_off, rt::TransientLock& l) override;
 
@@ -235,7 +233,7 @@ class IdoThread final : public rt::RuntimeThread
      *  deferred_frees_ until the log deactivates). */
     uint8_t free_slots_ = 0;
     std::vector<PendingRange> pending_;
-    /** Scratch for boundary-time pending-line dedup (flush_elision). */
+    /** Lines persist_outputs wrote back before the current fence 1. */
     std::vector<uintptr_t> line_scratch_;
 };
 

@@ -52,24 +52,21 @@ class PersistDomain
     /** True for the crash-simulation shadow domain. */
     virtual bool is_shadow() const { return false; }
 
-    // --- ido-verify elision audit hooks -------------------------------
+    // --- retired elision audit hooks -----------------------------------
     //
-    // A runtime consuming a flush-elision plan (ido-verify) reports
-    // each covered store here, and reports the point where the proof
-    // promises the line is covered: the region boundary, after the
-    // boundary's flushes and before its fence.  The shadow domain's
-    // audit mode (set_elision_audit) panics if a noted line is still
-    // dirty at that point -- i.e. if an elided write-back would have
-    // been the only thing persisting it.  Default: no-ops.
+    // Nothing in src/ calls these: the region boundary's line dedup
+    // needs no proof, so there is no covered store to audit.  They stay
+    // as no-ops only because the repo benchmark's TimingDomain
+    // (repobench/bench.h) still overrides them, and an `override` of a
+    // deleted virtual does not compile.  Delete both once a
+    // benchmark-only change drops those overrides.
 
-    /** A store whose own write-back an elision proof skipped. */
     virtual void note_covered_store(const void* addr, size_t n)
     {
         (void)addr;
         (void)n;
     }
 
-    /** Covered-line audit point (boundary, post-flush, pre-fence). */
     virtual void audit_covered_boundary() {}
 
     // --- typed convenience wrappers -----------------------------------

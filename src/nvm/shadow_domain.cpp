@@ -201,58 +201,6 @@ ShadowDomain::write_back(uintptr_t line_addr, const ShadowLine& line)
                 kCacheLineBytes);
 }
 
-void
-ShadowDomain::set_elision_audit(bool on)
-{
-    std::lock_guard<std::mutex> g(audit_mutex_);
-    audit_ = on;
-    noted_.clear();
-}
-
-void
-ShadowDomain::note_covered_store(const void* addr, size_t n)
-{
-    if (!audit_ || n == 0)
-        return;
-    const uintptr_t a = reinterpret_cast<uintptr_t>(addr);
-    if (!in_range(a, n))
-        return;
-    const uintptr_t first = line_base(a);
-    const uintptr_t last = line_base(a + n - 1);
-    std::lock_guard<std::mutex> g(audit_mutex_);
-    auto& mine = noted_[self_tid()];
-    for (uintptr_t lb = first; lb <= last; lb += kCacheLineBytes)
-        mine.insert(lb);
-}
-
-void
-ShadowDomain::audit_covered_boundary()
-{
-    if (!audit_)
-        return;
-    std::unordered_set<uintptr_t> mine;
-    {
-        std::lock_guard<std::mutex> g(audit_mutex_);
-        auto it = noted_.find(self_tid());
-        if (it == noted_.end())
-            return;
-        mine.swap(it->second);
-    }
-    for (const uintptr_t lb : mine) {
-        const size_t si = shard_index(lb);
-        Shard& sh = shards_[si];
-        fuzz::rr::OrderedGuard g(sh.mutex, shard_key(si));
-        auto it = sh.lines.find(lb);
-        if (it != sh.lines.end()
-            && it->second.state == LineState::kDirty) {
-            panic("elision audit: line %#llx dirty at its covered "
-                  "region boundary -- the elided write-back was "
-                  "load-bearing and a crash at the fence loses it",
-                  static_cast<unsigned long long>(lb));
-        }
-    }
-}
-
 bool
 ShadowDomain::line_survives_lottery(uintptr_t line_addr) const
 {
@@ -266,10 +214,6 @@ void
 ShadowDomain::crash(CrashPolicy policy)
 {
     std::lock_guard<std::mutex> cg(crash_mutex_);
-    {
-        std::lock_guard<std::mutex> g(audit_mutex_);
-        noted_.clear();
-    }
     CrashCensus census;
     census.crash_round = crash_round_ + 1; // 1-based: nth crash()
     std::map<uint32_t, CrashCensus::ThreadLoss> losses;
@@ -366,10 +310,6 @@ ShadowDomain::last_crash_census() const
 void
 ShadowDomain::drain_all()
 {
-    {
-        std::lock_guard<std::mutex> g(audit_mutex_);
-        noted_.clear();
-    }
     for (Shard& sh : shards_) {
         std::lock_guard<std::mutex> g(sh.mutex);
         for (auto& [addr, line] : sh.lines)

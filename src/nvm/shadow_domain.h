@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/cacheline.h"
@@ -105,24 +104,6 @@ class ShadowDomain final : public PersistDomain
     /** Census of the most recent crash() (empty before the first). */
     CrashCensus last_crash_census() const;
 
-    // --- elision audit (ido-verify cross-check) -----------------------
-
-    /**
-     * Audit the runtime's consumption of flush-elision proofs: each
-     * covered store's line is noted (note_covered_store) and must be
-     * non-dirty -- write-back requested or already durable -- when its
-     * region boundary audits (audit_covered_boundary, called after the
-     * boundary's flushes, before its fence).  A dirty noted line means
-     * an elided write-back was load-bearing: the proof was wrong, and
-     * a crash at the fence would lose the store.  Panics on violation.
-     * Notes are per-thread and are discarded at crash()/drain_all()
-     * (mid-region dirtiness is legitimate; re-execution covers it).
-     */
-    void set_elision_audit(bool on);
-
-    void note_covered_store(const void* addr, size_t n) override;
-    void audit_covered_boundary() override;
-
   private:
     enum class LineState : uint8_t { kDirty, kPending };
 
@@ -182,11 +163,6 @@ class ShadowDomain final : public PersistDomain
     uint64_t crash_seed_;
     uint64_t crash_round_ = 0;
     CrashCensus last_census_;
-
-    bool audit_ = false;
-    std::mutex audit_mutex_;
-    /** Per-thread lines carrying a not-yet-audited elision proof. */
-    std::unordered_map<uint32_t, std::unordered_set<uintptr_t>> noted_;
 };
 
 } // namespace ido::nvm

@@ -60,14 +60,6 @@ RuntimeThread::do_store(uint64_t off, const void* src, size_t n)
     dom().store(heap().resolve<void>(off), src, n);
 }
 
-void
-RuntimeThread::do_store_covered(uint64_t off, const void* src, size_t n)
-{
-    // Runtimes without per-store persist bookkeeping gain nothing from
-    // the proof; the store itself must still happen.
-    do_store(off, src, n);
-}
-
 uint64_t
 RuntimeThread::load_u64(uint64_t off)
 {
@@ -106,19 +98,6 @@ RuntimeThread::store_bytes(uint64_t off, const void* src, size_t n)
     do_store(off, src, n);
 }
 
-void
-RuntimeThread::store_u64_covered(uint64_t off, uint64_t v)
-{
-    crash_tick();
-    if (rt_.config().check_contracts)
-        checker_on_store(off, 8);
-    ++region_stores_;
-    if (rt_.config().flush_elision)
-        do_store_covered(off, &v, 8);
-    else
-        do_store(off, &v, 8);
-}
-
 // --------------------------------------------------------------------------
 // Allocation
 // --------------------------------------------------------------------------
@@ -132,23 +111,13 @@ RuntimeThread::nv_alloc(size_t n)
     const nvm::TypeId type = pending_alloc_type_;
     pending_alloc_type_ = nvm::TypeId::kUntyped;
     // Line-sized objects get line alignment (false-sharing padding and
-    // honest per-line flush accounting); small ones stay compact
-    // unless a persist plan's placement directive is in flight.
-    const uint64_t off = (force_line_align_ || n >= kCacheLineBytes)
+    // honest per-line flush accounting); small ones stay compact.
+    const uint64_t off = n >= kCacheLineBytes
         ? rt_.allocator().alloc_aligned(n, dom(), type)
         : rt_.allocator().alloc(n, dom(), type);
     if (off == 0)
         panic("nv_alloc: persistent arena exhausted (%zu bytes requested)",
               n);
-    return off;
-}
-
-uint64_t
-RuntimeThread::nv_alloc_line(size_t n)
-{
-    force_line_align_ = true;
-    const uint64_t off = nv_alloc(n); // virtual: subclass logging runs
-    force_line_align_ = false;
     return off;
 }
 

@@ -62,14 +62,6 @@ struct RuntimeConfig
     /** Enable the idempotence/contract checker (tests only). */
     bool check_contracts = false;
 
-    /**
-     * Honor compiler flush-elision plans (ido-verify) and deduplicate
-     * pending write-back lines at region boundaries.  Off: every store
-     * keeps its own pending range (the pre-elision protocol), used by
-     * benchmarks to measure the flush diet.
-     */
-    bool flush_elision = true;
-
     /** Per-thread Atlas/JUSTDO/Mnemosyne/NVThreads log bytes. */
     size_t log_bytes_per_thread = 1u << 20;
 
@@ -184,16 +176,6 @@ class RuntimeThread
     void load_bytes(uint64_t off, void* dst, size_t n);
     void store_bytes(uint64_t off, const void* src, size_t n);
 
-    /**
-     * Store carrying an ido-verify redundancy proof: a non-elided
-     * witness store in the same region provably dirties the same cache
-     * line, so the runtime may skip this store's own write-back
-     * bookkeeping.  Runtimes without per-store persist bookkeeping
-     * treat it as a plain store.  With cfg.flush_elision off it *is* a
-     * plain store.
-     */
-    void store_u64_covered(uint64_t off, uint64_t v);
-
     // ---- allocation -----------------------------------------------------
 
     /**
@@ -205,32 +187,16 @@ class RuntimeThread
     virtual uint64_t nv_alloc(size_t n);
 
     /**
-     * nv_alloc with a cache-line-aligned placement guarantee, the
-     * InCLL-style placement directive of a PersistPlan: stores the
-     * plan co-locates then provably share one line.  Dispatches
-     * through the virtual nv_alloc so runtime logging still applies.
-     */
-    uint64_t nv_alloc_line(size_t n);
-
-    /**
      * Typed allocation: tag the block's header with its TypeId so the
      * heap GC can trace it from the root registry's descriptors.  The
      * tag rides a pending slot consumed by the virtual nv_alloc, so
-     * subclass logging hooks still run (same trick as nv_alloc_line).
+     * subclass logging hooks still run.
      */
     uint64_t
     nv_alloc_as(nvm::TypeId type, size_t n)
     {
         pending_alloc_type_ = type;
         return nv_alloc(n);
-    }
-
-    /** nv_alloc_line with a type tag. */
-    uint64_t
-    nv_alloc_line_as(nvm::TypeId type, size_t n)
-    {
-        pending_alloc_type_ = type;
-        return nv_alloc_line(n);
     }
 
     /** Free persistent memory; deferred until the FASE commits. */
@@ -289,10 +255,6 @@ class RuntimeThread
     virtual void do_load(uint64_t off, void* dst, size_t n);
     virtual void do_store(uint64_t off, const void* src, size_t n);
 
-    /** Covered-store instrumentation (default: a plain do_store). */
-    virtual void do_store_covered(uint64_t off, const void* src,
-                                  size_t n);
-
     /** Lock instrumentation around the transient acquire/release. */
     virtual void do_lock(uint64_t holder_off, TransientLock& l);
     virtual void do_unlock(uint64_t holder_off, TransientLock& l);
@@ -325,7 +287,6 @@ class RuntimeThread
     uint32_t region_stores_ = 0;
     bool in_fase_ = false;
     bool lock_taken_in_region_ = false;
-    bool force_line_align_ = false; ///< nv_alloc_line() is in flight
     nvm::TypeId pending_alloc_type_ = nvm::TypeId::kUntyped;
 
   private:

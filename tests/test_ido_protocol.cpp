@@ -4,13 +4,16 @@
  * recovery_pc sequencing, fence economy (two per boundary with outputs,
  * one without; zero extra for acquires, one for releases), persist
  * coalescing of register outputs, lock_array maintenance, deactivation
- * at the last store, and exact per-op fence/flush counts of the
- * memcached FASEs (read-only FASEs persist nothing), broken down by
- * fence site.
+ * at the last store, the boundary's write-back of each dirty heap line
+ * exactly once, and exact per-op fence/flush counts of the memcached
+ * FASEs (read-only FASEs persist nothing), broken down by fence site.
  */
 #include <gtest/gtest.h>
 
 #include "apps/memcached_mini.h"
+#include "common/cacheline.h"
+#include "compiler/fase_compiler.h"
+#include "compiler/ir_library.h"
 #include "ds/fase_ids.h"
 #include "ds/stack.h"
 #include "ds/workload.h"
@@ -331,6 +334,122 @@ TEST_F(IdoFixture, PersistCoalescingFlushesWholeRfLines)
     // begin: args flush (1 line) + pc flush; def boundary: 1 RF line
     // + pc; final: pc.  5 flushes total -- not 8+ per-register ones.
     EXPECT_EQ(tls_persist_counters().flushes, 5u);
+    tls_persist_counters().clear();
+}
+
+/** A RealDomain that counts write-backs of lines inside [lo, hi). */
+struct LineCountingDomain final : nvm::PersistDomain
+{
+    void
+    store(void* dst, const void* src, size_t n) override
+    {
+        inner.store(dst, src, n);
+    }
+    void
+    load(const void* src, void* dst, size_t n) override
+    {
+        inner.load(src, dst, n);
+    }
+    void
+    flush(const void* addr, size_t n) override
+    {
+        const uintptr_t a = reinterpret_cast<uintptr_t>(addr);
+        for (uintptr_t lb = line_base(a); n != 0 && lb < a + n;
+             lb += kCacheLineBytes) {
+            if (lb >= lo && lb < hi)
+                ++lines;
+        }
+        inner.flush(addr, n);
+    }
+    void fence() override { inner.fence(); }
+
+    nvm::RealDomain inner;
+    uintptr_t lo = 0;
+    uintptr_t hi = 0;
+    uint64_t lines = 0;
+};
+
+TEST(IdoBoundaryDedup, EachDirtyLineIsWrittenBackOnce)
+{
+    // One storing region per FASE; the count is of write-backs that
+    // land on the two-line data block, so log lines do not enter it.
+    static uint64_t data;
+    auto one_line = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        t.store_u64(data, 1);
+        t.store_u64(data + 8, 2);
+        t.store_u64(data + 16, 3);
+        return rt::kRegionEnd;
+    };
+    auto straddle = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        const uint64_t v[2] = {4, 5};
+        t.store_bytes(data + 56, v, sizeof v);
+        return rt::kRegionEnd;
+    };
+    auto two_lines = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        t.store_u64(data, 6);
+        t.store_u64(data + 64, 7);
+        return rt::kRegionEnd;
+    };
+    struct Case
+    {
+        rt::RegionFn fn;
+        const char* name;
+        uint64_t lines;
+    };
+    const Case cases[] = {{one_line, "three stores, one line", 1},
+                          {straddle, "one store across two lines", 2},
+                          {two_lines, "two stores, two lines", 2}};
+
+    nvm::PersistentHeap heap({.size = 16u << 20});
+    LineCountingDomain dom;
+    IdoRuntime runtime(heap, dom, rt::RuntimeConfig{});
+    auto th = runtime.make_thread();
+    data = runtime.allocator().alloc_aligned(2 * kCacheLineBytes, dom);
+    dom.lo = reinterpret_cast<uintptr_t>(heap.resolve<void>(data));
+    dom.hi = dom.lo + 2 * kCacheLineBytes;
+
+    uint32_t fase_id = 9011;
+    for (const Case& c : cases) {
+        rt::FaseProgram p;
+        p.fase_id = fase_id++;
+        p.name = c.name;
+        p.regions = {{c.fn, "store"}};
+        dom.lines = 0;
+        rt::RegionCtx ctx;
+        th->run_fase(p, ctx);
+        EXPECT_EQ(dom.lines, c.lines) << c.name;
+    }
+}
+
+TEST(IdoBoundaryDedup, CompiledPushPopPairWritesBack17Lines)
+{
+    // The compiled stack push/pop pair bench_micro_primitives reports
+    // as its ido_compiled row: 8.5 write-backs per op.
+    compiler::IrFase push_ir = compiler::ir_stack_push();
+    compiler::IrFase pop_ir = compiler::ir_stack_pop();
+    compiler::CompiledFase push(9014, std::move(push_ir.fn));
+    compiler::CompiledFase pop(9015, std::move(pop_ir.fn));
+    nvm::PersistentHeap heap({.size = 16u << 20});
+    nvm::RealDomain dom;
+    IdoRuntime runtime(heap, dom, rt::RuntimeConfig{});
+    auto th = runtime.make_thread();
+    const uint64_t root = ds::PStack::create(*th);
+    auto pair = [&](uint64_t v) {
+        rt::RegionCtx c1;
+        c1.r[push_ir.arg0] = root;
+        c1.r[push_ir.arg1] = v;
+        th->run_fase(push.program(), c1);
+        rt::RegionCtx c2;
+        c2.r[pop_ir.arg0] = root;
+        th->run_fase(pop.program(), c2);
+    };
+    pair(0); // warm the lock table and the allocator's cache
+
+    constexpr uint64_t kPairs = 8;
+    tls_persist_counters().clear();
+    for (uint64_t i = 1; i <= kPairs; ++i)
+        pair(i);
+    EXPECT_EQ(tls_persist_counters().flushes, 17 * kPairs);
     tls_persist_counters().clear();
 }
 

@@ -1,26 +1,21 @@
 /**
  * @file
- * ido_verify: the persist-ordering verifier and flush-elision planner
- * over the IR FASE corpus.
+ * ido_verify: the persist-ordering verifier of deferral claims over
+ * the IR FASE corpus.
  *
  * For every FASE, runs the full ido-verify pipeline: compute the
- * flush-elision PersistPlan (compiler/persistency/flush_elision.h),
- * then independently re-prove every claim it makes against the
- * cache-line persist-state dataflow (persist_verify.h).  The report
- * lists each redundancy proof -- which store's boundary write-back is
- * dropped, which witness covers its line, which allocation sites get
- * InCLL-style line alignment, which boundaries may defer their pc
- * fence -- and every diagnostic the verifier raises (all diagnostics
- * are proved crash-consistency bugs, reported with their
- * crash-frontier counterexample trace).
+ * PersistPlan (compiler/persistency/persist_plan.h) -- the region
+ * boundaries where the log may deactivate because a store-free tail
+ * begins -- then independently re-prove each claim over the region
+ * CFG (persist_verify.h).  The report lists each deferrable boundary
+ * and every diagnostic the verifier raises (all diagnostics are
+ * proved crash-consistency bugs, reported with a counterexample
+ * trace).
  *
  * Usage: ido_verify [--quiet] [--json] [name...]
  *   --quiet   print only diagnostics and the final summary
  *   --json    machine-readable report (implies --quiet):
- *             {"fases":[{"name":...,"regions":N,
- *               "elisions":[{"kind":...,"store":{...},
- *                            "witness":{...}}],
- *               "aligned_sites":[{...}],"deferrable":[N...],
+ *             {"fases":[{"name":...,"regions":N,"deferrable":[N...],
  *               "diagnostics":[...]}],"errors":N}
  *   name...   verify only the named FASEs (default: whole corpus)
  *
@@ -34,13 +29,11 @@
 
 #include "compiler/ir_library.h"
 #include "compiler/lint/lint.h"
-#include "compiler/persistency/flush_elision.h"
 #include "compiler/persistency/persist_verify.h"
 
 namespace {
 
 using namespace ido::compiler;
-using persistency::ElisionProof;
 using persistency::PersistPlan;
 
 struct CorpusEntry
@@ -62,12 +55,6 @@ usage(const char* argv0)
     std::fprintf(stderr, "usage: %s [--quiet] [--json] [name...]\n",
                  argv0);
     return 2;
-}
-
-void
-print_pos_json(InstrRef pos)
-{
-    std::printf("{\"block\":%u,\"instr\":%u}", pos.block, pos.index);
 }
 
 } // namespace
@@ -113,40 +100,23 @@ main(int argc, char** argv)
         std::printf("{\"fases\":[");
 
     uint32_t total_errors = 0;
-    size_t total_elisions = 0;
+    size_t total_deferrals = 0;
     for (size_t ui = 0; ui < units.size(); ++ui) {
         const lint::LintUnit& u = *units[ui];
-        const PersistPlan plan = persistency::compute_persist_plan(
-            u.fn, u.cfg, u.aa, u.part, u.info);
+        const PersistPlan plan =
+            persistency::compute_persist_plan(u.fn, u.cfg, u.part, u.info);
         const std::vector<lint::Diagnostic> diags =
-            persistency::verify_persist_plan(u.fn, u.cfg, u.aa, u.part,
-                                             u.info, plan);
+            persistency::verify_persist_plan(u.fn, u.cfg, u.part, u.info,
+                                             plan);
         total_errors +=
             lint::count_at_least(diags, lint::Severity::kError);
-        total_elisions += plan.elisions.size();
+        total_deferrals += plan.deferrable_boundaries.size();
 
         if (json) {
             std::printf("%s{\"name\":\"%s\",\"regions\":%u,"
-                        "\"elisions\":[",
+                        "\"deferrable\":[",
                         ui ? "," : "", u.fn.name().c_str(),
                         u.part.num_regions());
-            for (size_t i = 0; i < plan.elisions.size(); ++i) {
-                const ElisionProof& e = plan.elisions[i];
-                std::printf("%s{\"kind\":\"%s\",\"store\":",
-                            i ? "," : "", proof_kind_name(e.kind));
-                print_pos_json(e.store);
-                std::printf(",\"witness\":");
-                print_pos_json(e.witness);
-                std::printf("}");
-            }
-            std::printf("],\"aligned_sites\":[");
-            for (size_t i = 0; i < plan.aligned_alloc_sites.size();
-                 ++i) {
-                if (i)
-                    std::printf(",");
-                print_pos_json(plan.aligned_alloc_sites[i]);
-            }
-            std::printf("],\"deferrable\":[");
             for (size_t i = 0; i < plan.deferrable_boundaries.size();
                  ++i) {
                 std::printf("%s%u", i ? "," : "",
@@ -162,25 +132,10 @@ main(int argc, char** argv)
         }
 
         if (!quiet) {
-            std::printf("  %-18s %2u regions  %zu elision(s)  "
-                        "%zu aligned site(s)  %zu deferrable "
+            std::printf("  %-18s %2u regions  %zu deferrable "
                         "boundarie(s)\n",
                         u.fn.name().c_str(), u.part.num_regions(),
-                        plan.elisions.size(),
-                        plan.aligned_alloc_sites.size(),
                         plan.deferrable_boundaries.size());
-            for (const ElisionProof& e : plan.elisions) {
-                std::printf("    proof: store bb%u:%u covered by "
-                            "bb%u:%u (%s)\n",
-                            e.store.block, e.store.index,
-                            e.witness.block, e.witness.index,
-                            proof_kind_name(e.kind));
-            }
-            for (const InstrRef& s : plan.aligned_alloc_sites) {
-                std::printf("    place: line-align allocation at "
-                            "bb%u:%u\n",
-                            s.block, s.index);
-            }
             for (const uint32_t r : plan.deferrable_boundaries) {
                 std::printf("    defer: log deactivates entering region "
                             "%u (store-free tail)\n",
@@ -194,8 +149,8 @@ main(int argc, char** argv)
     if (json) {
         std::printf("],\"errors\":%u}\n", total_errors);
     } else if (!quiet || total_errors > 0) {
-        std::printf("ido-verify: %zu elision(s) proved, %u error(s)\n",
-                    total_elisions, total_errors);
+        std::printf("ido-verify: %zu deferral(s) proved, %u error(s)\n",
+                    total_deferrals, total_errors);
     }
     return total_errors > 0 ? 1 : 0;
 }
