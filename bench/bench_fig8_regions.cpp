@@ -12,6 +12,9 @@
  * more than 99% of dynamic regions have fewer than five live-in
  * registers, so one cache-line flush usually covers the inputs.
  *
+ * Each row counts the regions of its timed run only: the recorders are
+ * zeroed after the setup (create + prefill) and before the run.
+ *
  * Also prints the static region characteristics the compiler pipeline
  * derives for the IR function library (Sec. V-C flavour).
  */
@@ -30,15 +33,12 @@ int
 main()
 {
     const double secs = bench_seconds();
-    auto& collector = RegionStatsCollector::instance();
-    collector.enable();
 
     // --- dynamic distributions (Fig. 8 proper) ------------------------
     const ds::DsKind micro[] = {ds::DsKind::kStack, ds::DsKind::kQueue,
                                 ds::DsKind::kOrderedList,
                                 ds::DsKind::kHashMap};
     for (const ds::DsKind s : micro) {
-        collector.reset();
         nvm::PersistentHeap heap({.size = 256u << 20});
         nvm::RealDomain dom;
         rt::RuntimeConfig cfg;
@@ -50,15 +50,14 @@ main()
         wl.threads = 2;
         wl.duration_seconds = secs;
         const uint64_t root = ds::workload_setup(*runtime, wl);
+        region_stats_reset();
         const auto result = ds::workload_run(*runtime, root, wl);
-        std::fputs(collector.format_fig8(ds::ds_kind_name(s)).c_str(),
-                   stdout);
+        std::fputs(format_fig8(ds::ds_kind_name(s)).c_str(), stdout);
         emit_json_row("fig8_regions", ds::ds_kind_name(s), wl.threads,
                       result.total_ops, secs);
     }
 
     {
-        collector.reset();
         nvm::PersistentHeap heap({.size = 256u << 20});
         nvm::RealDomain dom;
         rt::RuntimeConfig cfg;
@@ -70,14 +69,14 @@ main()
         wl.set_pct = 50;
         wl.duration_seconds = secs;
         const uint64_t root = apps::memcached_setup(*runtime, wl);
+        region_stats_reset();
         const auto result = apps::memcached_run(*runtime, root, wl);
-        std::fputs(collector.format_fig8("memcached").c_str(), stdout);
+        std::fputs(format_fig8("memcached").c_str(), stdout);
         emit_json_row("fig8_regions", "memcached", wl.threads,
                       result.total_ops, secs);
     }
 
     {
-        collector.reset();
         nvm::PersistentHeap heap({.size = 512u << 20});
         nvm::RealDomain dom;
         rt::RuntimeConfig cfg;
@@ -88,8 +87,9 @@ main()
         wl.key_range = 100000;
         wl.duration_seconds = secs;
         const uint64_t root = apps::redis_setup(*runtime, wl);
+        region_stats_reset();
         const auto result = apps::redis_run(*runtime, root, wl);
-        std::fputs(collector.format_fig8("redis").c_str(), stdout);
+        std::fputs(format_fig8("redis").c_str(), stdout);
         emit_json_row("fig8_regions", "redis", 1, result.total_ops,
                       secs);
     }
@@ -127,6 +127,5 @@ main()
                         ri.has_unlock ? " unlock" : "");
         }
     }
-    collector.disable();
     return 0;
 }

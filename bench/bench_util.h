@@ -14,7 +14,7 @@
  *   IDO_BENCH_JSON      directory: append one JSON line per measured
  *                       configuration to $IDO_BENCH_JSON/BENCH_<bench>
  *                       .json, embedding the full MetricsRegistry
- *                       snapshot (counters + histograms)
+ *                       snapshot (counters, gauges, latencies)
  */
 #pragma once
 

@@ -44,7 +44,7 @@ main()
     shadow.crash(nvm::CrashPolicy::kRandom);
 
     std::printf("\npersistent iDO log records after the crash:\n");
-    for (uint64_t off : runtime->log_rec_offsets()) {
+    for (uint64_t off : runtime->log_records(nvm::RootSlot::kIdoLogHead)) {
         const auto* rec = heap.resolve<IdoLogRec>(off);
         if (rec->recovery_pc == kInactivePc) {
             std::printf("  thread %llu: idle (no FASE in flight)\n",

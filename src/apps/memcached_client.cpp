@@ -7,7 +7,6 @@
 #include "common/stopwatch.h"
 #include "net/memc_client.h"
 #include "stats/persist_stats.h"
-#include "stats/region_stats.h"
 #include "stats/stat_plane.h"
 
 namespace ido::apps {
@@ -127,7 +126,6 @@ memcached_run(rt::Runtime& rt, uint64_t root_off,
                 // fail-stop (crash tests)
             }
             persist_counters_flush_tls();
-            RegionStatsCollector::instance().flush_tls();
         });
     }
     for (auto& t : threads)

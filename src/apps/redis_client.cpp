@@ -4,7 +4,6 @@
 #include "common/stopwatch.h"
 #include "common/zipf.h"
 #include "stats/persist_stats.h"
-#include "stats/region_stats.h"
 #include "stats/stat_plane.h"
 
 namespace ido::apps {
@@ -65,7 +64,6 @@ redis_run(rt::Runtime& rt, uint64_t root_off,
     }
     result.seconds = clock.elapsed_seconds();
     persist_counters_flush_tls();
-    RegionStatsCollector::instance().flush_tls();
     return result;
 }
 

@@ -96,7 +96,7 @@ AtlasRuntime::recover()
     // Phase 1: traverse all logs, rebuild FASE instances.
     std::vector<FaseInstance> fases;
     std::vector<AtlasThreadLog*> logs;
-    for (uint64_t off : thread_log_offsets()) {
+    for (uint64_t off : log_records(nvm::RootSlot::kAtlasState)) {
         auto* log = heap_.resolve<AtlasThreadLog>(off);
         logs.push_back(log);
         const std::vector<AtlasEntry> entries =

@@ -56,8 +56,7 @@ AtlasRuntime::allocate_thread_log()
         [&](void* log, uint64_t prev_head) {
             AtlasThreadLog init{};
             init.next = prev_head;
-            init.thread_tag =
-                next_thread_tag_.fetch_add(1, std::memory_order_relaxed);
+            init.thread_tag = next_thread_tag();
             init.buf_off = buf_off;
             init.buf_bytes = cfg_.log_bytes_per_thread
                 & ~uint64_t{sizeof(AtlasEntry) - 1};
@@ -66,19 +65,6 @@ AtlasRuntime::allocate_thread_log()
         });
     IDO_ASSERT(log_off != 0, "out of persistent memory for Atlas logs");
     return log_off;
-}
-
-std::vector<uint64_t>
-AtlasRuntime::thread_log_offsets()
-{
-    std::vector<uint64_t> offs;
-    uint64_t off = heap_.root(nvm::RootSlot::kAtlasState);
-    while (off != 0) {
-        offs.push_back(off);
-        off = heap_.resolve<AtlasThreadLog>(off)->next;
-        IDO_ASSERT(offs.size() < 1u << 20, "Atlas log list cycle");
-    }
-    return offs;
 }
 
 std::unique_ptr<rt::RuntimeThread>

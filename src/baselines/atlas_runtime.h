@@ -20,6 +20,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <vector>
 
@@ -63,6 +64,8 @@ struct alignas(kCacheLineBytes) AtlasThreadLog
 };
 
 static_assert(sizeof(AtlasThreadLog) == kCacheLineBytes);
+// Runtime::log_records() walks the list through the link at offset 0.
+static_assert(offsetof(AtlasThreadLog, next) == 0);
 
 class AtlasRuntime final : public rt::Runtime
 {
@@ -91,7 +94,6 @@ class AtlasRuntime final : public rt::Runtime
     void recover() override;
 
     uint64_t allocate_thread_log();
-    std::vector<uint64_t> thread_log_offsets();
 
     uint64_t
     next_seq()
@@ -101,7 +103,6 @@ class AtlasRuntime final : public rt::Runtime
 
   private:
     std::atomic<uint64_t> seq_{1};
-    std::atomic<uint64_t> next_thread_tag_{1};
 };
 
 class AtlasThread final : public rt::RuntimeThread

@@ -49,27 +49,13 @@ JustdoRuntime::allocate_log_rec()
         [&](void* rec, uint64_t prev_head) {
             JustdoLogRec init{};
             init.next = prev_head;
-            init.thread_tag =
-                next_thread_tag_.fetch_add(1, std::memory_order_relaxed);
+            init.thread_tag = next_thread_tag();
             init.snap[0].recovery_pc = kInactivePc;
             init.snap[1].recovery_pc = kInactivePc;
             dom_.store(rec, &init, sizeof(init));
         });
     IDO_ASSERT(off != 0, "out of persistent memory for JUSTDO logs");
     return off;
-}
-
-std::vector<uint64_t>
-JustdoRuntime::log_rec_offsets()
-{
-    std::vector<uint64_t> offs;
-    uint64_t off = heap_.root(nvm::RootSlot::kJustdoState);
-    while (off != 0) {
-        offs.push_back(off);
-        off = heap_.resolve<JustdoLogRec>(off)->next;
-        IDO_ASSERT(offs.size() < 1u << 20, "JUSTDO log list cycle");
-    }
-    return offs;
 }
 
 std::unique_ptr<rt::RuntimeThread>
@@ -86,7 +72,7 @@ JustdoRuntime::recover()
     // (NvHeap's online leak reclamation).
     alloc_.recover_leaks(dom_);
     std::vector<uint64_t> active;
-    for (uint64_t off : log_rec_offsets()) {
+    for (uint64_t off : log_records(nvm::RootSlot::kJustdoState)) {
         auto* rec = heap_.resolve<JustdoLogRec>(off);
         const uint64_t cur = dom_.load_val(&rec->cur_snap) & 1;
         if (dom_.load_val(&rec->snap[cur].recovery_pc) != kInactivePc)

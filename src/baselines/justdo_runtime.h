@@ -22,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <vector>
 
@@ -85,6 +86,8 @@ struct alignas(kCacheLineBytes) JustdoLogRec
 };
 
 static_assert(sizeof(JustdoLogRec) == 12 * kCacheLineBytes);
+// Runtime::log_records() walks the list through the link at offset 0.
+static_assert(offsetof(JustdoLogRec, next) == 0);
 
 class JustdoRuntime final : public rt::Runtime
 {
@@ -106,10 +109,6 @@ class JustdoRuntime final : public rt::Runtime
     void recover() override;
 
     uint64_t allocate_log_rec();
-    std::vector<uint64_t> log_rec_offsets();
-
-  private:
-    std::atomic<uint64_t> next_thread_tag_{1};
 };
 
 class JustdoThread final : public rt::RuntimeThread

@@ -48,27 +48,13 @@ MnemosyneRuntime::allocate_thread_log()
         [&](void* log, uint64_t prev_head) {
             MnemosyneThreadLog init{};
             init.next = prev_head;
-            init.thread_tag =
-                next_thread_tag_.fetch_add(1, std::memory_order_relaxed);
+            init.thread_tag = next_thread_tag();
             init.buf_off = buf_off;
             init.buf_bytes = cfg_.log_bytes_per_thread;
             dom_.store(log, &init, sizeof(init));
         });
     IDO_ASSERT(log_off != 0, "out of persistent memory for Mnemosyne logs");
     return log_off;
-}
-
-std::vector<uint64_t>
-MnemosyneRuntime::thread_log_offsets()
-{
-    std::vector<uint64_t> offs;
-    uint64_t off = heap_.root(nvm::RootSlot::kMnemosyneState);
-    while (off != 0) {
-        offs.push_back(off);
-        off = heap_.resolve<MnemosyneThreadLog>(off)->next;
-        IDO_ASSERT(offs.size() < 1u << 20, "Mnemosyne log list cycle");
-    }
-    return offs;
 }
 
 std::unique_ptr<rt::RuntimeThread>
@@ -85,7 +71,7 @@ MnemosyneRuntime::recover()
     // (NvHeap's online leak reclamation).
     alloc_.recover_leaks(dom_);
     trace::emit(trace::EventKind::kRecoveryBegin, 2);
-    for (uint64_t off : thread_log_offsets()) {
+    for (uint64_t off : log_records(nvm::RootSlot::kMnemosyneState)) {
         auto* log = heap_.resolve<MnemosyneThreadLog>(off);
         if (dom_.load_val(&log->committed) != 1)
             continue; // never reached its commit point: discard

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -48,6 +49,8 @@ struct alignas(kCacheLineBytes) MnemosyneThreadLog
 };
 
 static_assert(sizeof(MnemosyneThreadLog) == kCacheLineBytes);
+// Runtime::log_records() walks the list through the link at offset 0.
+static_assert(offsetof(MnemosyneThreadLog, next) == 0);
 
 /** 16-byte redo entry: one 8-byte-aligned chunk. */
 struct RedoEntry
@@ -75,14 +78,12 @@ class MnemosyneRuntime final : public rt::Runtime
     void recover() override;
 
     uint64_t allocate_thread_log();
-    std::vector<uint64_t> thread_log_offsets();
 
     /** TML global version word: even = quiescent, odd = writer active. */
     std::atomic<uint64_t>& global_version() { return version_.value; }
 
   private:
     Padded<std::atomic<uint64_t>> version_{};
-    std::atomic<uint64_t> next_thread_tag_{1};
 };
 
 class MnemosyneThread final : public rt::RuntimeThread

@@ -50,8 +50,7 @@ NvmlRuntime::allocate_thread_log()
         [&](void* log, uint64_t prev_head) {
             NvmlThreadLog init{};
             init.next = prev_head;
-            init.thread_tag =
-                next_thread_tag_.fetch_add(1, std::memory_order_relaxed);
+            init.thread_tag = next_thread_tag();
             init.buf_off = buf_off;
             init.buf_bytes = cfg_.log_bytes_per_thread
                 & ~uint64_t{sizeof(NvmlEntry) - 1};
@@ -60,19 +59,6 @@ NvmlRuntime::allocate_thread_log()
         });
     IDO_ASSERT(log_off != 0, "out of persistent memory for NVML logs");
     return log_off;
-}
-
-std::vector<uint64_t>
-NvmlRuntime::thread_log_offsets()
-{
-    std::vector<uint64_t> offs;
-    uint64_t off = heap_.root(nvm::RootSlot::kNvmlState);
-    while (off != 0) {
-        offs.push_back(off);
-        off = heap_.resolve<NvmlThreadLog>(off)->next;
-        IDO_ASSERT(offs.size() < 1u << 20, "NVML log list cycle");
-    }
-    return offs;
 }
 
 std::unique_ptr<rt::RuntimeThread>
@@ -89,7 +75,7 @@ NvmlRuntime::recover()
     // (NvHeap's online leak reclamation).
     alloc_.recover_leaks(dom_);
     trace::emit(trace::EventKind::kRecoveryBegin, 4);
-    for (uint64_t off : thread_log_offsets()) {
+    for (uint64_t off : log_records(nvm::RootSlot::kNvmlState)) {
         auto* log = heap_.resolve<NvmlThreadLog>(off);
         const uint64_t lap = dom_.load_val(&log->lap);
         const auto* buf = heap_.resolve<uint8_t>(log->buf_off);

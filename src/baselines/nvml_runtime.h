@@ -29,6 +29,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <unordered_set>
 #include <vector>
@@ -62,6 +63,8 @@ struct alignas(kCacheLineBytes) NvmlThreadLog
 };
 
 static_assert(sizeof(NvmlThreadLog) == kCacheLineBytes);
+// Runtime::log_records() walks the list through the link at offset 0.
+static_assert(offsetof(NvmlThreadLog, next) == 0);
 
 class NvmlRuntime final : public rt::Runtime
 {
@@ -82,10 +85,6 @@ class NvmlRuntime final : public rt::Runtime
     void recover() override;
 
     uint64_t allocate_thread_log();
-    std::vector<uint64_t> thread_log_offsets();
-
-  private:
-    std::atomic<uint64_t> next_thread_tag_{1};
 };
 
 class NvmlThread final : public rt::RuntimeThread

@@ -53,27 +53,13 @@ NvthreadsRuntime::allocate_thread_log()
         [&](void* log, uint64_t prev_head) {
             NvthreadsThreadLog init{};
             init.next = prev_head;
-            init.thread_tag =
-                next_thread_tag_.fetch_add(1, std::memory_order_relaxed);
+            init.thread_tag = next_thread_tag();
             init.buf_off = buf_off;
             init.buf_bytes = buf_bytes;
             dom_.store(log, &init, sizeof(init));
         });
     IDO_ASSERT(log_off != 0, "out of persistent memory for NVThreads logs");
     return log_off;
-}
-
-std::vector<uint64_t>
-NvthreadsRuntime::thread_log_offsets()
-{
-    std::vector<uint64_t> offs;
-    uint64_t off = heap_.root(nvm::RootSlot::kNvthreadsState);
-    while (off != 0) {
-        offs.push_back(off);
-        off = heap_.resolve<NvthreadsThreadLog>(off)->next;
-        IDO_ASSERT(offs.size() < 1u << 20, "NVThreads log list cycle");
-    }
-    return offs;
 }
 
 std::unique_ptr<rt::RuntimeThread>
@@ -90,7 +76,7 @@ NvthreadsRuntime::recover()
     // (NvHeap's online leak reclamation).
     alloc_.recover_leaks(dom_);
     trace::emit(trace::EventKind::kRecoveryBegin, 5);
-    for (uint64_t off : thread_log_offsets()) {
+    for (uint64_t off : log_records(nvm::RootSlot::kNvthreadsState)) {
         auto* log = heap_.resolve<NvthreadsThreadLog>(off);
         if (dom_.load_val(&log->committed) != 1)
             continue; // commit never became durable: discard buffers

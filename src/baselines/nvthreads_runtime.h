@@ -21,6 +21,7 @@
 #include <bitset>
 #include <memory>
 #include <atomic>
+#include <cstddef>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -57,6 +58,8 @@ struct alignas(kCacheLineBytes) NvthreadsThreadLog
 };
 
 static_assert(sizeof(NvthreadsThreadLog) == kCacheLineBytes);
+// Runtime::log_records() walks the list through the link at offset 0.
+static_assert(offsetof(NvthreadsThreadLog, next) == 0);
 
 class NvthreadsRuntime final : public rt::Runtime
 {
@@ -77,10 +80,6 @@ class NvthreadsRuntime final : public rt::Runtime
     void recover() override;
 
     uint64_t allocate_thread_log();
-    std::vector<uint64_t> thread_log_offsets();
-
-  private:
-    std::atomic<uint64_t> next_thread_tag_{1};
 };
 
 class NvthreadsThread final : public rt::RuntimeThread

@@ -89,6 +89,18 @@ LatencyHistogram::percentile(double q) const
     return max_value();
 }
 
+double
+LatencyHistogram::cdf(uint64_t v) const
+{
+    if (total_ == 0)
+        return 0.0;
+    const uint32_t last = bucket_index(v);
+    uint64_t acc = 0;
+    for (uint32_t i = 0; i <= last; ++i)
+        acc += counts_[i];
+    return static_cast<double>(acc) / static_cast<double>(total_);
+}
+
 void
 LatencyHistogram::clear()
 {

@@ -1,16 +1,16 @@
 /**
  * @file
- * Log2-bucketed latency histogram (ido-stat).
+ * Log2-bucketed histogram: the registry's one histogram type.
  *
- * The existing Histogram keeps one bin per integer value and clamps at
- * 4095 -- perfect for Fig. 8's stores-per-region counts, useless for
- * request latencies spanning nanoseconds to minutes.  This histogram
- * covers [0, ~73 min] in nanoseconds with bounded relative error:
+ * Covers [0, ~73 min] in nanoseconds with bounded relative error:
  * values below 16 get exact bins; above that, each power-of-two octave
  * is split into 16 linear sub-buckets, so any reported quantile is
- * within 1/16 (6.25%) of the true value.  The bin array is fixed-size
- * (no allocation on record), which is what makes the lock-free
- * recorder below possible.
+ * within 1/16 (6.25%) of the true value.  The first such octave,
+ * [16, 32), has width-1 buckets, so every value below 32 is counted
+ * exactly -- which is what lets Fig. 8's small integer samples (stores
+ * and live-in registers per region) share the type with request
+ * latencies.  The bin array is fixed-size (no allocation on record),
+ * which is what makes the lock-free recorder below possible.
  *
  * Two layers:
  *  - LatencyHistogram: a plain mergeable value type (record / merge /
@@ -76,6 +76,12 @@ class LatencyHistogram
      * q == 1 the exact maximum.  0 if empty.
      */
     uint64_t percentile(double q) const;
+
+    /**
+     * Fraction of samples in v's bucket or below, in [0, 1]; 0 if
+     * empty.  Exactly the fraction of samples <= v for v < 32.
+     */
+    double cdf(uint64_t v) const;
 
     uint64_t count_in_bucket(uint32_t i) const { return counts_[i]; }
 

@@ -16,7 +16,6 @@
 #include "ds/queue.h"
 #include "ds/stack.h"
 #include "stats/persist_stats.h"
-#include "stats/region_stats.h"
 
 namespace ido::ds {
 
@@ -174,7 +173,6 @@ worker_loop(rt::Runtime& rt, uint64_t root, const WorkloadConfig& cfg,
         // are abandoned exactly as a SIGKILL would abandon them.
     }
     persist_counters_flush_tls();
-    RegionStatsCollector::instance().flush_tls();
     return ops;
 }
 

@@ -190,6 +190,8 @@ struct alignas(kCacheLineBytes) IdoLogRec
 
 static_assert(kMaxHeldLocks == 15);
 static_assert(sizeof(IdoLogRec) == 7 * kCacheLineBytes);
+// Runtime::log_records() walks the list through the link at offset 0.
+static_assert(offsetof(IdoLogRec, next) == 0);
 static_assert(offsetof(IdoLogRec, intRF) == kCacheLineBytes);
 static_assert(offsetof(IdoLogRec, floatRF) == 3 * kCacheLineBytes);
 static_assert(offsetof(IdoLogRec, lock_bitmap) == 4 * kCacheLineBytes);

@@ -70,7 +70,7 @@ IdoRuntime::recover()
     t0 = stat_now_ns();
     std::vector<uint64_t> active;
     std::vector<uint64_t> inactive;
-    for (uint64_t off : log_rec_offsets()) {
+    for (uint64_t off : log_records(nvm::RootSlot::kIdoLogHead)) {
         auto* rec = heap_.resolve<IdoLogRec>(off);
         if (dom_.load_val(&rec->recovery_pc) != kInactivePc)
             active.push_back(off);

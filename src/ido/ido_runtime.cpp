@@ -86,27 +86,13 @@ IdoRuntime::allocate_log_rec()
         [&](void* rec, uint64_t prev_head) {
             IdoLogRec init{};
             init.next = prev_head;
-            init.thread_tag =
-                next_thread_tag_.fetch_add(1, std::memory_order_relaxed);
+            init.thread_tag = next_thread_tag();
             init.recovery_pc = kInactivePc;
             init.lock_bitmap = 0;
             dom_.store(rec, &init, sizeof(init));
         });
     IDO_ASSERT(off != 0, "out of persistent memory for iDO logs");
     return off;
-}
-
-std::vector<uint64_t>
-IdoRuntime::log_rec_offsets()
-{
-    std::vector<uint64_t> offs;
-    uint64_t off = heap_.root(nvm::RootSlot::kIdoLogHead);
-    while (off != 0) {
-        offs.push_back(off);
-        off = heap_.resolve<IdoLogRec>(off)->next;
-        IDO_ASSERT(offs.size() < 1u << 20, "iDO log list cycle");
-    }
-    return offs;
 }
 
 std::unique_ptr<rt::RuntimeThread>

@@ -77,9 +77,6 @@ class IdoRuntime final : public rt::Runtime
     /** Allocate and durably link a fresh per-thread log record. */
     uint64_t allocate_log_rec();
 
-    /** Offsets of all linked log records (head first). */
-    std::vector<uint64_t> log_rec_offsets();
-
   private:
     /**
      * Recovery: complete the free entries inactive records still hold,
@@ -87,8 +84,6 @@ class IdoRuntime final : public rt::Runtime
      * @return blocks freed (the rest were freed before the crash).
      */
     uint64_t complete_recorded_frees(const std::vector<uint64_t>& recs);
-
-    std::atomic<uint64_t> next_thread_tag_{1};
 };
 
 class IdoThread final : public rt::RuntimeThread

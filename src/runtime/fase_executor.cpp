@@ -57,7 +57,12 @@ RuntimeThread::run_regions(const FaseProgram& prog, uint32_t start,
                            RegionCtx& ctx)
 {
     const bool check = rt_.config().check_contracts;
-    const bool stats = rt_.config().collect_region_stats;
+    LatencyRecorder* stores_rec = nullptr;
+    LatencyRecorder* live_in_rec = nullptr;
+    if (rt_.config().collect_region_stats) {
+        stores_rec = &region_stores_recorder();
+        live_in_rec = &region_live_in_recorder();
+    }
     tainted_int_ = 0;
     tainted_float_ = 0;
     uint32_t idx = start;
@@ -75,11 +80,10 @@ RuntimeThread::run_regions(const FaseProgram& prog, uint32_t start,
         const uint32_t next = meta.fn(*this, ctx);
         IDO_ASSERT(next == kRegionEnd || next < prog.regions.size(),
                    "region '%s' returned a bad successor", meta.name);
-        if (stats) {
-            RegionStatsCollector::instance().record(
-                region_stores_,
-                mask_popcount(meta.live_in_int)
-                    + mask_popcount(meta.live_in_float));
+        if (stores_rec != nullptr) {
+            stores_rec->record(region_stores_);
+            live_in_rec->record(mask_popcount(meta.live_in_int)
+                                + mask_popcount(meta.live_in_float));
         }
         if (check)
             checker_region_exit(meta, ctx, next);

@@ -35,6 +35,20 @@ Runtime::bump_lock_epoch()
 
 Runtime::~Runtime() = default;
 
+std::vector<uint64_t>
+Runtime::log_records(nvm::RootSlot head) const
+{
+    std::vector<uint64_t> offs;
+    uint64_t off = heap_.root(head);
+    while (off != 0) {
+        offs.push_back(off);
+        off = *heap_.resolve<uint64_t>(off); // the record's `next`
+        IDO_ASSERT(offs.size() < 1u << 20, "log list cycle at root slot %u",
+                   static_cast<unsigned>(head));
+    }
+    return offs;
+}
+
 RuntimeThread::RuntimeThread(Runtime& rt)
     : rt_(rt)
 {

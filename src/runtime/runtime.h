@@ -29,6 +29,7 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <unordered_set>
@@ -56,7 +57,8 @@ struct RuntimeTraits
 
 struct RuntimeConfig
 {
-    /** Collect Fig. 8 region statistics (off for scalability runs). */
+    /** Record Fig. 8 region statistics into the registry's region.*
+     *  recorders (stats/region_stats.h; off for scalability runs). */
     bool collect_region_stats = false;
 
     /** Enable the idempotence/contract checker (tests only). */
@@ -116,7 +118,23 @@ class Runtime
     CrashScheduler& crash_scheduler() { return crash_; }
     const RuntimeConfig& config() const { return cfg_; }
 
+    /**
+     * Offsets of the per-thread log records linked from root slot
+     * `head` (head first; empty if the slot is unset).  Every
+     * runtime's log record type keeps its `next` heap offset (0 = end)
+     * at offset 0, static_asserted beside the type, so this one walk
+     * serves them all.
+     */
+    std::vector<uint64_t> log_records(nvm::RootSlot head) const;
+
   protected:
+    /** Fresh nonzero diagnostic tag for a newly linked log record. */
+    uint64_t
+    next_thread_tag()
+    {
+        return next_thread_tag_.fetch_add(1, std::memory_order_relaxed);
+    }
+
     /**
      * Durably advance the heap's persistent lock-epoch counter
      * (RootSlot::kLockEpoch) and move the lock table onto the new
@@ -135,6 +153,9 @@ class Runtime
     nvm::NvHeap alloc_;
     LockTable locks_;
     CrashScheduler crash_;
+
+  private:
+    std::atomic<uint64_t> next_thread_tag_{1};
 };
 
 /**

@@ -48,32 +48,6 @@ MetricsRegistry::set(const std::string& name, uint64_t value)
     counter(name)->store(value, std::memory_order_relaxed);
 }
 
-void
-MetricsRegistry::histogram_merge(const std::string& name,
-                                 const Histogram& h)
-{
-    std::lock_guard<std::mutex> g(mutex_);
-    histograms_[name].merge(h);
-}
-
-Histogram
-MetricsRegistry::histogram_value(const std::string& name)
-{
-    std::lock_guard<std::mutex> g(mutex_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        return Histogram();
-    return it->second;
-}
-
-void
-MetricsRegistry::histogram_set(const std::string& name,
-                               const Histogram& h)
-{
-    std::lock_guard<std::mutex> g(mutex_);
-    histograms_[name] = h;
-}
-
 LatencyRecorder*
 MetricsRegistry::latency(const std::string& name)
 {
@@ -111,7 +85,6 @@ MetricsRegistry::snapshot()
         for (const auto& [name, idx] : names_)
             s.counters[name] =
                 cells_[idx].load(std::memory_order_relaxed);
-        s.histograms = histograms_;
         for (const auto& [name, rec] : latencies_)
             s.latencies[name] = rec->snapshot();
         fns.assign(gauges_.begin(), gauges_.end());
@@ -148,15 +121,6 @@ MetricsRegistry::format_text()
                       name.c_str(), h.total(), h.mean(),
                       h.percentile(0.50), h.percentile(0.99),
                       h.percentile(0.999), h.max_value());
-        out += buf;
-    }
-    for (const auto& [name, h] : s.histograms) {
-        std::snprintf(buf, sizeof buf,
-                      "%-32s n=%" PRIu64 " mean=%.2f p50=%" PRIu64
-                      " p99=%" PRIu64 " max=%" PRIu64 "\n",
-                      name.c_str(), h.total_samples(), h.mean(),
-                      h.percentile(0.50), h.percentile(0.99),
-                      h.max_value());
         out += buf;
     }
     return out;
@@ -200,19 +164,6 @@ MetricsRegistry::format_json()
         out += buf;
         first = false;
     }
-    out += "},\"histograms\":{";
-    first = true;
-    for (const auto& [name, h] : s.histograms) {
-        std::snprintf(buf, sizeof buf,
-                      "%s\"%s\":{\"total\":%" PRIu64
-                      ",\"mean\":%.4f,\"p50\":%" PRIu64
-                      ",\"p99\":%" PRIu64 ",\"max\":%" PRIu64 "}",
-                      first ? "" : ",", json_escape(name).c_str(),
-                      h.total_samples(), h.mean(), h.percentile(0.50),
-                      h.percentile(0.99), h.max_value());
-        out += buf;
-        first = false;
-    }
     out += "}}";
     return out;
 }
@@ -223,8 +174,6 @@ MetricsRegistry::reset()
     std::lock_guard<std::mutex> g(mutex_);
     for (auto& cell : cells_)
         cell.store(0, std::memory_order_relaxed);
-    for (auto& [name, h] : histograms_)
-        h = Histogram();
     for (auto& [name, rec] : latencies_)
         rec->reset();
 }

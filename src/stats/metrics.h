@@ -2,24 +2,32 @@
  * @file
  * MetricsRegistry: one named home for every quantitative observation.
  *
- * The repo grew two disjoint stats sinks -- PersistCounters (persist
- * traffic) and RegionStatsCollector (Fig. 8 region histograms) -- each
- * with its own global, reset call, and text format.  The registry
- * unifies them behind a flat name -> counter / name -> histogram API
- * with a consistent snapshot and a JSON export the benches, the trace
- * tooling, and CI artifacts all share.
+ * Persist traffic (persist_stats), Fig. 8 region shapes (region_stats)
+ * and the ido-stat latencies all land here, behind a flat name ->
+ * counter / gauge / LatencyRecorder API with one consistent snapshot
+ * and a JSON export the benches, the trace tooling, and CI artifacts
+ * all share.
+ *
+ * Units: a recorder's samples are nanoseconds unless its name says
+ * otherwise.  The two "region.*" recorders (region.stores_per_region,
+ * region.live_in_per_region) count persistent stores and live-in
+ * registers per dynamic region; their "_ns" JSON keys and the text
+ * format's "ns" suffix are shared schema, not a unit.
  *
  * Concurrency contract:
  *  - counter cells are std::atomic<uint64_t> stored in a std::deque,
  *    so a pointer returned by counter() stays valid forever and can be
  *    bumped wait-free from any thread;
- *  - name registration and histogram merges take a mutex (cold paths:
- *    registration happens once per name, merges once per thread);
+ *  - latency recorders are owned by the registry and never destroyed,
+ *    so a pointer returned by latency() is cached the same way; each
+ *    recording thread writes its own shard, and snapshot() merges the
+ *    shards of live and exited threads alike;
+ *  - name registration takes a mutex (cold: once per name);
  *  - snapshot() is safe against concurrent writers and never observes
  *    torn per-counter values (64-bit atomic loads).
  *
- * Hot paths keep their thread-local accumulation (see persist_stats /
- * region_stats); the registry is where folded totals live.
+ * Persist counters keep a thread-local accumulation (persist_stats);
+ * the registry is where their folded totals live.
  */
 #pragma once
 
@@ -33,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/latency_histogram.h"
 
 namespace ido {
@@ -58,15 +65,6 @@ class MetricsRegistry
 
     /** Overwrite the named counter (reset paths). */
     void set(const std::string& name, uint64_t value);
-
-    /** Merge `h` into the named histogram (creating it empty first). */
-    void histogram_merge(const std::string& name, const Histogram& h);
-
-    /** Copy of the named histogram; empty if never created. */
-    Histogram histogram_value(const std::string& name);
-
-    /** Overwrite the named histogram (reset paths). */
-    void histogram_set(const std::string& name, const Histogram& h);
 
     /**
      * Get-or-create the named latency recorder (ido-stat).  Stable for
@@ -94,24 +92,25 @@ class MetricsRegistry
     {
         std::map<std::string, uint64_t> counters;
         std::map<std::string, uint64_t> gauges;
-        std::map<std::string, Histogram> histograms;
         std::map<std::string, LatencyHistogram> latencies;
     };
 
     Snapshot snapshot();
 
-    /** "name value" lines, one per counter, then histogram summaries. */
+    /** "name value" lines, one per counter and gauge, then one
+     *  summary line per latency recorder. */
     std::string format_text();
 
     /**
-     * {"counters":{...},"histograms":{name:{"mean":..,"p50":..,
-     * "p99":..,"max":..,"total":..}}} -- the schema BENCH_*.json rows
+     * {"counters":{...},"gauges":{...},"latencies":{name:{"count":..,
+     * "mean_ns":..,"min_ns":..,"p50_ns":..,"p90_ns":..,"p99_ns":..,
+     * "p999_ns":..,"max_ns":..}}} -- the schema BENCH_*.json rows
      * and ido_lint --json embed.
      */
     std::string format_json();
 
-    /** Zero every counter, histogram, and latency recorder (names and
-     *  gauge registrations persist). */
+    /** Zero every counter and latency recorder (names and gauge
+     *  registrations persist). */
     void reset();
 
   private:
@@ -122,7 +121,6 @@ class MetricsRegistry
     // the indices in names_ stay valid under concurrent registration.
     std::deque<std::atomic<uint64_t>> cells_;
     std::map<std::string, size_t> names_;
-    std::map<std::string, Histogram> histograms_;
     // unique_ptr: latency() pointers stay valid as the map rebalances.
     std::map<std::string, std::unique_ptr<LatencyRecorder>> latencies_;
     std::map<std::string, std::function<uint64_t()>> gauges_;

@@ -1,5 +1,6 @@
 #include "stats/region_stats.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "stats/metrics.h"
@@ -8,88 +9,63 @@ namespace ido {
 
 namespace {
 
-constexpr const char* kStoresHist = "region.stores_per_region";
-constexpr const char* kLiveInHist = "region.live_in_per_region";
+/** "label:  <=0: 12.3%  <=1: 45.6% ..." -- one cumulative Fig. 8 row,
+ *  from 0 up to max(4, largest sample), capped at 8. */
+std::string
+format_cdf(const char* label, const LatencyHistogram& h)
+{
+    const uint64_t up_to =
+        std::min<uint64_t>(8, std::max<uint64_t>(4, h.max_value()));
+    std::string out = label;
+    out += ":";
+    char buf[64];
+    for (uint64_t v = 0; v <= up_to; ++v) {
+        std::snprintf(buf, sizeof(buf), "  <=%llu: %5.1f%%",
+                      static_cast<unsigned long long>(v), h.cdf(v) * 100.0);
+        out += buf;
+    }
+    return out;
+}
 
 } // namespace
 
-RegionStatsCollector&
-RegionStatsCollector::instance()
+LatencyRecorder&
+region_stores_recorder()
 {
-    static RegionStatsCollector* collector = new RegionStatsCollector;
-    return *collector; // immortal: folded into from TLS destructors
+    static LatencyRecorder* const r =
+        MetricsRegistry::instance().latency("region.stores_per_region");
+    return *r;
 }
 
-RegionStatsCollector::TlsHists::~TlsHists()
+LatencyRecorder&
+region_live_in_recorder()
 {
-    // Automatic fold at thread exit (exception unwinds included).
-    if (stores.total_samples() == 0 && live_in.total_samples() == 0)
-        return;
-    auto& reg = MetricsRegistry::instance();
-    reg.histogram_merge(kStoresHist, stores);
-    reg.histogram_merge(kLiveInHist, live_in);
-}
-
-RegionStatsCollector::TlsHists&
-RegionStatsCollector::tls()
-{
-    thread_local TlsHists hists;
-    return hists;
+    static LatencyRecorder* const r =
+        MetricsRegistry::instance().latency("region.live_in_per_region");
+    return *r;
 }
 
 void
-RegionStatsCollector::flush_tls()
+region_stats_reset()
 {
-    auto& t = tls();
-    auto& reg = MetricsRegistry::instance();
-    reg.histogram_merge(kStoresHist, t.stores);
-    reg.histogram_merge(kLiveInHist, t.live_in);
-    t.stores = Histogram();
-    t.live_in = Histogram();
-}
-
-void
-RegionStatsCollector::reset()
-{
-    auto& reg = MetricsRegistry::instance();
-    reg.histogram_set(kStoresHist, Histogram());
-    reg.histogram_set(kLiveInHist, Histogram());
-}
-
-Histogram
-RegionStatsCollector::stores_per_region() const
-{
-    return MetricsRegistry::instance().histogram_value(kStoresHist);
-}
-
-Histogram
-RegionStatsCollector::live_in_per_region() const
-{
-    return MetricsRegistry::instance().histogram_value(kLiveInHist);
+    region_stores_recorder().reset();
+    region_live_in_recorder().reset();
 }
 
 std::string
-RegionStatsCollector::format_fig8(const std::string& benchmark) const
+format_fig8(const std::string& benchmark)
 {
-    const Histogram stores = stores_per_region();
-    const Histogram live_in = live_in_per_region();
+    const LatencyHistogram stores = region_stores_recorder().snapshot();
+    const LatencyHistogram live_in = region_live_in_recorder().snapshot();
     std::string out;
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "[fig8] %-12s dynamic regions: %llu\n",
                   benchmark.c_str(),
-                  (unsigned long long)stores.total_samples());
+                  static_cast<unsigned long long>(stores.total()));
     out += buf;
-    out += "  " + stores.format_cdf("stores/region ",
-                                    std::min<uint64_t>(8,
-                                        std::max<uint64_t>(4,
-                                            stores.max_value())))
-           + "\n";
-    out += "  " + live_in.format_cdf("live-in regs  ",
-                                     std::min<uint64_t>(8,
-                                         std::max<uint64_t>(4,
-                                             live_in.max_value())))
-           + "\n";
+    out += "  " + format_cdf("stores/region ", stores) + "\n";
+    out += "  " + format_cdf("live-in regs  ", live_in) + "\n";
     std::snprintf(buf, sizeof(buf),
                   "  mean stores/region %.2f   mean live-in %.2f   "
                   "regions with >1 store %.1f%%   live-in<5 %.1f%%\n",

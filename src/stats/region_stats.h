@@ -6,66 +6,30 @@
  * distribution of (a) persistent stores per idempotent region and
  * (b) live-in registers per region.  Here the runtime itself observes
  * every dynamic region, so the same distributions fall out of normal
- * execution when collection is enabled.  Collection uses thread-local
- * histograms merged on demand, so it does not perturb scalability runs
- * (and is off by default).
+ * execution when RuntimeConfig::collect_region_stats is set (the one
+ * switch; off by default, so scalability runs pay one predicted branch
+ * per region).  Samples go to two MetricsRegistry latency recorders,
+ * whose per-thread shards any thread can snapshot at any time; the
+ * values are counts, not nanoseconds.
  */
 #pragma once
 
-#include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
-#include "common/histogram.h"
+#include "common/latency_histogram.h"
 
 namespace ido {
 
-class RegionStatsCollector
-{
-  public:
-    static RegionStatsCollector& instance();
+/** "region.stores_per_region": persistent stores per dynamic region. */
+LatencyRecorder& region_stores_recorder();
 
-    void enable() { enabled_ = true; }
-    void disable() { enabled_ = false; }
-    bool enabled() const { return enabled_; }
+/** "region.live_in_per_region": live-in registers per dynamic region. */
+LatencyRecorder& region_live_in_recorder();
 
-    /** Record one dynamic region execution. */
-    void
-    record(uint32_t stores, uint32_t live_in_regs)
-    {
-        if (!enabled_)
-            return;
-        auto& t = tls();
-        t.stores.add(stores);
-        t.live_in.add(live_in_regs);
-    }
+/** Zero both recorders (between benchmark configurations). */
+void region_stats_reset();
 
-    /** Fold thread-local data into the global histograms and clear. */
-    void flush_tls();
-
-    /** Reset global histograms (between benchmark configurations). */
-    void reset();
-
-    Histogram stores_per_region() const;
-    Histogram live_in_per_region() const;
-
-    /** Fig. 8-style CDF printout for the current data. */
-    std::string format_fig8(const std::string& benchmark) const;
-
-  private:
-    struct TlsHists
-    {
-        Histogram stores;
-        Histogram live_in;
-
-        /** Folds into the MetricsRegistry at thread exit. */
-        ~TlsHists();
-    };
-
-    TlsHists& tls();
-
-    bool enabled_ = false;
-};
+/** Fig. 8-style CDF printout of the two recorders' current data. */
+std::string format_fig8(const std::string& benchmark);
 
 } // namespace ido

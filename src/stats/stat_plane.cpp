@@ -110,18 +110,6 @@ stat_prometheus_text()
                       static_cast<unsigned long long>(h.total()));
         out += buf;
     }
-    // Fig. 8 style integer histograms export their summary stats as
-    // gauges (full bin dumps stay in the JSON snapshot).
-    for (const auto& [name, h] : s.histograms) {
-        const std::string n = prom_name(name);
-        std::snprintf(buf, sizeof buf,
-                      "# TYPE %s_count gauge\n%s_count %llu\n"
-                      "# TYPE %s_mean gauge\n%s_mean %.4f\n",
-                      n.c_str(), n.c_str(),
-                      static_cast<unsigned long long>(h.total_samples()),
-                      n.c_str(), n.c_str(), h.mean());
-        out += buf;
-    }
     return out;
 }
 

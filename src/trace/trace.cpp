@@ -225,7 +225,7 @@ collect_ido_forensics(IdoRuntime& rt)
     size_t captured = 0;
     auto& heap = rt.heap();
     auto& dom = rt.domain();
-    for (uint64_t off : rt.log_rec_offsets()) {
+    for (uint64_t off : rt.log_records(nvm::RootSlot::kIdoLogHead)) {
         const auto* rec = heap.resolve<IdoLogRec>(off);
         const uint64_t pc = dom.load_val(&rec->recovery_pc);
         if (pc == kInactivePc)
@@ -258,7 +258,7 @@ collect_justdo_forensics(baselines::JustdoRuntime& rt)
     size_t captured = 0;
     auto& heap = rt.heap();
     auto& dom = rt.domain();
-    for (uint64_t off : rt.log_rec_offsets()) {
+    for (uint64_t off : rt.log_records(nvm::RootSlot::kJustdoState)) {
         const auto* rec = heap.resolve<JustdoLogRec>(off);
         const uint64_t sel = dom.load_val(&rec->cur_snap) & 1;
         const auto* snap = &rec->snap[sel];

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the common utilities: RNG, Zipf sampler, histogram,
- * spin delay, cache-line helpers.
+ * Unit tests for the common utilities: RNG, Zipf sampler, spin delay,
+ * cache-line helpers.
  */
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <set>
 
 #include "common/cacheline.h"
-#include "common/histogram.h"
 #include "common/rng.h"
 #include "common/spin_delay.h"
 #include "common/zipf.h"
@@ -115,76 +114,6 @@ TEST(Zipf, SingleElementRange)
     Rng rng(9);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(zipf.next(rng), 0u);
-}
-
-TEST(Histogram, EmptyBehaviour)
-{
-    Histogram h;
-    EXPECT_EQ(h.total_samples(), 0u);
-    EXPECT_EQ(h.cdf(5), 0.0);
-    EXPECT_EQ(h.mean(), 0.0);
-    EXPECT_EQ(h.max_value(), 0u);
-}
-
-TEST(Histogram, BasicCounts)
-{
-    Histogram h;
-    h.add(0);
-    h.add(1);
-    h.add(1);
-    h.add(3);
-    EXPECT_EQ(h.total_samples(), 4u);
-    EXPECT_EQ(h.count_at(1), 2u);
-    EXPECT_DOUBLE_EQ(h.cdf(0), 0.25);
-    EXPECT_DOUBLE_EQ(h.cdf(1), 0.75);
-    EXPECT_DOUBLE_EQ(h.cdf(3), 1.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 1.25);
-    EXPECT_EQ(h.max_value(), 3u);
-}
-
-TEST(Histogram, Percentiles)
-{
-    Histogram h;
-    for (uint64_t v = 0; v < 100; ++v)
-        h.add(v);
-    EXPECT_EQ(h.percentile(0.5), 49u);
-    EXPECT_EQ(h.percentile(1.0), 99u);
-}
-
-// q=0 must land on the smallest populated value even when bucket 0 is
-// empty (the old `acc >= 0` walk returned 0 unconditionally), and
-// out-of-range quantiles clamp instead of walking off the array.
-TEST(Histogram, PercentileZeroAndClamp)
-{
-    Histogram h;
-    h.add(5);
-    h.add(9);
-    EXPECT_EQ(h.percentile(0.0), 5u);
-    EXPECT_EQ(h.percentile(-0.5), 5u);
-    EXPECT_EQ(h.percentile(1.5), 9u);
-    Histogram empty;
-    EXPECT_EQ(empty.percentile(0.0), 0u);
-    EXPECT_EQ(empty.percentile(1.0), 0u);
-}
-
-TEST(Histogram, MergeAddsCounts)
-{
-    Histogram a, b;
-    a.add(2, 5);
-    b.add(2, 3);
-    b.add(7);
-    a.merge(b);
-    EXPECT_EQ(a.count_at(2), 8u);
-    EXPECT_EQ(a.count_at(7), 1u);
-    EXPECT_EQ(a.total_samples(), 9u);
-}
-
-TEST(Histogram, ClampsHugeValues)
-{
-    Histogram h;
-    h.add(1u << 30);
-    EXPECT_EQ(h.total_samples(), 1u);
-    EXPECT_EQ(h.max_value(), 4095u);
 }
 
 TEST(SpinDelay, WaitsAtLeastTheDelay)

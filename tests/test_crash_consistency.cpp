@@ -373,7 +373,7 @@ TEST(NvmlLockDiscipline, UndoLiveImpliesLocksStillHeld)
             }
             return true;
         };
-        for (uint64_t off : nvml->thread_log_offsets()) {
+        for (uint64_t off : nvml->log_records(nvm::RootSlot::kNvmlState)) {
             auto* log = heap.resolve<baselines::NvmlThreadLog>(off);
             const auto* buf = heap.resolve<uint8_t>(log->buf_off);
             const size_t n_slots =

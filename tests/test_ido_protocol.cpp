@@ -44,11 +44,11 @@ struct IdoFixture : public ::testing::Test
 
 TEST_F(IdoFixture, LogRecLinkedOnThreadCreation)
 {
-    EXPECT_TRUE(runtime.log_rec_offsets().empty());
+    EXPECT_TRUE(runtime.log_records(nvm::RootSlot::kIdoLogHead).empty());
     auto t1 = runtime.make_thread();
-    EXPECT_EQ(runtime.log_rec_offsets().size(), 1u);
+    EXPECT_EQ(runtime.log_records(nvm::RootSlot::kIdoLogHead).size(), 1u);
     auto t2 = runtime.make_thread();
-    EXPECT_EQ(runtime.log_rec_offsets().size(), 2u);
+    EXPECT_EQ(runtime.log_records(nvm::RootSlot::kIdoLogHead).size(), 2u);
     // "the number of iDO logs matches the number of threads created"
 }
 

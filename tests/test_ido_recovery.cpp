@@ -87,7 +87,7 @@ struct RecoveryWorld
     void
     expect_records_inactive(const std::string& where = "")
     {
-        for (uint64_t off : runtime->log_rec_offsets()) {
+        for (uint64_t off : runtime->log_records(nvm::RootSlot::kIdoLogHead)) {
             EXPECT_EQ(heap.resolve<IdoLogRec>(off)->recovery_pc,
                       kInactivePc)
                 << where;
@@ -651,7 +651,7 @@ TEST(IdoRecovery, SecondWriterAfterTailUnlockEveryCrashPoint)
                 // Only the lock's current holder may name it in an
                 // active record; two would deadlock recovery.
                 std::multiset<uint64_t> named;
-                for (uint64_t off : world.runtime->log_rec_offsets()) {
+                for (uint64_t off : world.runtime->log_records(nvm::RootSlot::kIdoLogHead)) {
                     const auto* rec = world.heap.resolve<IdoLogRec>(off);
                     if (rec->recovery_pc != kInactivePc)
                         for (uint64_t h : durable_holders(*rec))

@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/histogram.h"
 #include "runtime/crash_sim.h"
 #include "stats/metrics.h"
 #include "stats/persist_stats.h"
@@ -30,18 +29,6 @@ TEST(Metrics, CounterBasics)
     cell->fetch_add(3, std::memory_order_relaxed);
     EXPECT_EQ(reg.counter_value("t.basics"), 15u);
     EXPECT_EQ(reg.counter_value("t.never_created"), 0u);
-}
-
-TEST(Metrics, HistogramMergeAndValue)
-{
-    auto& reg = MetricsRegistry::instance();
-    reg.histogram_set("t.hist", Histogram{});
-    Histogram h;
-    h.add(1);
-    h.add(100);
-    reg.histogram_merge("t.hist", h);
-    reg.histogram_merge("t.hist", h);
-    EXPECT_EQ(reg.histogram_value("t.hist").total_samples(), 4u);
 }
 
 // Eight writer threads hammer one counter while a reader snapshots
@@ -164,15 +151,17 @@ TEST(Metrics, JsonExportSchema)
 {
     auto& reg = MetricsRegistry::instance();
     reg.set("t.json\"quoted", 9);
-    Histogram h;
-    h.add(4);
-    reg.histogram_set("t.json_hist", h);
+    LatencyRecorder* lat = reg.latency("t.json_lat");
+    lat->reset();
+    lat->record(4);
     const std::string j = reg.format_json();
     EXPECT_NE(j.find("\"counters\":{"), std::string::npos);
-    EXPECT_NE(j.find("\"histograms\":{"), std::string::npos);
+    EXPECT_NE(j.find("\"latencies\":{"), std::string::npos);
     EXPECT_NE(j.find("\"t.json\\\"quoted\":9"), std::string::npos);
-    EXPECT_NE(j.find("\"t.json_hist\":{"), std::string::npos);
-    EXPECT_NE(j.find("\"p99\":"), std::string::npos);
+    EXPECT_NE(j.find("\"t.json_lat\":{\"count\":1,"), std::string::npos);
+    EXPECT_NE(j.find("\"p99_ns\":4"), std::string::npos);
+    // One histogram type: no second section besides "latencies".
+    EXPECT_EQ(j.find("\"histograms\""), std::string::npos);
     // Balanced braces => structurally plausible JSON.
     int depth = 0;
     bool in_str = false;

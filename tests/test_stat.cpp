@@ -35,6 +35,77 @@ TEST(LatencyHistogram, ExactBelowSixteen)
     }
 }
 
+// Fig. 8 records small integer counts (stores, live-in registers per
+// region) into this type, so everything below 32 must be exact: counts,
+// CDF, mean, the extreme percentiles, merge -- plus the clamp at the top.
+TEST(LatencyHistogram, SmallIntegersExact)
+{
+    LatencyHistogram empty;
+    EXPECT_EQ(empty.total(), 0u);
+    EXPECT_EQ(empty.cdf(5), 0.0);
+    EXPECT_EQ(empty.mean(), 0.0);
+    EXPECT_EQ(empty.max_value(), 0u);
+    EXPECT_EQ(empty.percentile(0.0), 0u);
+    EXPECT_EQ(empty.percentile(1.0), 0u);
+
+    // Value v recorded v + 1 times.
+    LatencyHistogram h;
+    uint64_t total = 0, sum = 0;
+    for (uint64_t v = 0; v < 32; ++v) {
+        h.record(v, v + 1);
+        total += v + 1;
+        sum += v * (v + 1);
+    }
+    ASSERT_EQ(h.total(), total);
+    uint64_t below = 0;
+    for (uint64_t v = 0; v < 32; ++v) {
+        const auto i = static_cast<uint32_t>(v);
+        EXPECT_EQ(LatencyHistogram::bucket_index(v), i);
+        EXPECT_EQ(LatencyHistogram::bucket_min(i), v);
+        EXPECT_EQ(LatencyHistogram::bucket_max(i), v);
+        EXPECT_EQ(h.count_in_bucket(i), v + 1) << "v=" << v;
+        below += v + 1;
+        EXPECT_DOUBLE_EQ(h.cdf(v),
+                         static_cast<double>(below)
+                             / static_cast<double>(total))
+            << "v=" << v;
+    }
+    EXPECT_DOUBLE_EQ(h.cdf(1000), 1.0);
+    EXPECT_DOUBLE_EQ(h.mean(), static_cast<double>(sum)
+                                   / static_cast<double>(total));
+    EXPECT_EQ(h.percentile(0.0), 0u);
+    EXPECT_EQ(h.percentile(1.0), 31u);
+
+    // q = 0 is the smallest *recorded* value even with bucket 0 empty;
+    // out-of-range q clamps.
+    LatencyHistogram sparse;
+    sparse.record(5);
+    sparse.record(9);
+    EXPECT_EQ(sparse.percentile(0.0), 5u);
+    EXPECT_EQ(sparse.percentile(-0.5), 5u);
+    EXPECT_EQ(sparse.percentile(0.5), 5u);
+    EXPECT_EQ(sparse.percentile(1.0), 9u);
+    EXPECT_EQ(sparse.percentile(1.5), 9u);
+
+    LatencyHistogram a, b;
+    a.record(2, 5);
+    b.record(2, 3);
+    b.record(7);
+    a.merge(b);
+    EXPECT_EQ(a.count_in_bucket(2), 8u);
+    EXPECT_EQ(a.count_in_bucket(7), 1u);
+    EXPECT_EQ(a.total(), 9u);
+    EXPECT_EQ(a.min_value(), 2u);
+    EXPECT_EQ(a.max_value(), 7u);
+    EXPECT_DOUBLE_EQ(a.mean(), (2.0 * 8 + 7.0) / 9.0);
+
+    LatencyHistogram huge;
+    huge.record(UINT64_MAX);
+    EXPECT_EQ(huge.total(), 1u);
+    EXPECT_EQ(huge.max_value(), LatencyHistogram::kClamp);
+    EXPECT_EQ(huge.count_in_bucket(LatencyHistogram::kNumBuckets - 1), 1u);
+}
+
 // Every bucket's [min, max] range must round-trip through
 // bucket_index, and consecutive buckets must tile the value space with
 // no gap or overlap.

@@ -106,8 +106,7 @@ scan_numbers(const std::string& json,
         for (const std::string& s : stack) {
             // The top-level section names ("counters", "latencies",
             // ...) are schema, not metric name.
-            if (s == "counters" || s == "gauges" || s == "latencies"
-                || s == "histograms")
+            if (s == "counters" || s == "gauges" || s == "latencies")
                 continue;
             full += s + ".";
         }
