@@ -58,16 +58,36 @@ const bool g_ido_log_type = [] {
     return true;
 }();
 
+/**
+ * Does the tail starting at region `next` store nothing?  The index
+ * test deactivation trusts: no may_store region at index >= next.  A
+ * back edge into a storing region fails it.
+ */
+bool
+store_free_from(const rt::FaseProgram& prog, uint32_t next)
+{
+    if (next == rt::kRegionEnd)
+        return true;
+    for (size_t j = next; j < prog.regions.size(); ++j) {
+        if (prog.regions[j].may_store)
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 IdoRuntime::IdoRuntime(nvm::PersistentHeap& heap, nvm::PersistDomain& dom,
                        const rt::RuntimeConfig& cfg)
     : Runtime(heap, dom, cfg)
 {
-    // Publish every fence site from the start, zero or not.
+    // Publish every fence site and one-word FASE counter from the
+    // start, zero or not.
+    MetricsRegistry& reg = MetricsRegistry::instance();
     for (size_t i = 0; i < kNumFenceSites; ++i)
-        MetricsRegistry::instance().counter(
-            fence_site_metric(static_cast<FenceSite>(i)));
+        reg.counter(fence_site_metric(static_cast<FenceSite>(i)));
+    reg.counter(kSingleStoreCommitsMetric);
+    reg.counter(kSingleStoreFallbacksMetric);
 }
 
 rt::RuntimeTraits
@@ -290,13 +310,16 @@ struct IdoThread::AllocEntryClaim final : nvm::NvHeap::Claim
 uint64_t
 IdoThread::nv_alloc(size_t n)
 {
-    const uint64_t before = tls_persist_counters().fences;
     if (!in_fase_) {
+        const uint64_t before = tls_persist_counters().fences;
         const uint64_t off = RuntimeThread::nv_alloc(n);
         credit_alloc_fences(before);
         return off;
     }
     crash_tick();
+    if (phase_ == Phase::kSingle)
+        fall_back_from_single();
+    const uint64_t before = tls_persist_counters().fences;
     require_storing_region("nv_alloc");
     const nvm::TypeId type = pending_alloc_type_;
     pending_alloc_type_ = nvm::TypeId::kUntyped;
@@ -340,6 +363,8 @@ IdoThread::nv_free(uint64_t off)
         credit_alloc_fences(before);
         return;
     }
+    if (phase_ == Phase::kSingle)
+        fall_back_from_single();
     require_storing_region("nv_free");
     if (off == 0)
         return;
@@ -474,6 +499,7 @@ IdoThread::on_fase_begin(const rt::FaseProgram&, RegionCtx&)
     // store-free FASE prefix to a crash is indistinguishable from it
     // never having run, so recovery_pc can stay inactive.
     phase_ = Phase::kPrefix;
+    single_held_ = false;
     entries_ = region_entries_ = 0;
     resuming_ = false;
 }
@@ -492,15 +518,29 @@ IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
         panic("FASE '%s': may_store region '%s' runs after the log "
               "deactivated (its tail is not store-free)",
               prog.name, prog.region(idx).name);
-    // First potentially-storing region: persist every register any
-    // region consumes as live-in (current values ARE this region's
-    // entry state; registers defined later get re-persisted, fresher,
-    // at their defining region's boundary), then go live.  Locks taken
-    // in the read-only prefix live only in the volatile mirror; their
-    // ownership records are written here, and fence 1 orders them
-    // ahead of the activation recovery_pc.  Bits a previous FASE's
-    // deactivated tail left behind are cleared in the same write, and
-    // their slots zeroed, so a torn later lock op can only read 0.
+    // First potentially-storing region: the log waits.  If the
+    // region's one durable effect is an aligned word and its successor
+    // starts a store-free tail, its boundary commits the word with one
+    // fence and the log never activates.  Anything else activates from
+    // this entry snapshot (fall_back_from_single).
+    single_entry_ = ctx;
+    single_held_ = false;
+    phase_ = Phase::kSingle;
+}
+
+void
+IdoThread::activate(const rt::FaseProgram& prog, uint32_t idx,
+                    const RegionCtx& entry)
+{
+    // Persist every register any region consumes as live-in, at
+    // region idx's entry state (registers defined later get
+    // re-persisted, fresher, at their defining region's boundary), then
+    // go live.  Locks taken before activation live only in the
+    // volatile mirror; their ownership records are written here, and
+    // fence 1 orders them ahead of the activation recovery_pc.  Bits a
+    // previous FASE's deactivated tail left behind are cleared in the
+    // same write, and their slots zeroed, so a torn later lock op can
+    // only read 0.
     // Recovery reads a record only while its pc is active, so these
     // are exactly the records it can ever observe -- hence fence 1 runs
     // whenever the lock record changes, live-in arguments or not.
@@ -528,7 +568,7 @@ IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
         args_meta.out_float |= m.live_in_float;
     }
     if (args_meta.out_int || args_meta.out_float || lock_record)
-        persist_outputs(args_meta, ctx, FenceSite::kActivate1);
+        persist_outputs(args_meta, entry, FenceSite::kActivate1);
     // A new instance number makes every entry an earlier FASE left
     // behind stale.  Before the 24-bit count wraps, the entries are
     // wiped durably, so an old tag can never match a reused number.
@@ -546,29 +586,60 @@ IdoThread::on_region_begin(const rt::FaseProgram& prog, uint32_t idx,
 }
 
 void
+IdoThread::fall_back_from_single()
+{
+    ++tls_persist_counters().single_store_fallbacks;
+    activate(*cur_prog_, cur_region_, single_entry_);
+    if (single_held_) {
+        single_held_ = false;
+        do_store(single_off_, &single_val_, sizeof(single_val_));
+    }
+}
+
+void
+IdoThread::commit_single()
+{
+    // An aligned 8-byte store persists whole or not at all, so it needs
+    // no log: a crash before this fence retires leaves the old word or
+    // the new one behind an inactive record.  The fence retires before
+    // the tail can release a lock, as the deactivating fence does.
+    void* p = heap().resolve<void>(single_off_);
+    dom().store(p, &single_val_, sizeof(single_val_));
+    dom().flush(p, sizeof(single_val_));
+    fence(FenceSite::kSingleStore);
+    ++tls_persist_counters().single_store_commits;
+    trace::emit(trace::EventKind::kSingleStore, single_off_, single_val_);
+    single_held_ = false;
+}
+
+void
 IdoThread::on_region_boundary(const rt::FaseProgram& prog,
                               uint32_t finished_idx, RegionCtx& ctx,
                               uint32_t next_idx)
 {
+    if (phase_ == Phase::kSingle) {
+        if (!single_held_) {
+            // The region stored nothing: it was read-only after all.
+            phase_ = Phase::kPrefix;
+            return;
+        }
+        if (store_free_from(prog, next_idx)) {
+            commit_single();
+            phase_ = Phase::kTail;
+            return;
+        }
+        fall_back_from_single();
+    }
     if (phase_ != Phase::kActive) {
         // Read-only prefix or deactivated tail: nothing persisted,
         // nothing to order, no recovery_pc to advance.
         IDO_ASSERT(pending_.empty());
         return;
     }
-    bool tail_store_free = true;
-    if (next_idx != rt::kRegionEnd) {
-        for (size_t j = next_idx; j < prog.regions.size(); ++j) {
-            if (prog.regions[j].may_store) {
-                tail_store_free = false;
-                break;
-            }
-        }
-    }
     // Entries recorded in this region become durable at fence 1, and
     // only then may the region's claimed blocks be marked LIVE.
     const bool new_entries = entries_ != region_entries_;
-    if (tail_store_free) {
+    if (store_free_from(prog, next_idx)) {
         // Deactivate at the last store.  Fence 1 makes the finished
         // region's heap lines and entries durable; no register slot is
         // written, since recovery only ever resumes a storing region,
@@ -623,10 +694,35 @@ IdoThread::do_store(uint64_t off, const void* src, size_t n)
         ++tls_persist_counters().site(FenceSite::kWritethrough);
         return;
     }
+    void* p = heap().resolve<void>(off);
+    if (phase_ == Phase::kSingle) {
+        if (!single_held_ && n == sizeof(uint64_t)
+            && reinterpret_cast<uintptr_t>(p) % sizeof(uint64_t) == 0) {
+            std::memcpy(&single_val_, src, sizeof(single_val_));
+            single_off_ = off;
+            single_held_ = true;
+            return;
+        }
+        fall_back_from_single();
+    }
     IDO_ASSERT(phase_ == Phase::kActive,
                "store in a region not marked may_store (metadata bug)");
-    dom().store(heap().resolve<void>(off), src, n);
+    dom().store(p, src, n);
     pending_.push_back(PendingRange{off, static_cast<uint32_t>(n)});
+}
+
+void
+IdoThread::do_load(uint64_t off, void* dst, size_t n)
+{
+    if (single_held_ && off < single_off_ + sizeof(single_val_)
+        && single_off_ < off + n) {
+        if (off == single_off_ && n == sizeof(single_val_)) {
+            std::memcpy(dst, &single_val_, n);
+            return;
+        }
+        fall_back_from_single(); // a partial overlap reads the heap
+    }
+    dom().load(heap().resolve<void>(off), dst, n);
 }
 
 void
@@ -650,6 +746,8 @@ IdoThread::record_lock_op(size_t slot, uint64_t holder_off)
 void
 IdoThread::do_lock(uint64_t holder_off, rt::TransientLock& l)
 {
+    if (single_held_)
+        fall_back_from_single();
     acquire_transient(l);
     // Crash window between acquire and ownership record: another thread
     // may "steal" the lock in recovery, harmlessly (Sec. III-B).
@@ -674,6 +772,8 @@ IdoThread::do_lock(uint64_t holder_off, rt::TransientLock& l)
 void
 IdoThread::do_unlock(uint64_t holder_off, rt::TransientLock& l)
 {
+    if (single_held_)
+        fall_back_from_single();
     int slot = -1;
     for (size_t i = 0; i < held_.size(); ++i) {
         if (held_[i].holder_off == holder_off) {

@@ -16,8 +16,21 @@
  * Logging is live only between a FASE's first and last storing region:
  *
  *  - Lazy activation.  A read-only prefix logs nothing; the first
- *    may_store region activates the log (live-ins, held-lock records,
- *    then the first active recovery_pc).
+ *    may_store region's first durable effect activates the log
+ *    (live-ins, held-lock records, then the first active recovery_pc).
+ *  - One-word FASEs (kSingle, beyond the paper).  The first may_store
+ *    region starts unlogged, with its entry registers snapshotted.  If
+ *    its one store is an aligned 8-byte word, that store is held in a
+ *    volatile slot (loads of the word read the slot), and if the
+ *    region's successor starts a store-free tail, the boundary writes
+ *    the word back behind one fence (`ido.fence.single_store`): the
+ *    word persists whole or not at all, so no log is needed.  Anything
+ *    else -- a second store, another size or alignment, nv_alloc or
+ *    nv_free, a lock op or a partly overlapping load while the word is
+ *    held, a successor that may store -- activates the log from the
+ *    snapshot and replays the held store.  Until that activation's pc
+ *    fence retires, nothing of the FASE is in the heap.  A may_store
+ *    region that stores nothing costs no fence.
  *  - Deactivation at the last store.  The boundary that enters a
  *    store-free tail (no may_store region at a later index) persists
  *    the heap lines of the finished region (fence 1), then writes
@@ -29,12 +42,14 @@
  * active.  Activation writes every held lock's record (fence 1 orders
  * it ahead of the activation pc); an active acquire/release pays one
  * fence.  Prefix and tail lock ops touch only the volatile mirror, so
- * a GET pays no fence and a set-update or delete-hit pays four.
+ * a GET pays no fence, a delete-hit four, and a set-update, whose one
+ * word never activates the log, one.
  *
- * The deactivating pc fence must retire before the tail releases a
- * lock.  Otherwise the durable pc could still name the storing region
- * after another thread took the lock and committed; recovery would then
- * re-run the old store over the newer, acknowledged value.
+ * The deactivating pc fence, like a one-word commit's fence, must
+ * retire before the tail releases a lock.  Otherwise the durable pc
+ * could still name the storing region after another thread took the
+ * lock and committed; recovery would then re-run the old store over the
+ * newer, acknowledged value.
  *
  * Allocation protocol (DESIGN.md Sec. 5a): a FASE allocates and frees
  * only in an active storing region, and records each call in an entry
@@ -130,6 +145,7 @@ class IdoThread final : public rt::RuntimeThread
     void on_region_boundary(const rt::FaseProgram& prog,
                             uint32_t finished_idx, rt::RegionCtx& ctx,
                             uint32_t next_idx) override;
+    void do_load(uint64_t off, void* dst, size_t n) override;
     void do_store(uint64_t off, const void* src, size_t n) override;
     void do_lock(uint64_t holder_off, rt::TransientLock& l) override;
     void do_unlock(uint64_t holder_off, rt::TransientLock& l) override;
@@ -139,6 +155,8 @@ class IdoThread final : public rt::RuntimeThread
     enum class Phase : uint8_t
     {
         kPrefix, ///< before the first may_store region: nothing logged
+        kSingle, ///< first storing region, unlogged: its store waits
+                 ///< in single_val_ for a one-fence commit
         kActive, ///< recovery_pc names the running region
         kTail,   ///< past the last store: recovery_pc inactive again
     };
@@ -155,6 +173,23 @@ class IdoThread final : public rt::RuntimeThread
     /** Step 1 of the boundary protocol: persist OutputSet_r. */
     void persist_outputs(const rt::RegionMeta& meta,
                          const rt::RegionCtx& ctx, FenceSite site);
+
+    /**
+     * Lazy activation: persist the live-ins of every region from
+     * `entry` (region idx's entry state) and the held locks' records,
+     * then the first active recovery_pc, naming region idx.
+     */
+    void activate(const rt::FaseProgram& prog, uint32_t idx,
+                  const rt::RegionCtx& entry);
+
+    /**
+     * Leave kSingle for the log: activate from the region-entry
+     * snapshot, then replay the held store, if any, as an active store.
+     */
+    void fall_back_from_single();
+
+    /** Commit the held store of a kSingle region: write, flush, fence. */
+    void commit_single();
 
     /** Step 2: durably set recovery_pc. */
     void set_recovery_pc(uint64_t pc, FenceSite site);
@@ -212,6 +247,9 @@ class IdoThread final : public rt::RuntimeThread
      */
     uint64_t rec_bitmap_ = 0;
     Phase phase_ = Phase::kPrefix;
+    /** kSingle: the region's one store is held in single_val_, out of
+     *  the heap.  Every load checks it, so it sits by phase_. */
+    bool single_held_ = false;
     /** Activations of this record so far, packed into its pcs and tags. */
     uint32_t instance_ = 0;
     /** Entries the current FASE instance has recorded. */
@@ -230,6 +268,11 @@ class IdoThread final : public rt::RuntimeThread
     std::vector<PendingRange> pending_;
     /** Lines persist_outputs wrote back before the current fence 1. */
     std::vector<uintptr_t> line_scratch_;
+    /** kSingle: the held store, and the region's entry registers for
+     *  a late activation. */
+    uint64_t single_off_ = 0;
+    uint64_t single_val_ = 0;
+    rt::RegionCtx single_entry_;
 };
 
 } // namespace ido

@@ -5,10 +5,10 @@
  *
  * Batching buys fewer wakeups, handoffs and reply syscalls, not fewer
  * fences.  Every iDO FASE is durable when it returns: its last store's
- * boundary already fenced the inactive recovery_pc before the FASE
- * released its locks (ido_runtime.h), so there is nothing left for a
- * batch-close fence to publish.  A set-update pays its 4 fences at
- * K=1 and K=16 alike.
+ * boundary already fenced the inactive recovery_pc, or the one word of
+ * a one-word FASE, before the FASE released its locks (ido_runtime.h),
+ * so there is nothing left for a batch-close fence to publish.  A
+ * set-update pays its 1 fence at K=1 and K=16 alike.
  *
  * Durability contract (DESIGN.md Sec. 10): a reply follows a FASE that
  * is already durable.  Crashing mid-batch may lose *unacknowledged*

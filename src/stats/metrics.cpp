@@ -115,7 +115,7 @@ MetricsRegistry::format_text()
     }
     for (const auto& [name, h] : s.latencies) {
         std::snprintf(buf, sizeof buf,
-                      "%-32s n=%" PRIu64 " mean=%.0fns p50=%" PRIu64
+                      "%-32s n=%" PRIu64 " mean=%.1f p50=%" PRIu64
                       " p99=%" PRIu64 " p999=%" PRIu64 " max=%" PRIu64
                       "\n",
                       name.c_str(), h.total(), h.mean(),

@@ -11,8 +11,9 @@ namespace {
 
 constexpr const char* kFenceSiteMetrics[kNumFenceSites] = {
     "ido.fence.activate1", "ido.fence.activate2", "ido.fence.boundary1",
-    "ido.fence.boundary2", "ido.fence.deactivate", "ido.fence.lock",
-    "ido.fence.alloc",     "ido.fence.writethrough"};
+    "ido.fence.boundary2", "ido.fence.deactivate",
+    "ido.fence.single_store", "ido.fence.lock", "ido.fence.alloc",
+    "ido.fence.writethrough"};
 
 /** Registry cells the fold adds into: pointer-stable, looked up once. */
 struct FoldCells
@@ -23,6 +24,8 @@ struct FoldCells
     std::atomic<uint64_t>* fences;
     std::atomic<uint64_t>* log_bytes;
     std::atomic<uint64_t>* sites[kNumFenceSites];
+    std::atomic<uint64_t>* single_commits;
+    std::atomic<uint64_t>* single_fallbacks;
 };
 
 const FoldCells&
@@ -35,7 +38,9 @@ fold_cells()
                     reg.counter("persist.flushes"),
                     reg.counter("persist.fences"),
                     reg.counter("persist.log_bytes"),
-                    {}};
+                    {},
+                    reg.counter(kSingleStoreCommitsMetric),
+                    reg.counter(kSingleStoreFallbacksMetric)};
         for (size_t i = 0; i < kNumFenceSites; ++i)
             f.sites[i] = reg.counter(kFenceSiteMetrics[i]);
         return f;
@@ -59,7 +64,8 @@ struct TlsCounters
     void
     fold()
     {
-        // Every fence site counts a fence, so fences == 0 covers them.
+        // Every fence site counts a fence, and a one-word commit or a
+        // fallback's activation fences, so fences == 0 covers them.
         if (c.stores == 0 && c.store_bytes == 0 && c.flushes == 0 &&
             c.fences == 0 && c.log_bytes == 0)
             return;
@@ -75,6 +81,8 @@ struct TlsCounters
         add(f.log_bytes, c.log_bytes);
         for (size_t i = 0; i < kNumFenceSites; ++i)
             add(f.sites[i], c.fence_sites[i]);
+        add(f.single_commits, c.single_store_commits);
+        add(f.single_fallbacks, c.single_store_fallbacks);
         c.clear();
     }
 };
@@ -99,6 +107,8 @@ PersistCounters::operator+=(const PersistCounters& o)
     log_bytes += o.log_bytes;
     for (size_t i = 0; i < kNumFenceSites; ++i)
         fence_sites[i] += o.fence_sites[i];
+    single_store_commits += o.single_store_commits;
+    single_store_fallbacks += o.single_store_fallbacks;
     return *this;
 }
 
@@ -126,6 +136,9 @@ persist_counters_global()
     c.log_bytes = reg.counter_value("persist.log_bytes");
     for (size_t i = 0; i < kNumFenceSites; ++i)
         c.fence_sites[i] = reg.counter_value(kFenceSiteMetrics[i]);
+    c.single_store_commits = reg.counter_value(kSingleStoreCommitsMetric);
+    c.single_store_fallbacks =
+        reg.counter_value(kSingleStoreFallbacksMetric);
     return c;
 }
 
@@ -140,6 +153,8 @@ persist_counters_reset_global()
     reg.set("persist.log_bytes", 0);
     for (const char* name : kFenceSiteMetrics)
         reg.set(name, 0);
+    reg.set(kSingleStoreCommitsMetric, 0);
+    reg.set(kSingleStoreFallbacksMetric, 0);
 }
 
 std::string

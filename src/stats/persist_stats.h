@@ -30,6 +30,7 @@ enum class FenceSite : uint8_t
     kBoundary1,    ///< region boundary: outputs and heap lines
     kBoundary2,    ///< region boundary: recovery_pc advance
     kDeactivate,   ///< recovery_pc goes inactive after the last store
+    kSingleStore,  ///< a one-word FASE's store, committed without a log
     kLock,         ///< lock-ownership record of an active FASE
     kAlloc,        ///< allocator calls of the thread (nv_alloc, frees)
     kWritethrough, ///< store outside any FASE
@@ -37,6 +38,11 @@ enum class FenceSite : uint8_t
 };
 
 constexpr size_t kNumFenceSites = static_cast<size_t>(FenceSite::kCount);
+
+/** Counter names of PersistCounters' one-word FASE fields. */
+constexpr const char* kSingleStoreCommitsMetric = "ido.single_store.commits";
+constexpr const char* kSingleStoreFallbacksMetric =
+    "ido.single_store.fallbacks";
 
 /** Metric name of a site, e.g. "ido.fence.activate1". */
 const char* fence_site_metric(FenceSite site);
@@ -50,6 +56,10 @@ struct PersistCounters
     uint64_t fences = 0;       ///< persist fences (sfence)
     uint64_t log_bytes = 0;    ///< bytes written to runtime logs
     uint64_t fence_sites[kNumFenceSites] = {}; ///< iDO fences by site
+    /** iDO one-word FASEs committed without the log, and those that
+     *  fell back to it (`ido.single_store.{commits,fallbacks}`). */
+    uint64_t single_store_commits = 0;
+    uint64_t single_store_fallbacks = 0;
 
     uint64_t&
     site(FenceSite s)

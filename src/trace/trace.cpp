@@ -421,6 +421,8 @@ event_kind_name(EventKind k)
         return "ido.persist_outputs";
       case EventKind::kAdvancePc:
         return "ido.advance_pc";
+      case EventKind::kSingleStore:
+        return "ido.single_store";
       case EventKind::kLogRecAttach:
         return "log.attach";
       case EventKind::kRecoveryBegin:

@@ -66,6 +66,7 @@ enum class EventKind : uint16_t
     // iDO region-boundary persist pair (ido_runtime)
     kPersistOutputs, ///< a0 = finished pc; boundary step 1 + fence
     kAdvancePc,      ///< a0 = new recovery_pc; boundary step 2 + fence
+    kSingleStore,    ///< a0 = heap offset, a1 = value: one-word commit
 
     // Log-record identity: lets the forensic timeline pair a trace
     // thread with its durable per-thread log record.

@@ -225,10 +225,11 @@ TEST(GroupCommitCrashSweep, BatchAtomicAtEveryCrashPoint)
  * The acceptance arithmetic on a read-heavy mix (2 sets per 16
  * requests, near memcached's canonical ~10/90 write/read split).
  * GETs never activate the log: their lock records stay volatile, so
- * they cost 0 fences.  A set-update costs 4 fences: activation (args +
- * lock record, pc) and the update boundary, which deactivates the log
- * (item line, inactive pc); its unlock tail runs unlogged.  Nothing is
- * left to publish at a batch's end, so K does not change the count.
+ * they cost 0 fences.  A set-update costs 1 fence: its one store is
+ * an aligned word, so the update boundary writes the item's line back
+ * and fences once without activating the log; its unlock tail runs
+ * unlogged.  Nothing is left to publish at a batch's end, so K does
+ * not change the count.
  * Deterministic (real domain, fixed keys).
  */
 TEST(GroupCommitFences, ExactCountsAtK1AndK16)
@@ -290,9 +291,9 @@ TEST(GroupCommitFences, ExactCountsAtK1AndK16)
 
     const uint64_t fences_k1 = fences_for(1);
     const uint64_t fences_k16 = fences_for(16);
-    // 8 batches x 2 sets x 4 fences; the 112 GETs add none.
-    EXPECT_EQ(fences_k1, 64u);
-    EXPECT_EQ(fences_k16, 64u);
+    // 8 batches x 2 sets x 1 fence; the 112 GETs add none.
+    EXPECT_EQ(fences_k1, 16u);
+    EXPECT_EQ(fences_k16, 16u);
 }
 
 /**

@@ -6,7 +6,8 @@
  * coalescing of register outputs, lock_array maintenance, deactivation
  * at the last store, the boundary's write-back of each dirty heap line
  * exactly once, and exact per-op fence/flush counts of the memcached
- * FASEs (read-only FASEs persist nothing), broken down by fence site.
+ * FASEs (read-only FASEs persist nothing; a set-update's one word
+ * commits without the log), broken down by fence site.
  */
 #include <gtest/gtest.h>
 
@@ -41,6 +42,21 @@ struct IdoFixture : public ::testing::Test
     nvm::RealDomain dom;
     IdoRuntime runtime;
 };
+
+/** Line-aligned scratch block of the probe programs below. */
+uint64_t g_scratch_off;
+
+/**
+ * A 16-byte store to the scratch line.  The one-word path holds only
+ * an aligned 8-byte store, so a probe region that calls this activates
+ * the log, and its boundary writes back one heap line.
+ */
+void
+store_two_words(rt::RuntimeThread& t)
+{
+    const uint64_t v[2] = {1, 2};
+    t.store_bytes(g_scratch_off, v, sizeof v);
+}
 
 TEST_F(IdoFixture, LogRecLinkedOnThreadCreation)
 {
@@ -80,9 +96,8 @@ TEST_F(IdoFixture, ActivationClearsStaleLockRecord)
 {
     // A lock-free storing FASE after a push: its activation finds the
     // push's tail-released lock still in the record and clears it.
-    static uint64_t data_off;
     auto store_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
-        t.store_u64(data_off, 7);
+        store_two_words(t);
         return rt::kRegionEnd;
     };
     rt::FaseProgram p;
@@ -95,7 +110,7 @@ TEST_F(IdoFixture, ActivationClearsStaleLockRecord)
     ds::PStack stack(ds::PStack::create(*th));
     stack.push(*th, 42);
     ASSERT_EQ(ido_th->rec()->lock_bitmap, 1u);
-    data_off = runtime.allocator().alloc(64, dom);
+    g_scratch_off = runtime.allocator().alloc_aligned(64, dom);
     rt::RegionCtx ctx;
     th->run_fase(p, ctx);
     EXPECT_EQ(ido_th->rec()->lock_bitmap, 0u);
@@ -190,7 +205,8 @@ TEST_F(IdoFixture, RecoveryPcTracksRegions)
     // A probe program that snapshots its own log record mid-FASE.
     static IdoThread* probe_th;
     static uint64_t pc_seen_in_r1;
-    auto r0 = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
+    auto r0 = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        store_two_words(t);
         return 1;
     };
     auto r1 = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
@@ -204,6 +220,7 @@ TEST_F(IdoFixture, RecoveryPcTracksRegions)
 
     auto th = runtime.make_thread();
     probe_th = static_cast<IdoThread*>(th.get());
+    g_scratch_off = runtime.allocator().alloc_aligned(64, dom);
     rt::RegionCtx ctx;
     th->run_fase(p, ctx);
     // The first activation of a fresh record is instance 1, and r0
@@ -215,7 +232,8 @@ TEST_F(IdoFixture, RecoveryPcTracksRegions)
 TEST_F(IdoFixture, OutputRegistersLandInFixedSlots)
 {
     static constexpr uint16_t R2 = 1u << 2, R5 = 1u << 5;
-    auto r0 = +[](rt::RuntimeThread&, rt::RegionCtx& ctx) -> uint32_t {
+    auto r0 = +[](rt::RuntimeThread& t, rt::RegionCtx& ctx) -> uint32_t {
+        store_two_words(t);
         ctx.r[2] = 0xaa;
         ctx.r[5] = 0xbb;
         ctx.f[1] = 2.5;
@@ -233,6 +251,7 @@ TEST_F(IdoFixture, OutputRegistersLandInFixedSlots)
 
     auto th = runtime.make_thread();
     auto* ido_th = static_cast<IdoThread*>(th.get());
+    g_scratch_off = runtime.allocator().alloc_aligned(64, dom);
     rt::RegionCtx ctx;
     th->run_fase(p, ctx);
     EXPECT_EQ(ido_th->rec()->intRF[2], 0xaau);
@@ -242,8 +261,14 @@ TEST_F(IdoFixture, OutputRegistersLandInFixedSlots)
 
 TEST_F(IdoFixture, FenceEconomyPerBoundary)
 {
-    auto no_out = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
+    static bool store;
+    auto a = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        if (store)
+            store_two_words(t);
         return 1;
+    };
+    auto no_out = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
+        return 2;
     };
     auto end = +[](rt::RuntimeThread&, rt::RegionCtx&) -> uint32_t {
         return rt::kRegionEnd;
@@ -251,22 +276,34 @@ TEST_F(IdoFixture, FenceEconomyPerBoundary)
     rt::FaseProgram p;
     p.fase_id = 9002;
     p.name = "fences";
-    p.regions = {{no_out, "a", 0, 0, 0, 0}, {end, "b", 0, 0, 0, 0}};
+    p.regions = {{a, "a", 0, 0, 0, 0},
+                 {no_out, "b", 0, 0, 0, 0},
+                 {end, "c", 0, 0, 0, 0}};
 
     auto th = runtime.make_thread();
+    g_scratch_off = runtime.allocator().alloc_aligned(64, dom);
     tls_persist_counters().clear();
     rt::RegionCtx ctx;
+    // may_store regions that store nothing leave the log inactive.
+    store = false;
     th->run_fase(p, ctx);
-    // No args, no outputs, no stores anywhere: every boundary is a
-    // single pc fence.  fase_begin(1) + boundary a->b(1) + end(1) = 3.
-    EXPECT_EQ(tls_persist_counters().fences, 3u);
+    EXPECT_EQ(tls_persist_counters().fences, 0u);
+    // No args and no outputs: activation is a single pc fence (1), a->b
+    // writes back the stored line (2), b->c has nothing to order ahead
+    // of its pc (1), and c's boundary deactivates (1).  Total 5.
+    store = true;
+    th->run_fase(p, ctx);
+    EXPECT_EQ(tls_persist_counters().fences, 5u);
+    EXPECT_EQ(tls_persist_counters().site(FenceSite::kBoundary1), 1u);
+    EXPECT_EQ(tls_persist_counters().site(FenceSite::kBoundary2), 2u);
     tls_persist_counters().clear();
 }
 
 TEST_F(IdoFixture, FenceEconomyWithOutputs)
 {
     static constexpr uint16_t R1 = 1u << 1;
-    auto def = +[](rt::RuntimeThread&, rt::RegionCtx& ctx) -> uint32_t {
+    auto def = +[](rt::RuntimeThread& t, rt::RegionCtx& ctx) -> uint32_t {
+        store_two_words(t);
         ctx.r[1] = 5;
         return 1;
     };
@@ -280,10 +317,11 @@ TEST_F(IdoFixture, FenceEconomyWithOutputs)
     p.regions = {{def, "def", 0, R1, 0, 0}, {use, "use", R1, 0, 0, 0}};
 
     auto th = runtime.make_thread();
+    g_scratch_off = runtime.allocator().alloc_aligned(64, dom);
     tls_persist_counters().clear();
     rt::RegionCtx ctx;
     th->run_fase(p, ctx);
-    // fase_begin persists the args-union (r1 is live-in somewhere):
+    // Activation persists the args-union (r1 is live-in somewhere):
     // 2 fences; def->use boundary has an output: 2; final: 1.  Total 5.
     EXPECT_EQ(tls_persist_counters().fences, 5u);
     tls_persist_counters().clear();
@@ -312,7 +350,8 @@ TEST_F(IdoFixture, PersistCoalescingFlushesWholeRfLines)
     // Eight int outputs in slots 0..7 share one cache line: exactly
     // one RF flush regardless of how many of the eight are written.
     static constexpr uint16_t kLow8 = 0x00ff;
-    auto def = +[](rt::RuntimeThread&, rt::RegionCtx& ctx) -> uint32_t {
+    auto def = +[](rt::RuntimeThread& t, rt::RegionCtx& ctx) -> uint32_t {
+        store_two_words(t);
         for (int i = 0; i < 8; ++i)
             ctx.r[i] = i + 1;
         return 1;
@@ -328,12 +367,14 @@ TEST_F(IdoFixture, PersistCoalescingFlushesWholeRfLines)
                  {use, "use", kLow8, 0, 0, 0}};
 
     auto th = runtime.make_thread();
+    g_scratch_off = runtime.allocator().alloc_aligned(64, dom);
     tls_persist_counters().clear();
     rt::RegionCtx ctx;
     th->run_fase(p, ctx);
-    // begin: args flush (1 line) + pc flush; def boundary: 1 RF line
-    // + pc; final: pc.  5 flushes total -- not 8+ per-register ones.
-    EXPECT_EQ(tls_persist_counters().flushes, 5u);
+    // Activation: args flush (1 line) + pc flush; def boundary: 1 RF
+    // line + the scratch line + pc; final: pc.  6 flushes total -- not
+    // 8+ per-register ones.
+    EXPECT_EQ(tls_persist_counters().flushes, 6u);
     tls_persist_counters().clear();
 }
 
@@ -460,6 +501,7 @@ TEST_F(IdoFixture, LockArrayTracksHeldLocks)
     static uint64_t holder_slot_off;
 
     auto lock_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
+        store_two_words(t); // activates: the acquire is recorded
         t.fase_lock(holder_slot_off);
         return 1;
     };
@@ -483,6 +525,7 @@ TEST_F(IdoFixture, LockArrayTracksHeldLocks)
     auto th = runtime.make_thread();
     probe = static_cast<IdoThread*>(th.get());
     holder_slot_off = runtime.allocator().alloc(64, dom);
+    g_scratch_off = runtime.allocator().alloc_aligned(64, dom);
     rt::RegionCtx ctx;
     th->run_fase(p, ctx);
     EXPECT_EQ(bitmap_mid, 1u);
@@ -495,14 +538,19 @@ TEST_F(IdoFixture, PrefixLockForcesActivationFenceOne)
 {
     // No region has live-in registers, so only the lock taken in the
     // read-only prefix makes activation pay fence 1: it orders the lock
-    // record ahead of the activation recovery_pc.
-    static uint64_t holder_off, data_off;
+    // record ahead of the activation recovery_pc.  A one-word store
+    // needs no activation, so its FASE pays a single fence.
+    static uint64_t holder_off;
+    static bool one_word;
     auto lock_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
         t.fase_lock(holder_off);
         return 1;
     };
     auto store_r = +[](rt::RuntimeThread& t, rt::RegionCtx&) -> uint32_t {
-        t.store_u64(data_off, 1);
+        if (one_word)
+            t.store_u64(g_scratch_off, 1);
+        else
+            store_two_words(t);
         return 2;
     };
     auto unlock_r =
@@ -518,17 +566,30 @@ TEST_F(IdoFixture, PrefixLockForcesActivationFenceOne)
                  {unlock_r, "u", 0, 0, 0, 0, /*may_store=*/0}};
 
     auto th = runtime.make_thread();
+    auto* ido_th = static_cast<IdoThread*>(th.get());
     holder_off = runtime.allocator().alloc(64, dom);
-    data_off = runtime.allocator().alloc(64, dom);
-    tls_persist_counters().clear();
+    g_scratch_off = runtime.allocator().alloc_aligned(64, dom);
+    PersistCounters& c = tls_persist_counters();
+    c.clear();
     rt::RegionCtx ctx;
+    one_word = true;
+    th->run_fase(p, ctx);
+    // The store's line, one fence; the lock record is never written.
+    EXPECT_EQ(c.fences, 1u);
+    EXPECT_EQ(c.flushes, 1u);
+    EXPECT_EQ(c.site(FenceSite::kSingleStore), 1u);
+    EXPECT_EQ(ido_th->rec()->lock_bitmap, 0u);
+    c.clear();
+    one_word = false;
     th->run_fase(p, ctx);
     // Activation: lock record + fence 1, pc 2; the store boundary
     // deactivates (data, inactive pc) 2; the unlock tail pays nothing.
-    EXPECT_EQ(tls_persist_counters().fences, 4u);
+    EXPECT_EQ(c.fences, 4u);
     // Lock line, pc; data, pc.
-    EXPECT_EQ(tls_persist_counters().flushes, 4u);
-    tls_persist_counters().clear();
+    EXPECT_EQ(c.flushes, 4u);
+    EXPECT_EQ(c.site(FenceSite::kActivate1), 1u);
+    EXPECT_EQ(ido_th->rec()->lock_bitmap, 1u);
+    c.clear();
 }
 
 /** Persist cost of one memcached op on RealDomain. */
@@ -538,6 +599,9 @@ struct OpCost
     uint64_t flushes;
     /** Published `ido.fence.*` deltas, by site. */
     uint64_t sites[kNumFenceSites];
+    /** Published `ido.single_store.*` deltas. */
+    uint64_t single_store_commits;
+    uint64_t single_store_fallbacks;
 
     uint64_t
     site(FenceSite s) const
@@ -573,7 +637,10 @@ struct McCostFixture : public ::testing::Test
         persist_counters_flush_tls();
         const PersistCounters after = persist_counters_global();
         OpCost c{after.fences - before.fences,
-                 after.flushes - before.flushes, {}};
+                 after.flushes - before.flushes, {},
+                 after.single_store_commits - before.single_store_commits,
+                 after.single_store_fallbacks
+                     - before.single_store_fallbacks};
         uint64_t sum = 0;
         for (size_t i = 0; i < kNumFenceSites; ++i) {
             c.sites[i] = after.fence_sites[i] - before.fence_sites[i];
@@ -610,19 +677,16 @@ TEST_F(McCostFixture, ReadOnlyFasesPersistNothing)
 
 TEST_F(McCostFixture, WriteFenceCounts)
 {
-    // set-update: activation (args + lock record, pc) 2, then the
-    // update boundary deactivates (item line, inactive pc) 2.  The
-    // unlock runs in the store-free tail and persists nothing.
+    // set-update: the update region's one store is an aligned word and
+    // the unlock tail stores nothing, so the log never activates: the
+    // boundary writes the word back and fences once.
     const OpCost update = cost([&] { cache.set(*th, 2, 0, 7); });
-    EXPECT_EQ(update.fences, 4u);
-    // Flushes: lock line, 2 RF lines, pc; item, pc.
-    EXPECT_EQ(update.flushes, 6u);
-    EXPECT_EQ(update.site(FenceSite::kActivate1), 1u);
-    EXPECT_EQ(update.site(FenceSite::kActivate2), 1u);
-    EXPECT_EQ(update.site(FenceSite::kBoundary1), 1u);
-    EXPECT_EQ(update.site(FenceSite::kDeactivate), 1u);
-    // set-insert: activation 2, build boundary 2, link deactivates 2,
-    // plus one allocator fence for the fresh item.
+    EXPECT_EQ(update.fences, 1u);
+    EXPECT_EQ(update.flushes, 1u); // the item's line
+    EXPECT_EQ(update.site(FenceSite::kSingleStore), 1u);
+    // set-insert allocates in build, which falls back to the log:
+    // activation 2, build boundary 2, link deactivates 2, plus one
+    // allocator fence for the fresh item.
     const OpCost insert = cost([&] { cache.set(*th, 50, 0, 7); });
     EXPECT_EQ(insert.fences, 7u);
     // 15: the 14 of a set-insert before allocation entries, plus the
@@ -631,7 +695,8 @@ TEST_F(McCostFixture, WriteFenceCounts)
     EXPECT_EQ(insert.site(FenceSite::kBoundary2), 1u);
     EXPECT_EQ(insert.site(FenceSite::kDeactivate), 1u);
     EXPECT_EQ(insert.site(FenceSite::kAlloc), 1u);
-    // delete-hit activates at unlink, which also deactivates: 2 + 2.
+    // delete-hit stores four words at unlink: its second store falls
+    // back to activation, and the boundary deactivates: 2 + 2.
     const OpCost del = cost([&] { cache.del(*th, 50, 0); });
     EXPECT_EQ(del.fences, 4u);
     // 10: the 9 of a delete-hit before free entries, plus the entry
@@ -640,18 +705,28 @@ TEST_F(McCostFixture, WriteFenceCounts)
     EXPECT_EQ(del.site(FenceSite::kDeactivate), 1u);
     for (const OpCost& c : {update, insert, del})
         EXPECT_EQ(c.site(FenceSite::kLock), 0u);
+    for (const OpCost& c : {insert, del}) {
+        EXPECT_EQ(c.site(FenceSite::kSingleStore), 0u);
+        EXPECT_EQ(c.single_store_fallbacks, 1u);
+    }
+    EXPECT_EQ(update.single_store_commits, 1u);
+    EXPECT_EQ(update.single_store_fallbacks, 0u);
 }
 
 TEST_F(McCostFixture, FenceSitesPublished)
 {
-    // The sites reach /metrics (Prometheus text) and /stats.json (the
-    // registry's JSON, which every BENCH_*.json row embeds).
+    // The sites and the one-word FASE counters reach /metrics
+    // (Prometheus text) and /stats.json (the registry's JSON, which
+    // every BENCH_*.json row embeds).
     cache.set(*th, 2, 0, 8);
     persist_counters_flush_tls();
     const std::string prom = stat_prometheus_text();
     const std::string json = MetricsRegistry::instance().format_json();
-    for (size_t i = 0; i < kNumFenceSites; ++i) {
-        std::string name = fence_site_metric(static_cast<FenceSite>(i));
+    std::vector<std::string> names = {kSingleStoreCommitsMetric,
+                                      kSingleStoreFallbacksMetric};
+    for (size_t i = 0; i < kNumFenceSites; ++i)
+        names.push_back(fence_site_metric(static_cast<FenceSite>(i)));
+    for (std::string name : names) {
         EXPECT_NE(json.find("\"" + name + "\""), std::string::npos)
             << name;
         for (char& ch : name)

@@ -5,8 +5,9 @@
  * recovery with a barrier, crash-during-recovery idempotence, the
  * lock records of a read-only prefix, written only at activation, a
  * second writer taking a lock the first released in its deactivated
- * tail, and the allocation and free entries that keep every crash
- * leak-free.
+ * tail, the allocation and free entries that keep every crash
+ * leak-free, and one-word FASEs: the unlogged commit and each way a
+ * FASE falls back from it to the log.
  *
  * Methodology: run under ShadowDomain with the crash scheduler armed at
  * every successive opportunity k = 1, 2, 3, ... until the operation
@@ -22,6 +23,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <future>
 #include <set>
 #include <string>
@@ -36,6 +38,7 @@
 #include "nvm/heap_gc.h"
 #include "nvm/shadow_domain.h"
 #include "stats/metrics.h"
+#include "stats/persist_stats.h"
 
 namespace ido {
 namespace {
@@ -356,10 +359,10 @@ TEST(IdoRecovery, PrefixLockRecordedAtActivationEveryCrashPoint)
 {
     // memcached.set takes its shard lock in the read-only prefix (lock,
     // read_head, walk), so the lock lives only in the volatile mirror
-    // until the update/build region activates the log.  Whenever a
-    // crash leaves the record active in a region that runs under the
-    // lock, the lock must be in the durable lock_array and recovery
-    // must reacquire it.
+    // until the build region activates the log.  Whenever a crash
+    // leaves the record active in a region that runs under the lock,
+    // the lock must be in the durable lock_array and recovery must
+    // reacquire it.  A set-update's one word never activates the log.
     constexpr uint32_t kUnlockRegion = 6;
     apps::MemcachedMini::register_programs();
     for (const bool insert : {false, true}) {
@@ -431,8 +434,13 @@ TEST(IdoRecovery, PrefixLockRecordedAtActivationEveryCrashPoint)
                 ASSERT_TRUE(cache.get(*th, key, 0, &v));
                 EXPECT_EQ(v, 300u);
             }
-            EXPECT_GT(active_crashes, 0)
-                << "sweep never crashed an activated set";
+            if (insert) {
+                EXPECT_GT(active_crashes, 0)
+                    << "sweep never crashed an activated set";
+            } else {
+                EXPECT_EQ(active_crashes, 0)
+                    << "a set-update activated the log";
+            }
         }
     }
 }
@@ -709,11 +717,13 @@ where_of(CrashPolicy policy, int64_t k)
  * tick -- for k = 1, 2, ... under every CrashPolicy until the operation
  * completes.  A crashed trial is recovered (crash_and_recover audits
  * the heap); either way `check(world, where)` then verifies the state
- * and every record must be inactive.
+ * and every record must be inactive.  An operation with no more than
+ * `min_points` ticks is suspect: the sweep would miss its protocol.
  */
 template <typename Trial, typename Check>
 void
-sweep_crash_points(uint64_t seed_base, Trial&& trial, Check&& check)
+sweep_crash_points(uint64_t seed_base, Trial&& trial, Check&& check,
+                   int64_t min_points = 10)
 {
     for (const CrashPolicy policy : kAllPolicies) {
         int64_t k = 1;
@@ -731,7 +741,7 @@ sweep_crash_points(uint64_t seed_base, Trial&& trial, Check&& check)
             if (!crashed)
                 break;
         }
-        EXPECT_GT(k, 10) << "suspiciously few crash points";
+        EXPECT_GT(k, min_points) << "suspiciously few crash points";
     }
 }
 
@@ -1061,6 +1071,363 @@ TEST(IdoRecovery, RecordedFreesCompleteOnceUnderRecoveryCrashes)
     EXPECT_GT(
         MetricsRegistry::instance().counter_value("recovery.frees_finished"),
         finished_before);
+}
+
+// --------------------------------------------------------------------------
+// One-word FASEs: the unlogged commit and every fallback to the log
+// --------------------------------------------------------------------------
+
+/** The calling thread's one-word FASE counters, unfolded. */
+std::pair<uint64_t, uint64_t>
+single_store_counts()
+{
+    const PersistCounters& c = tls_persist_counters();
+    return {c.single_store_commits, c.single_store_fallbacks};
+}
+
+TEST(IdoRecovery, SingleStoreSetEveryCrashPoint)
+{
+    // A set-update's one store is an aligned word and its unlock tail
+    // stores nothing, so its boundary commits the word with one fence
+    // and the log never activates.  Crashed at every tick and once
+    // after it returns, the key reads the old value or the new one,
+    // the durable record stays inactive with the bitmap the previous
+    // set left, and recovery leaves the shard lock free.
+    apps::MemcachedMini::register_programs();
+    uint64_t root = 0;
+    uint64_t rec_off = 0;
+    uint64_t bitmap_before = 0;
+    bool returned = false;
+    sweep_crash_points(
+        16000,
+        [&](RecoveryWorld& world, int64_t k) {
+            auto th = world.runtime->make_thread();
+            rec_off = static_cast<IdoThread*>(th.get())->rec_off();
+            root = make_cache(world, *th, false);
+            bitmap_before =
+                world.heap.resolve<IdoLogRec>(rec_off)->lock_bitmap;
+            apps::MemcachedMini cache(world.heap, root);
+            const auto [commits, fallbacks] = single_store_counts();
+            const bool crashed = run_with_crash_at(
+                world, k, [&] { cache.set(*th, 1, 0, 222); });
+            returned = !crashed;
+            if (returned) {
+                EXPECT_EQ(single_store_counts().first, commits + 1);
+                EXPECT_EQ(single_store_counts().second, fallbacks);
+            }
+            return crashed;
+        },
+        [&](RecoveryWorld& world, const std::string& where) {
+            const auto* rec = world.heap.resolve<IdoLogRec>(rec_off);
+            EXPECT_EQ(rec->lock_bitmap, bitmap_before) << where;
+            ASSERT_TRUE(apps::MemcachedMini::check_invariants(world.heap,
+                                                              root))
+                << where;
+            auto th = world.runtime->make_thread();
+            apps::MemcachedMini cache(world.heap, root);
+            uint64_t v = 0;
+            ASSERT_TRUE(cache.get(*th, 1, 0, &v)) << where;
+            if (returned)
+                EXPECT_EQ(v, 222u) << where;
+            else
+                EXPECT_TRUE(v == 100 || v == 222) << where << " v=" << v;
+            cache.set(*th, 1, 0, 333);
+            ASSERT_TRUE(cache.get(*th, 1, 0, &v)) << where;
+            EXPECT_EQ(v, 333u) << where;
+        });
+}
+
+/** What the storing region of the words program does. */
+enum class WordsMode : uint64_t
+{
+    kOneWord,      ///< one aligned word: committed without the log
+    kTwoStores,    ///< a second store
+    kLoadBack,     ///< store, load the same word back, store what it read
+    kPartialLoad,  ///< store, then a 4-byte load inside the held word
+    kWide,         ///< one 16-byte store
+    kMisaligned,   ///< one 8-byte store at a 4-byte offset
+    kStoreLock,    ///< one word, then a lock acquire
+    kSelfLoop,     ///< one word on its first lap, looping on itself
+};
+
+constexpr uint64_t kWordsValue = 5;
+
+// words(r0 = lock A, r1 = lock B, r2 = block, r3 = value, r4 = mode):
+// take A, run the storing region, release B (if taken) and A.
+uint32_t
+words_lock(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    t.fase_lock(ctx.r[0]);
+    return 1;
+}
+
+uint32_t
+words_store(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    const uint64_t w = ctx.r[2];
+    const uint64_t v = ctx.r[3];
+    switch (static_cast<WordsMode>(ctx.r[4])) {
+      case WordsMode::kOneWord:
+        t.store_u64(w, v);
+        break;
+      case WordsMode::kTwoStores:
+        t.store_u64(w, v);
+        t.store_u64(w + 8, v);
+        break;
+      case WordsMode::kLoadBack:
+        t.store_u64(w, v);
+        t.store_u64(w + 8, t.load_u64(w));
+        break;
+      case WordsMode::kPartialLoad: {
+        t.store_u64(w, v);
+        uint32_t lo = 0;
+        t.load_bytes(w, &lo, sizeof lo);
+        t.store_u64(w + 8, lo);
+        break;
+      }
+      case WordsMode::kWide: {
+        const uint64_t pair[2] = {v, v};
+        t.store_bytes(w, pair, sizeof pair);
+        break;
+      }
+      case WordsMode::kMisaligned:
+        t.store_bytes(w + 4, &v, sizeof v);
+        break;
+      case WordsMode::kStoreLock:
+        t.store_u64(w, v);
+        t.fase_lock(ctx.r[1]);
+        break;
+      case WordsMode::kSelfLoop:
+        // Lap i stores words 0..i, so a lap resumed with the counter
+        // its crashed boundary already logged redoes the earlier ones.
+        for (uint64_t i = 0; i <= ctx.r[5]; ++i)
+            t.store_u64(w + 8 * i, v);
+        return ++ctx.r[5] < 2 ? 1 : 2;
+    }
+    return 2;
+}
+
+uint32_t
+words_unlock_b(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    t.fase_unlock(ctx.r[1]);
+    return 3;
+}
+
+uint32_t
+words_unlock_a(rt::RuntimeThread& t, rt::RegionCtx& ctx)
+{
+    t.fase_unlock(ctx.r[0]);
+    return rt::kRegionEnd;
+}
+
+const rt::FaseProgram&
+words_program()
+{
+    static const rt::FaseProgram prog = [] {
+        constexpr uint16_t R0 = 1, R1 = 2, R2 = 4, R3 = 8, R4 = 16,
+                           R5 = 32;
+        rt::FaseProgram p;
+        p.fase_id = 9202;
+        p.name = "words";
+        p.regions = {
+            {words_lock, "lock", R0, 0, 0, 0, 0},
+            {words_store, "store", R1 | R2 | R3 | R4 | R5, R5, 0, 0},
+            {words_unlock_b, "unlock_b", R1, 0, 0, 0, 0},
+            {words_unlock_a, "unlock_a", R0, 0, 0, 0, 0},
+        };
+        return p;
+    }();
+    return prog;
+}
+
+/** Heap blocks of one words sweep: two lock holders and the data. */
+struct WordsBlocks
+{
+    uint64_t lock_a = 0;
+    uint64_t lock_b = 0;
+    uint64_t data = 0;
+};
+
+WordsBlocks
+make_words(RecoveryWorld& world)
+{
+    auto& alloc = world.runtime->allocator();
+    WordsBlocks b;
+    b.lock_a = alloc.alloc(64, world.shadow);
+    b.lock_b = alloc.alloc(64, world.shadow);
+    b.data = alloc.alloc(64, world.shadow);
+    // Untyped, so the audit keeps them as opaque roots.
+    nvm::RootRegistry::set_ref(world.heap, nvm::RootSlot::kUser0, b.lock_a,
+                               world.shadow);
+    nvm::RootRegistry::set_ref(world.heap, nvm::RootSlot::kUser1, b.lock_b,
+                               world.shadow);
+    nvm::RootRegistry::set_ref(world.heap, nvm::RootSlot::kUser2, b.data,
+                               world.shadow);
+    world.shadow.drain_all();
+    return b;
+}
+
+void
+run_words(rt::RuntimeThread& th, const WordsBlocks& b, WordsMode mode,
+          uint64_t value)
+{
+    rt::RegionCtx ctx;
+    ctx.r[0] = b.lock_a;
+    ctx.r[1] = b.lock_b;
+    ctx.r[2] = b.data;
+    ctx.r[3] = value;
+    ctx.r[4] = static_cast<uint64_t>(mode);
+    th.run_fase(words_program(), ctx);
+}
+
+/**
+ * Sweep the words program in `mode` over every crash point and policy.
+ * The FASE's durable footprint must be all old (zero) or all new, and
+ * a run that returns must have taken the one-word commit (kOneWord) or
+ * exactly one fallback to the log (every other mode).  The one-word
+ * run has 10 ticks: 5 to lock and store, its fence, 4 to unlock.
+ */
+void
+sweep_words(WordsMode mode, uint64_t seed_base)
+{
+    rt::FaseRegistry::instance().register_program(&words_program());
+    WordsBlocks b;
+    bool returned = false;
+    const uint64_t v = kWordsValue;
+    sweep_crash_points(
+        seed_base,
+        [&](RecoveryWorld& world, int64_t k) {
+            b = make_words(world);
+            auto th = world.runtime->make_thread();
+            const auto [commits, fallbacks] = single_store_counts();
+            const bool crashed = run_with_crash_at(
+                world, k, [&] { run_words(*th, b, mode, v); });
+            returned = !crashed;
+            if (returned) {
+                const bool one_word = mode == WordsMode::kOneWord;
+                EXPECT_EQ(single_store_counts().first,
+                          commits + (one_word ? 1 : 0));
+                EXPECT_EQ(single_store_counts().second,
+                          fallbacks + (one_word ? 0 : 1));
+            }
+            return crashed;
+        },
+        [&](RecoveryWorld& world, const std::string& where) {
+            const auto* w = world.heap.resolve<uint64_t>(b.data);
+            uint64_t got[2] = {w[0], w[1]};
+            uint64_t want[2] = {v, v};
+            switch (mode) {
+              case WordsMode::kOneWord:
+              case WordsMode::kStoreLock:
+                want[1] = 0;
+                break;
+              case WordsMode::kMisaligned:
+                std::memcpy(&got[0], reinterpret_cast<const char*>(w) + 4,
+                            sizeof got[0]);
+                got[1] = w[0] & 0xffffffffu;
+                want[1] = 0;
+                break;
+              default:
+                break;
+            }
+            const bool is_new = got[0] == want[0] && got[1] == want[1];
+            const bool is_old = got[0] == 0 && got[1] == 0;
+            if (returned)
+                EXPECT_TRUE(is_new) << where;
+            else
+                EXPECT_TRUE(is_new || is_old)
+                    << where << " torn: " << got[0] << "," << got[1];
+            // Live: recovery left neither lock behind.
+            auto th = world.runtime->make_thread();
+            run_words(*th, b, WordsMode::kTwoStores, 7);
+            EXPECT_EQ(w[0], 7u) << where;
+            EXPECT_EQ(w[1], 7u) << where;
+        },
+        /*min_points=*/9);
+}
+
+TEST(IdoRecovery, SingleStoreWordEveryCrashPoint)
+{
+    sweep_words(WordsMode::kOneWord, 17000);
+}
+
+TEST(IdoRecovery, SingleStoreFallbackTwoStoresEveryCrashPoint)
+{
+    sweep_words(WordsMode::kTwoStores, 18000);
+}
+
+TEST(IdoRecovery, SingleStoreFallbackLoadBackEveryCrashPoint)
+{
+    // The load of the held word sees the held value (w1 == v), and the
+    // next store falls back; a 4-byte load inside the word falls back
+    // at the load and reads the replayed store from the heap.
+    sweep_words(WordsMode::kLoadBack, 19000);
+    sweep_words(WordsMode::kPartialLoad, 20000);
+}
+
+TEST(IdoRecovery, SingleStoreFallbackWideOrMisalignedEveryCrashPoint)
+{
+    sweep_words(WordsMode::kWide, 21000);
+    sweep_words(WordsMode::kMisaligned, 22000);
+}
+
+TEST(IdoRecovery, SingleStoreFallbackLockEveryCrashPoint)
+{
+    sweep_words(WordsMode::kStoreLock, 23000);
+}
+
+TEST(IdoRecovery, SingleStoreFallbackSelfLoopEveryCrashPoint)
+{
+    // The first lap's boundary leads back into the storing region, so
+    // its successor tail is not store-free: it activates the log.
+    sweep_words(WordsMode::kSelfLoop, 24000);
+}
+
+TEST(IdoRecovery, SingleStoreFallbackFreeEveryCrashPoint)
+{
+    // A stack pop stores the top word, then frees the node: the free
+    // falls back to the log, which records it, and no crash leaks or
+    // double-frees the node.
+    uint64_t root = 0;
+    bool returned = false;
+    sweep_crash_points(
+        25000,
+        [&](RecoveryWorld& world, int64_t k) {
+            auto th = world.runtime->make_thread();
+            ds::PStack stack(ds::PStack::create(*th));
+            root = stack.root_off();
+            world.set_root(root);
+            stack.push(*th, 5);
+            stack.push(*th, 6);
+            world.shadow.drain_all();
+            const uint64_t fallbacks = single_store_counts().second;
+            uint64_t out = 0;
+            const bool crashed = run_with_crash_at(
+                world, k, [&] { stack.pop(*th, &out); });
+            returned = !crashed;
+            if (returned) {
+                EXPECT_EQ(out, 6u);
+                EXPECT_EQ(single_store_counts().second, fallbacks + 1);
+            }
+            return crashed;
+        },
+        [&](RecoveryWorld& world, const std::string& where) {
+            ASSERT_TRUE(ds::PStack::check_invariants(world.heap, root))
+                << where;
+            const auto snap = ds::PStack::snapshot(world.heap, root);
+            if (returned) {
+                ASSERT_EQ(snap.size(), 1u) << where;
+            }
+            if (snap.size() == 1) {
+                EXPECT_EQ(snap[0], 5u) << where;
+            } else {
+                ASSERT_EQ(snap.size(), 2u) << where;
+                EXPECT_EQ(snap[0], 6u) << where;
+            }
+            expect_no_double_handout(world, sizeof(ds::PStackNode), 300,
+                                     where);
+        });
 }
 
 } // namespace

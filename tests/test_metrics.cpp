@@ -2,7 +2,8 @@
  * @file
  * MetricsRegistry: concurrency (torn-free snapshots under writers),
  * RAII thread-exit folding of the persist counters (including threads
- * killed by SimCrashException), and the JSON export schema.
+ * killed by SimCrashException), the JSON export schema, and the text
+ * export's one-decimal mean.
  */
 #include <gtest/gtest.h>
 
@@ -183,6 +184,21 @@ TEST(Metrics, JsonExportSchema)
         ASSERT_GE(depth, 0);
     }
     EXPECT_EQ(depth, 0);
+}
+
+TEST(Metrics, TextMeanKeepsOneDecimal)
+{
+    // Fig. 8's count-valued recorders have means below one; a rounded
+    // mean would print 0.
+    auto& reg = MetricsRegistry::instance();
+    LatencyRecorder* lat = reg.latency("t.text_mean");
+    lat->reset();
+    lat->record(0);
+    lat->record(1);
+    const std::string t = reg.format_text();
+    const size_t at = t.find("t.text_mean");
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_NE(t.find("mean=0.5 ", at), std::string::npos) << t;
 }
 
 } // namespace

@@ -5,7 +5,9 @@
  * Polls the admin endpoint's /stats.json at a fixed interval and
  * renders, per frame:
  *  - throughput (requests/s) and fences/op, computed as deltas between
- *    consecutive frames (counters are cumulative);
+ *    consecutive frames (counters are cumulative), and per request the
+ *    one-word FASEs committed without the log and those that fell
+ *    back to it (ido.single_store.*);
  *  - per-op latency percentiles (p50/p99/p999) straight from the
  *    server's live recorders -- cumulative since server start, which
  *    is what the recorders expose;
@@ -144,6 +146,10 @@ render(const std::map<std::string, double>& cur,
                                - get(prev, "persist.fences");
     const double rps = dt_s > 0 ? req_delta / dt_s : 0.0;
     const double fpo = req_delta > 0 ? fence_delta / req_delta : 0.0;
+    const auto per_req = [&](const char* name) {
+        const double d = get(cur, name) - get(prev, name);
+        return req_delta > 0 ? d / req_delta : 0.0;
+    };
 
     std::printf("--- frame %llu ---------------------------------------\n",
                 static_cast<unsigned long long>(frame));
@@ -151,6 +157,9 @@ render(const std::map<std::string, double>& cur,
                 "conns %.0f    pending %.0f B    flush %s\n",
                 rps, fpo, get(cur, "net.conns"),
                 get(cur, "net.pending_out_bytes"), flush_insn_of(cur));
+    std::printf("one-word FASEs/op: committed %5.3f    fell back %5.3f\n",
+                per_req("ido.single_store.commits"),
+                per_req("ido.single_store.fallbacks"));
     std::printf("%-10s %10s %12s %12s %12s\n", "op", "count",
                 "p50(us)", "p99(us)", "p999(us)");
     for (const char* op : { "get", "set", "delete" }) {
