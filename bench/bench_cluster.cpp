@@ -3,20 +3,19 @@
  * ido-cluster scaling bench: real forked ido_serve processes under
  * NodeSupervisor, swept over nodes in {1, 2, 4} x replication
  * {off, on}.  Clients route through the consistent-hash ring
- * (ClusterClient) and pipeline K-deep bursts, so the group-commit
- * batcher sees the same depth the server bench uses (K=16) and a
- * replicated primary amortizes one replica round trip per batch, not
- * per request.
+ * (ClusterClient) and pipeline 16-deep bursts; a node runs each burst
+ * it reads as one batch, so a replicated primary amortizes one replica
+ * round trip per batch, not per request.
  *
  * Replication pairs node 0 with a replica (the supervisor's topology);
  * nodes 1+ stay unreplicated, so the n1 rows isolate the replication
- * cost.  Acceptance (checked by CI from BENCH_cluster.json): at K=16
- * the unreplicated single node may outrun the replicated one by at
- * most 1.6x -- the batch-amortized ack flight must not dominate.
+ * cost.  Acceptance (checked by CI from BENCH_cluster.json): the
+ * unreplicated single node may outrun the replicated one by at most
+ * 1.6x -- the batch-amortized ack flight must not dominate.
  *
- * Latency rows report the client-observed round trip of one K-deep
- * pipelined burst (flush-to-last-ack), the unit a batched client
- * actually waits on; p99 is over bursts, not single ops.
+ * Latency rows report the client-observed round trip of one pipelined
+ * burst (flush-to-last-ack), the unit a batched client actually waits
+ * on; p99 is over bursts, not single ops.
  */
 #include <atomic>
 #include <chrono>
@@ -40,14 +39,14 @@ using namespace ido::bench;
 namespace {
 
 constexpr uint32_t kClients = 4;
-constexpr uint32_t kBurst = 16;      ///< = server batch limit K
+constexpr uint32_t kBurst = 16;      ///< pipelined requests per flush
 constexpr uint64_t kKeySpace = 2048; ///< prefilled working set
 
 struct ClusterResult
 {
     uint64_t acks = 0;
     double seconds = 0.0;
-    LatencyHistogram burst_rtt; ///< ns per K-deep flush round trip
+    LatencyHistogram burst_rtt; ///< ns per burst flush round trip
 };
 
 std::string
@@ -83,7 +82,6 @@ run_config(const std::string& serve_bin, uint32_t nodes, bool replicate,
     scfg.nodes = nodes;
     scfg.replicate = replicate;
     scfg.shards = 2;
-    scfg.batch = kBurst;
     scfg.heap_bytes = 64u << 20;
     cluster::NodeSupervisor sup(scfg);
     if (!sup.start_all()) {
@@ -166,7 +164,7 @@ main(int, char** argv)
     const double secs = bench_seconds();
     const std::string serve_bin = serve_bin_path(argv[0]);
     print_header("ido-cluster scaling (real ido_serve processes, "
-                 "4 routed clients, K=16 pipelined bursts, "
+                 "4 routed clients, 16-deep pipelined bursts, "
                  "2 sets / 14 gets per 16 requests)");
     std::printf("%-12s %12s %14s %14s %14s\n", "config", "Kreq/s",
                 "burst_p50_us", "burst_p99_us", "burst_p999_us");

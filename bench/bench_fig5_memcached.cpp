@@ -12,8 +12,8 @@
  * Atlas's and far below JUSTDO's.
  *
  * IDO_BENCH_TRANSPORT=socket drives the same mixes through a real
- * ido-serve instance over loopback TCP (batch=1: one request per shard
- * wakeup; bench_server owns the group-commit ablation).  Default is
+ * ido-serve instance over loopback TCP (bench_server owns the
+ * pipelined server measurement).  Default is
  * the paper's in-process path.  Every printed row and JSON line states
  * the transport used.  Each mix starts with one untimed warm-up point
  * at the widest thread count.
@@ -64,7 +64,6 @@ run_point(baselines::RuntimeKind kind, uint32_t threads, uint32_t set_pct,
     apps::MemcachedMini::register_programs();
     net::ServerConfig scfg;
     scfg.shards = static_cast<uint32_t>(cfg.nshards);
-    scfg.batch_limit = 1; // one request per shard wakeup
     scfg.nbuckets = static_cast<uint32_t>(cfg.nbuckets);
     net::Server server(*world.runtime, scfg);
     std::thread srv([&] { server.run(); });

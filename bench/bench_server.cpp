@@ -1,21 +1,17 @@
 /**
  * @file
- * ido-serve group-commit ablation: throughput and fences per request
- * for batch limits K in {1, 4, 16}, on the memcached-canonical
- * read-heavy mix (2 sets per 16 requests).  K=1 hands each request to
- * its shard alone; larger K lets each shard execute up to K pipelined
- * requests per wakeup and release their replies together.  Batching
- * saves handoffs and syscalls, not fences: every FASE is durable when
- * it returns (ido_runtime.h), and GETs never activate the iDO log, so
- * they pay no fence at any K.
+ * ido-serve over loopback: throughput, fences per request and reply
+ * sends per request on the memcached-canonical read-heavy mix (2 sets
+ * per 16 requests).  The server runs each pipelined burst it reads as
+ * one batch of FASEs on its loop thread and answers it in one send().
+ * Every FASE is durable when it returns (ido_runtime.h); GETs never
+ * activate the iDO log and pay no fence, and a set-update pays 1.
  *
- * Acceptance (checked by CI from BENCH_server.json): K=1 costs at most
- * 0.51 fences/request (2 sets per 16 requests x 4 fences per
- * set-update), K=16 no more than K=1, at equal or better throughput.
+ * Acceptance (checked by CI from BENCH_server.json): at most 0.14
+ * fences/request (2 sets per 16 requests x 1 fence per set-update,
+ * plus per-run setup).
  *
- * Clients are real loopback-TCP connections pipelining bursts, since
- * a blocking client can never present a shard with more than one
- * queued request and would degenerate every K to 1.
+ * Clients are real loopback-TCP connections pipelining 64-deep bursts.
  */
 #include <atomic>
 #include <chrono>
@@ -42,11 +38,12 @@ constexpr uint32_t kClients = 4;
 constexpr uint32_t kBurst = 64;      ///< pipelined requests per flush
 constexpr uint64_t kKeySpace = 2048; ///< prefilled working set
 
-struct KResult
+struct Result
 {
     uint64_t requests = 0;
     uint64_t fences = 0;
     uint64_t scrapes = 0;
+    uint64_t sends = 0; ///< reply send() calls, net.sends
     double seconds = 0.0;
     LatencyHistogram lat; ///< server-side end-to-end request ns
 };
@@ -61,15 +58,14 @@ scrape_period_ms()
     return env ? std::strtoull(env, nullptr, 10) : 0;
 }
 
-KResult
-run_at_batch_limit(uint32_t batch_limit, double secs)
+Result
+run(double secs)
 {
     const uint64_t scrape_ms = scrape_period_ms();
     BenchWorld world(baselines::RuntimeKind::kIdo);
     apps::MemcachedMini::register_programs();
     net::ServerConfig scfg;
     scfg.shards = 4;
-    scfg.batch_limit = batch_limit;
     scfg.nbuckets = 1024;
     scfg.admin = scrape_ms > 0;
     net::Server server(*world.runtime, scfg);
@@ -89,9 +85,10 @@ run_at_batch_limit(uint32_t batch_limit, double secs)
         }
     }
     persist_counters_reset_global();
-    // Drop the prefill traffic from the server-side request
-    // percentiles so each K row reports only the measured window.
     auto& reg = MetricsRegistry::instance();
+    const uint64_t sends0 = reg.counter_value("net.sends");
+    // Drop the prefill traffic from the server-side request
+    // percentiles so the row reports only the measured window.
     LatencyRecorder* const recs[] = {reg.latency("net.lat.req.get"),
                                      reg.latency("net.lat.req.set"),
                                      reg.latency("net.lat.req.delete")};
@@ -122,7 +119,7 @@ run_at_batch_limit(uint32_t batch_limit, double secs)
             }
         });
     }
-    KResult r;
+    Result r;
     std::thread scraper;
     if (scrape_ms > 0) {
         scraper = std::thread([&] {
@@ -145,13 +142,14 @@ run_at_batch_limit(uint32_t batch_limit, double secs)
     if (scraper.joinable())
         scraper.join();
     r.seconds = clock.elapsed_seconds();
-    server.stop(); // joins shard workers: TLS fence counters flushed
+    server.stop(); // run() returns with its TLS fence counters folded
     srv.join();
     for (uint32_t t = 0; t < kClients; ++t)
         r.requests += ops[t];
     r.fences = persist_counters_global().fences;
-    // Server-side percentiles (empty when IDO_STAT=off: the shards
-    // never record, and emit_json_row skips an empty histogram).
+    r.sends = reg.counter_value("net.sends") - sends0;
+    // Server-side percentiles (empty when IDO_STAT=off: the server
+    // never records, and emit_json_row skips an empty histogram).
     for (auto* rec : recs)
         r.lat.merge(rec->snapshot());
     return r;
@@ -163,28 +161,22 @@ int
 main()
 {
     const double secs = bench_seconds();
-    print_header("ido-serve group commit (4 shards, 4 pipelined "
-                 "clients, 2 sets / 14 gets per 16 requests)");
-    std::printf("%-8s %12s %12s %14s %10s %10s %10s\n", "K", "Mreq/s",
-                "fences", "fences/req", "p50_us", "p99_us", "p999_us");
-    for (uint32_t k : {1u, 4u, 16u}) {
-        const KResult r = run_at_batch_limit(k, secs);
-        const double fpr =
-            r.requests ? double(r.fences) / double(r.requests) : 0.0;
-        std::printf("%-8u %12.3f %12llu %14.3f %10.1f %10.1f %10.1f\n",
-                    k, r.requests / r.seconds / 1e6,
-                    static_cast<unsigned long long>(r.fences), fpr,
-                    r.lat.percentile(0.50) / 1e3,
-                    r.lat.percentile(0.99) / 1e3,
-                    r.lat.percentile(0.999) / 1e3);
-        if (r.scrapes)
-            std::printf("         (admin /metrics scraped %llu times)\n",
-                        static_cast<unsigned long long>(r.scrapes));
-        // One BENCH_server.json; the K ablation lives in the runtime
-        // label so CI can compare rows from a single file.
-        const std::string label = "ido_k" + std::to_string(k);
-        emit_json_row("server", label.c_str(), kClients, r.requests,
-                      r.seconds, &r.lat);
-    }
+    print_header("ido-serve (4 shards, 4 pipelined clients, "
+                 "2 sets / 14 gets per 16 requests)");
+    std::printf("%12s %12s %14s %12s %10s %10s %10s\n", "Mreq/s",
+                "fences", "fences/req", "sends/req", "p50_us", "p99_us",
+                "p999_us");
+    const Result r = run(secs);
+    const double n = r.requests ? double(r.requests) : 1.0;
+    std::printf("%12.3f %12llu %14.3f %12.4f %10.1f %10.1f %10.1f\n",
+                r.requests / r.seconds / 1e6,
+                static_cast<unsigned long long>(r.fences),
+                double(r.fences) / n, double(r.sends) / n,
+                r.lat.percentile(0.50) / 1e3, r.lat.percentile(0.99) / 1e3,
+                r.lat.percentile(0.999) / 1e3);
+    if (r.scrapes)
+        std::printf("(admin /metrics scraped %llu times)\n",
+                    static_cast<unsigned long long>(r.scrapes));
+    emit_json_row("server", "ido", kClients, r.requests, r.seconds, &r.lat);
     return 0;
 }

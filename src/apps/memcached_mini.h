@@ -80,9 +80,8 @@ class MemcachedMini
     uint64_t nshards() const { return nshards_; }
 
     /**
-     * Index of the McShard owning this key.  Keyspace-sharding hook
-     * for ido-serve: routing every request for a shard to one worker
-     * thread keeps that shard's lock uncontended.
+     * Index of the McShard owning this key: which shard's lock and
+     * buckets a request for it uses.
      */
     uint64_t shard_index(uint64_t key_lo, uint64_t key_hi) const;
 

@@ -11,8 +11,8 @@
  *
  * Pipelining is preserved per upstream: requests routed to one node
  * are appended to that node's connection back-to-back without waiting
- * for replies, so a K-deep client pipeline still reaches the node as
- * one K-deep batch for the group-commit batcher to amortize.  Each
+ * for replies, so a client pipeline still reaches the node as one
+ * burst, which the node runs as one batch.  Each
  * upstream connection is FIFO (server.h guarantees reply order), so a
  * deque of pending (conn, seq, op) descriptors is enough to match
  * replies back to the clients that asked.

@@ -61,7 +61,6 @@ NodeSupervisor::spawn(Child& c, const std::vector<std::string>& more_args)
     args.push_back("--port-file=" + c.port_file);
     args.push_back("--admin-port-file=" + c.admin_port_file);
     args.push_back("--shards=" + std::to_string(cfg_.shards));
-    args.push_back("--batch=" + std::to_string(cfg_.batch));
     args.push_back("--heap-bytes=" + std::to_string(cfg_.heap_bytes));
     for (const std::string& a : cfg_.extra_args)
         args.push_back(a);

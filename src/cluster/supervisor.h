@@ -40,7 +40,6 @@ struct SupervisorConfig
     uint32_t nodes = 1;     ///< primaries to spawn
     bool replicate = false; ///< give node 0 a replica pair
     uint32_t shards = 2;
-    uint32_t batch = 16;
     uint64_t heap_bytes = 32u << 20;
     uint32_t spawn_timeout_ms = 30000; ///< port-file wait per process
     /// Extra flags appended verbatim to every ido_serve (tests inject

@@ -522,8 +522,6 @@ obj_kind_name(ObjKind kind)
         return "fase_lock";
       case ObjKind::kScenario:
         return "scenario";
-      case ObjKind::kNetBatch:
-        return "net_batch";
     }
     return "?";
 }

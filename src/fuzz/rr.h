@@ -74,7 +74,6 @@ enum class ObjKind : uint8_t
     kHeapTc,          ///< NvHeap thread-cache registration mutex
     kFaseLock,        ///< indirect lock; id = holder slot heap offset
     kScenario,        ///< scripted regression scenarios (fuzz driver)
-    kNetBatch,        ///< group-commit batch-close order (one global)
 };
 
 constexpr uint64_t

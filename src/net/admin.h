@@ -4,7 +4,7 @@
  * of ido-serve or the cluster router (ido-stat), on the shared
  * connection layer (conn_table.h).
  *
- * Scraping must never block a shard worker, so the endpoint lives
+ * Scraping must never take a shard lock, so the endpoint lives
  * entirely on the loop thread: accept, a bounded read of the request
  * head, one route handler call (which only snapshots the metrics
  * registry -- no FASE locks), and a single buffered write.  Handlers

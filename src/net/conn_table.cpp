@@ -56,6 +56,7 @@ ConnTable::ConnTable(EventLoop& loop, uint16_t port,
         reg.register_gauge(metric_prefix_ + ".pending_out_bytes", [this] {
             return pending_out_.load(std::memory_order_relaxed);
         });
+        sends_ = reg.counter(metric_prefix_ + ".sends");
     }
 }
 
@@ -116,7 +117,7 @@ ConnTable::on_event(uint64_t id, uint32_t events)
     if (events & EPOLLIN)
         read(c);
     if (!c.closed())
-        flush(c);
+        mark_dirty(c);
 }
 
 void
@@ -139,14 +140,19 @@ ConnTable::reply(Conn& c, uint64_t seq, std::string data)
 {
     if (c.closed())
         return;
-    c.reorder.emplace(seq, std::move(data));
+    if (seq != c.next_release) {
+        c.reorder.emplace(seq, std::move(data));
+        return;
+    }
+    c.out += data;
+    ++c.next_release;
     for (auto it = c.reorder.begin();
          it != c.reorder.end() && it->first == c.next_release;
          it = c.reorder.erase(it)) {
         c.out += it->second;
         ++c.next_release;
     }
-    flush(c);
+    mark_dirty(c);
 }
 
 void
@@ -158,9 +164,25 @@ ConnTable::reply(uint64_t conn_id, uint64_t seq, std::string data)
 }
 
 void
+ConnTable::mark_dirty(Conn& c)
+{
+    if (c.dirty)
+        return;
+    c.dirty = true;
+    loop_.defer([this, id = c.id] {
+        auto it = conns_.find(id);
+        if (it == conns_.end())
+            return;
+        it->second->dirty = false;
+        if (!it->second->closed())
+            flush(*it->second);
+    });
+}
+
+void
 ConnTable::flush(Conn& c)
 {
-    if (!write_some(c.fd, &c.out)) {
+    if (!write_some(c.fd, &c.out, sends_)) {
         close(c);
         return;
     }
@@ -231,10 +253,12 @@ read_some(int fd, std::string* in, size_t max)
 }
 
 bool
-write_some(int fd, std::string* out)
+write_some(int fd, std::string* out, std::atomic<uint64_t>* sends)
 {
     size_t done = 0;
     while (done < out->size()) {
+        if (sends != nullptr)
+            sends->fetch_add(1, std::memory_order_relaxed);
         const ssize_t n = ::send(fd, out->data() + done, out->size() - done,
                                  MSG_NOSIGNAL);
         if (n > 0) {

@@ -7,9 +7,15 @@
  * Each connection has an input buffer the protocol consumes, a reorder
  * buffer and an output buffer.  Requests take sequence numbers
  * (begin()); their replies may complete in any order and on any path
- * (a shard worker, an upstream node, the loop itself) and go on the
- * wire strictly in sequence order -- the memcached text protocol has
- * no request ids.  reply() writes whatever it released at once.
+ * (a closing batch of FASEs, a replica ack, an upstream node, the loop
+ * itself) and go on the wire strictly in sequence order -- the
+ * memcached text protocol has no request ids.
+ *
+ * Writes: reply() only appends what it released to the output buffer
+ * and marks the connection dirty.  A dirty connection is flushed once,
+ * right after the loop callback in progress returns (EventLoop::defer),
+ * so every reply one callback produced for it leaves in one send().
+ * The <prefix>.sends counter counts those send() calls.
  *
  * Lifetime: close() takes the socket out of the loop at once, but the
  * Conn is erased only after the callback in progress returns
@@ -53,6 +59,7 @@ struct Conn
     uint64_t next_release = 0;               ///< next sequence to release
     size_t out_accounted = 0;                ///< out bytes in the gauge
     uint32_t interest = 0;                   ///< registered epoll mask
+    bool dirty = false;                      ///< a flush is deferred
 };
 
 class ConnTable
@@ -70,7 +77,7 @@ class ConnTable
      * Bind + listen on loopback:`port` (0 = kernel-assigned) and
      * register the listener with `loop`.  A nonempty `metric_prefix`
      * publishes the <prefix>.conns and <prefix>.pending_out_bytes
-     * gauges.
+     * gauges and the <prefix>.sends counter.
      */
     ConnTable(EventLoop& loop, uint16_t port, std::string metric_prefix,
               InputFn on_input);
@@ -97,6 +104,8 @@ class ConnTable
     void on_accept();
     void on_event(uint64_t id, uint32_t events);
     void read(Conn& c);
+    /** Flush c once the callback in progress returns. */
+    void mark_dirty(Conn& c);
     void flush(Conn& c);
     void account(Conn& c);
 
@@ -111,6 +120,7 @@ class ConnTable
     // Gauges, read from the scrape thread.
     std::atomic<uint64_t> open_{0};
     std::atomic<uint64_t> pending_out_{0};
+    std::atomic<uint64_t>* sends_ = nullptr; ///< <prefix>.sends; may be null
 };
 
 /** How a socket drain ended. */
@@ -121,8 +131,11 @@ IoStatus read_some(int fd, std::string* in, size_t max);
 
 /**
  * Write as much of *out as the socket takes and erase it from *out.
- * False when the peer is gone.  Never raises SIGPIPE.
+ * False when the peer is gone.  Never raises SIGPIPE.  Counts each
+ * send() call in *sends, when given, before making it (so a peer that
+ * saw the bytes also sees the count).
  */
-bool write_some(int fd, std::string* out);
+bool write_some(int fd, std::string* out,
+                std::atomic<uint64_t>* sends = nullptr);
 
 } // namespace ido::net

@@ -61,12 +61,6 @@ EventLoop::del(int fd)
 }
 
 void
-EventLoop::set_wake_handler(std::function<void()> fn)
-{
-    wake_handler_ = std::move(fn);
-}
-
-void
 EventLoop::defer(std::function<void()> fn)
 {
     deferred_.push_back(std::move(fn));
@@ -84,16 +78,6 @@ EventLoop::run_deferred()
 }
 
 void
-EventLoop::wake()
-{
-    // write(2) on an eventfd is async-signal-safe, so stop() can be
-    // driven from a SIGTERM handler in ido_serve.
-    const uint64_t one = 1;
-    ssize_t n = ::write(wakefd_, &one, sizeof one);
-    (void)n; // EAGAIN means a wake is already pending: coalesced.
-}
-
-void
 EventLoop::run()
 {
     constexpr int kMaxEvents = 64;
@@ -108,15 +92,8 @@ EventLoop::run()
         for (int i = 0; i < n && !stopped_.load(std::memory_order_relaxed);
              ++i) {
             const int fd = evs[i].data.fd;
-            if (fd == wakefd_) {
-                uint64_t drained;
-                while (::read(wakefd_, &drained, sizeof drained) > 0) {
-                }
-                if (wake_handler_)
-                    wake_handler_();
-                run_deferred();
-                continue;
-            }
+            if (fd == wakefd_)
+                continue; // stop(): the loop condition sees stopped_
             // A previous callback this round may have del()ed this fd;
             // copy the callback so it can safely del() itself too.
             auto it = handlers_.find(fd);
@@ -133,7 +110,10 @@ void
 EventLoop::stop()
 {
     stopped_.store(true, std::memory_order_relaxed);
-    wake();
+    // write(2) on an eventfd is async-signal-safe, so stop() can be
+    // driven from a SIGTERM handler in ido_serve.
+    const uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wakefd_, &one, sizeof one);
 }
 
 } // namespace ido::net

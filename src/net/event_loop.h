@@ -1,20 +1,21 @@
 /**
  * @file
- * A minimal single-threaded epoll event loop for ido-serve.
+ * A minimal single-threaded epoll event loop for ido-serve, the cluster
+ * router and the admin endpoint.
  *
- * One loop thread owns every socket: accepts, reads, protocol parsing
- * and reply writes all happen here, while FASE execution happens on
- * the shard worker threads (shard.h).  Workers hand completed replies
- * back through a queue and call wake(), which the loop observes via an
- * eventfd registered like any other fd.
+ * One loop thread owns every socket: accepts, reads, protocol parsing,
+ * FASE execution (server.h) and reply writes all happen here.  The
+ * only cross-thread entry is stop(), which writes an eventfd
+ * registered like any other fd.
  *
  * Deliberately not a general-purpose reactor: level-triggered epoll,
- * no timers, no cross-thread fd registration.  Callbacks may add,
- * modify or remove fds (including their own) from inside the callback;
- * removal is handled by looking handlers up fresh per event and
- * copying the callback before invoking it.  Work that must wait until
- * no callback is on the stack (freeing the state a callback is still
- * using, coalescing writes) goes through defer().
+ * no timers (a user that needs one registers a timerfd), no
+ * cross-thread fd registration.  Callbacks may add, modify or remove
+ * fds (including their own) from inside the callback; removal is
+ * handled by looking handlers up fresh per event and copying the
+ * callback before invoking it.  Work that must wait until no callback
+ * is on the stack (freeing the state a callback is still using, closing
+ * a batch, coalescing writes) goes through defer().
  */
 #pragma once
 
@@ -51,22 +52,13 @@ class EventLoop
     void del(int fd);
 
     /**
-     * Invoked on the loop thread after a wake() from any thread.
-     * Coalesced: many wake() calls may yield one invocation.
-     */
-    void set_wake_handler(std::function<void()> fn);
-
-    /**
      * Run fn on the loop thread right after the callback in progress
      * returns, before the next event is dispatched (FIFO).  Loop
      * thread only.
      */
     void defer(std::function<void()> fn);
 
-    /** Nudge the loop from another thread (or a signal handler). */
-    void wake();
-
-    /** Run until stop(); dispatches events and wake notifications. */
+    /** Run until stop(); dispatches events and deferred work. */
     void run();
 
     /**
@@ -75,13 +67,19 @@ class EventLoop
      */
     void stop();
 
+    /** Has stop() been called?  Lets a callback that blocks (the
+     *  replica reconnect in server.cpp) give up on shutdown. */
+    bool stopping() const
+    {
+        return stopped_.load(std::memory_order_relaxed);
+    }
+
   private:
     void run_deferred();
 
     int epfd_ = -1;
-    int wakefd_ = -1;
+    int wakefd_ = -1; ///< written by stop(), so epoll_wait returns
     std::atomic<bool> stopped_{false};
-    std::function<void()> wake_handler_;
     std::unordered_map<int, Callback> handlers_;
     std::vector<std::function<void()>> deferred_;
 };

@@ -17,8 +17,8 @@
  * connection has buffered, however the socket chunked them (a request
  * split across a hundred reads, or a hundred pipelined requests in one
  * read).  It answers version, stats, quit and protocol errors itself
- * and hands get/set/delete to the caller, which owns the storage (a
- * shard worker or an upstream node).  Errors that desynchronise framing
+ * and hands get/set/delete to the caller, which owns the storage (the
+ * server's FASE path or an upstream node).  Errors that desynchronise framing
  * (oversized line, bad byte count) are answered and then drop the
  * connection, which is what memcached itself does.
  */

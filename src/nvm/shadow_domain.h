@@ -46,6 +46,21 @@ enum class CrashPolicy
     kRandom,      ///< each line independently survives with probability 1/2
 };
 
+/** The policy's name for test and forensic labels ("drop_all", ...). */
+constexpr const char*
+crash_policy_name(CrashPolicy policy)
+{
+    switch (policy) {
+    case CrashPolicy::kDropAll:
+        return "drop_all";
+    case CrashPolicy::kPersistAll:
+        return "persist_all";
+    case CrashPolicy::kRandom:
+        return "random";
+    }
+    return "?";
+}
+
 /**
  * What a simulated crash threw away, broken down by the thread that
  * owned the lost lines -- the forensic answer to "which thread's

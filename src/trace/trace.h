@@ -91,8 +91,8 @@ enum class EventKind : uint16_t
     // ido-serve network front-end (src/net)
     kConnOpen,    ///< a0 = connection id
     kConnClose,   ///< a0 = connection id, a1 = requests served
-    kGroupOpen,   ///< a0 = shard index; group-commit batch starts
-    kGroupClose,  ///< a0 = shard index, a1 = requests in the batch
+    kGroupOpen,   ///< a0 = connection id; one callback's batch starts
+    kGroupClose,  ///< a0 = connection id, a1 = requests in the batch
     kNetRequest,  ///< a0 = connection id, a1 = opcode (MemcOp)
 
     kMaxKind

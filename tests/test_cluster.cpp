@@ -284,7 +284,6 @@ base_config(const char* bin, const std::string& dir, uint32_t nodes,
     cfg.nodes = nodes;
     cfg.replicate = replicate;
     cfg.shards = 2;
-    cfg.batch = 16;
     cfg.heap_bytes = kHeapBytes;
     return cfg;
 }
@@ -660,7 +659,7 @@ TEST(Replication, AckWaitsForReplicaDurableAck)
         GTEST_SKIP() << "IDO_SERVE_BIN not set";
     TempDir dir;
     SupervisorConfig cfg = base_config(bin, dir.path, 1, true);
-    cfg.shards = 1; // one batch per pipeline: exact delay accounting
+    cfg.shards = 1;
     // The injected delay sits between the *replica's* fence and its
     // reply release; the primary's ack must inherit it.
     cfg.replica_extra_args = {"--publish-delay-ms=250"};
@@ -680,9 +679,8 @@ TEST(Replication, AckWaitsForReplicaDurableAck)
     // return faster than the replica's injected publish delay.
     EXPECT_GE(single_ms, 240);
 
-    // And the round trip amortizes: 8 pipelined sets ride ONE replica
-    // flight (one batch), not 8 -- this is the piggyback on the
-    // group-commit batcher.
+    // And the round trip amortizes: 8 pipelined sets read at once are
+    // one batch and ride ONE replica flight, not 8.
     const auto t1 = std::chrono::steady_clock::now();
     for (int i = 1; i <= 8; ++i)
         c.pipeline_set(ckey(i), 100 + i);
@@ -759,9 +757,9 @@ TEST(Replication, DeadReplicaWithholdsAcksUntilItReturns)
     EXPECT_EQ(v, 2u);
 }
 
-// Small batches under several pipelining clients keep many flights on
-// the wire to the replica at once.  Every acked write must still be on
-// the replica with the last value the client was acked for.
+// Several pipelining clients keep many flights (one per batch) on the
+// wire to the replica at once.  Every acked write must still be on the
+// replica with the last value the client was acked for.
 TEST(Replication, ManyFlightsInFlightAckOnlyReplicatedWrites)
 {
     const char* bin = serve_bin();
@@ -769,7 +767,6 @@ TEST(Replication, ManyFlightsInFlightAckOnlyReplicatedWrites)
         GTEST_SKIP() << "IDO_SERVE_BIN not set";
     TempDir dir;
     SupervisorConfig cfg = base_config(bin, dir.path, 1, true);
-    cfg.batch = 2; // many small batches per pipelined burst
     NodeSupervisor sup(cfg);
     ASSERT_TRUE(sup.start_all());
 

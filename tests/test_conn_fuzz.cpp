@@ -12,7 +12,7 @@
  *  - recoverable garbage (unknown commands, malformed sets) mid-pipeline;
  *  - quit or a framing-fatal error mid-pipeline, followed by bytes that
  *    must not be answered;
- *  - peer resets (RST) while shards or nodes still owe replies;
+ *  - peer resets (RST) while the server or nodes still owe replies;
  *  - raw random bytes;
  *  - a client that reads nothing until its replies overflow the socket
  *    buffers (EPOLLOUT and the stop-reading high-water mark).
@@ -58,7 +58,6 @@ struct Target
         apps::MemcachedMini::register_programs();
         net::ServerConfig cfg;
         cfg.shards = 2;
-        cfg.batch_limit = 4;
         cfg.nbuckets = 64;
         cfg.admin = true;
         server = std::make_unique<net::Server>(runtime, cfg);

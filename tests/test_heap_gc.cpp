@@ -379,26 +379,26 @@ TEST(HeapGcCrashSweep, CompactionSurvivesEveryFusePoint)
             total_resolved += post.journal_resolved;
             const GcStats rep = gc2.repair();
             EXPECT_FALSE(rep.repair_refused)
-                << "policy " << static_cast<int>(policy) << " fuse "
+                << "policy " << crash_policy_name(policy) << " fuse "
                 << fuse << ": " << rep.to_json();
             const GcStats fin = gc2.audit();
             EXPECT_EQ(fin.leaked_blocks, 0u)
-                << "policy " << static_cast<int>(policy) << " fuse "
+                << "policy " << crash_policy_name(policy) << " fuse "
                 << fuse << ": " << fin.to_json();
             EXPECT_EQ(fin.dangling_links, 0u)
-                << "policy " << static_cast<int>(policy) << " fuse "
+                << "policy " << crash_policy_name(policy) << " fuse "
                 << fuse << ": " << fin.to_json();
             ASSERT_TRUE(rec.check_consistency())
-                << "policy " << static_cast<int>(policy) << " fuse "
+                << "policy " << crash_policy_name(policy) << " fuse "
                 << fuse;
 
             const auto got = walk_chain(heap);
             ASSERT_EQ(got.size(), expect.size())
-                << "policy " << static_cast<int>(policy) << " fuse "
+                << "policy " << crash_policy_name(policy) << " fuse "
                 << fuse;
             for (size_t i = 0; i < expect.size(); ++i) {
                 ASSERT_EQ(got[i], expect[i])
-                    << "policy " << static_cast<int>(policy) << " fuse "
+                    << "policy " << crash_policy_name(policy) << " fuse "
                     << fuse << " position " << i;
             }
             if (::testing::Test::HasFailure())
@@ -409,7 +409,7 @@ TEST(HeapGcCrashSweep, CompactionSurvivesEveryFusePoint)
         // The sweep must actually exercise journal resolution (crashes
         // landing between the count bump and the truncate).
         EXPECT_GT(total_resolved, 0u)
-            << "policy " << static_cast<int>(policy);
+            << "policy " << crash_policy_name(policy);
     }
 }
 

@@ -409,7 +409,7 @@ TEST(IdoRecovery, PrefixLockRecordedAtActivationEveryCrashPoint)
                     EXPECT_EQ(durable_holders(*rec),
                               std::set<uint64_t>{holder})
                         << "insert=" << insert << " policy "
-                        << static_cast<int>(policy) << " k=" << k;
+                        << crash_policy_name(policy) << " k=" << k;
                 }
                 const uint64_t reacquired_before = locks_reacquired_total();
                 world.make_runtime();
@@ -654,7 +654,7 @@ TEST(IdoRecovery, SecondWriterAfterTailUnlockEveryCrashPoint)
                 world.shadow.crash(policy);
                 const std::string where = "delete="
                     + std::to_string(t2_deletes) + " policy "
-                    + std::to_string(static_cast<int>(policy))
+                    + crash_policy_name(policy)
                     + " k=" + std::to_string(k);
                 // Only the lock's current holder may name it in an
                 // active record; two would deadlock recovery.
@@ -708,7 +708,7 @@ constexpr CrashPolicy kAllPolicies[] = {
 std::string
 where_of(CrashPolicy policy, int64_t k)
 {
-    return "policy " + std::to_string(static_cast<int>(policy))
+    return std::string("policy ") + crash_policy_name(policy)
            + " k=" + std::to_string(k);
 }
 

@@ -44,6 +44,7 @@
 #include "net/server.h"
 #include "nvm/persist_domain.h"
 #include "nvm/persistent_heap.h"
+#include "stats/metrics.h"
 
 namespace ido {
 namespace {
@@ -56,8 +57,7 @@ using net::MemcClient;
 
 struct InProcessServer
 {
-    InProcessServer(uint32_t shards, uint32_t batch_limit,
-                    bool admin = false)
+    explicit InProcessServer(uint32_t shards, bool admin = false)
         : heap({.size = 64u << 20}), dom(),
           runtime(heap, dom, rt::RuntimeConfig{})
     {
@@ -65,7 +65,6 @@ struct InProcessServer
         net::ServerConfig cfg;
         cfg.port = 0;
         cfg.shards = shards;
-        cfg.batch_limit = batch_limit;
         cfg.nbuckets = 64;
         cfg.admin = admin;
         server = std::make_unique<net::Server>(runtime, cfg);
@@ -87,7 +86,7 @@ struct InProcessServer
 
 TEST(InProcessServer_, ProtocolBasics)
 {
-    InProcessServer s(/*shards=*/2, /*batch_limit=*/4);
+    InProcessServer s(/*shards=*/2);
     MemcClient c;
     ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
 
@@ -108,7 +107,7 @@ TEST(InProcessServer_, ProtocolBasics)
 
 TEST(InProcessServer_, PipelinedAcrossShardsStaysOrdered)
 {
-    InProcessServer s(/*shards=*/4, /*batch_limit=*/8);
+    InProcessServer s(/*shards=*/4);
     MemcClient c;
     ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
 
@@ -127,7 +126,7 @@ TEST(InProcessServer_, PipelinedAcrossShardsStaysOrdered)
 
 TEST(InProcessServer_, MalformedInputAnsweredInOrder)
 {
-    InProcessServer s(/*shards=*/1, /*batch_limit=*/4);
+    InProcessServer s(/*shards=*/1);
     MemcClient c;
     ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
     // A bogus command between two valid ones: ERROR must arrive
@@ -143,7 +142,7 @@ TEST(InProcessServer_, MalformedInputAnsweredInOrder)
 // happens after latency recording -- a nonzero per-op sample count.
 TEST(InProcessServer_, StatsCommandReportsTrafficAndLatency)
 {
-    InProcessServer s(/*shards=*/2, /*batch_limit=*/4);
+    InProcessServer s(/*shards=*/2);
     MemcClient c;
     ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
     for (int i = 0; i < 20; ++i)
@@ -163,21 +162,49 @@ TEST(InProcessServer_, StatsCommandReportsTrafficAndLatency)
     EXPECT_GE(std::stoull(st["net.lat.req.set.count"]), 20u);
     ASSERT_TRUE(st.count("net.lat.req.set.p99_ns"));
     EXPECT_GT(std::stoull(st["net.lat.req.set.p99_ns"]), 0u);
-    // Phase decomposition recorders ride along.
-    EXPECT_TRUE(st.count("net.lat.queue.count"));
-    EXPECT_TRUE(st.count("net.lat.exec.count"));
-    EXPECT_TRUE(st.count("net.lat.publish.count"));
+    // The execute phase recorder and the reply send counter ride along.
+    ASSERT_TRUE(st.count("net.lat.exec.count"));
+    EXPECT_GE(std::stoull(st["net.lat.exec.count"]), 21u);
+    ASSERT_TRUE(st.count("net.sends"));
+    EXPECT_GE(std::stoull(st["net.sends"]), 21u);
     // Interleaves with normal traffic on the same connection.
     EXPECT_TRUE(c.set("after-stats", 7));
     ASSERT_TRUE(c.get("after-stats", &v));
     EXPECT_EQ(v, 7u);
 }
 
+// Reply coalescing, pinned by a count that does not vary run to run: a
+// pipelined burst the server reads at once is one batch, and its
+// replies leave in one send() (two if the burst straddles two reads).
+// The connection layer counts a send before making it, so the count is
+// complete once the client holds the replies.
+TEST(InProcessServer_, PipelinedBurstAnsweredInAtMostTwoSends)
+{
+    InProcessServer s(/*shards=*/2);
+    MemcClient c;
+    ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
+    ASSERT_TRUE(c.set("warm", 1));
+    auto& reg = MetricsRegistry::instance();
+    const uint64_t before = reg.counter_value("net.sends");
+    for (int i = 0; i < 64; ++i) {
+        if (i % 4 == 0)
+            c.pipeline_set("burst" + std::to_string(i), i);
+        else
+            c.pipeline_get("burst" + std::to_string(i % 8));
+    }
+    // One send() of the whole burst, then all 64 acks.
+    EXPECT_EQ(c.pipeline_flush(), 64u);
+    const uint64_t sends = reg.counter_value("net.sends") - before;
+    EXPECT_GE(sends, 1u);
+    EXPECT_LE(sends, 2u) << "replies to one burst left in " << sends
+                         << " sends";
+}
+
 // The admin endpoint serves Prometheus text, the JSON snapshot, and
-// health without blocking shard workers.
+// health without blocking the data path.
 TEST(InProcessServer_, AdminEndpointServesMetrics)
 {
-    InProcessServer s(/*shards=*/2, /*batch_limit=*/4, /*admin=*/true);
+    InProcessServer s(/*shards=*/2, /*admin=*/true);
     ASSERT_NE(s.server->admin_port(), 0);
     MemcClient c;
     ASSERT_TRUE(c.connect_retry("127.0.0.1", s.server->port(), 50, 10));
@@ -217,8 +244,7 @@ TEST(InProcessServer_, AdminEndpointServesMetrics)
 TEST(InProcessServer_, TypedClientErrors)
 {
     using net::ClientError;
-    auto s = std::make_unique<InProcessServer>(/*shards=*/2,
-                                               /*batch_limit=*/4);
+    auto s = std::make_unique<InProcessServer>(/*shards=*/2);
     MemcClient c;
     // Calls before any connect: kNotConnected.
     EXPECT_FALSE(c.set("x", 1));
@@ -266,8 +292,7 @@ struct ServerProcess
  *  writes its port there. */
 ServerProcess
 spawn_server(const std::string& bin, const std::string& heap_path,
-             const std::string& port_path, int shards, int batch,
-             bool reset, const std::string& admin_port_path = "")
+             const std::string& port_path, int shards, bool reset, const std::string& admin_port_path = "")
 {
     ServerProcess sp;
     ::unlink(port_path.c_str());
@@ -281,12 +306,11 @@ spawn_server(const std::string& bin, const std::string& heap_path,
         const std::string port_arg = "--port-file=" + port_path;
         const std::string shards_arg =
             "--shards=" + std::to_string(shards);
-        const std::string batch_arg = "--batch=" + std::to_string(batch);
         const std::string admin_arg =
             "--admin-port-file=" + admin_port_path;
         std::vector<const char*> args = {
             bin.c_str(),       heap_arg.c_str(),  port_arg.c_str(),
-            shards_arg.c_str(), batch_arg.c_str()};
+            shards_arg.c_str()};
         if (!admin_port_path.empty())
             args.push_back(admin_arg.c_str());
         if (reset)
@@ -457,7 +481,7 @@ crash_round(const std::string& bin, const std::string& heap_path,
     c.close();
 
     *sp = spawn_server(bin, heap_path, port_path, /*shards=*/4,
-                       /*batch=*/16, /*reset=*/false, admin_port_path);
+                       /*reset=*/false, admin_port_path);
     ASSERT_GT(sp->pid, 0) << "server failed to restart after kill -9";
 
     MemcClient c2;
@@ -490,7 +514,7 @@ TEST(KillNine, UnderLoadEveryAckedWriteSurvives)
     const std::string port_path = dir.path + "/port";
     const std::string admin_path = dir.path + "/admin_port";
 
-    ServerProcess sp = spawn_server(bin, heap_path, port_path, 4, 16,
+    ServerProcess sp = spawn_server(bin, heap_path, port_path, 4,
                                     /*reset=*/true, admin_path);
     ASSERT_GT(sp.pid, 0) << "server failed to start";
 
@@ -546,7 +570,7 @@ TEST(KillNine, Soak)
     const std::string heap_path = dir.path + "/cache.heap";
     const std::string port_path = dir.path + "/port";
 
-    ServerProcess sp = spawn_server(bin, heap_path, port_path, 4, 16,
+    ServerProcess sp = spawn_server(bin, heap_path, port_path, 4,
                                     /*reset=*/true);
     ASSERT_GT(sp.pid, 0) << "server failed to start";
 

@@ -9,7 +9,7 @@
  * Usage:
  *   ido_cluster --serve-bin=PATH --dir=DIR [--nodes=3] [--replicate]
  *               [--router-port=0] [--router-port-file=PATH]
- *               [--state-file=PATH] [--shards=2] [--batch=16]
+ *               [--state-file=PATH] [--shards=2]
  *               [--heap-bytes=N] [--health-interval-ms=200]
  *
  * The state file (default DIR/cluster.state) is rewritten atomically
@@ -83,7 +83,7 @@ usage()
         "                   [--replicate] [--router-port=N]\n"
         "                   [--router-port-file=PATH]\n"
         "                   [--state-file=PATH] [--shards=N]\n"
-        "                   [--batch=K] [--heap-bytes=N]\n"
+        "                   [--heap-bytes=N]\n"
         "                   [--health-interval-ms=N]\n");
     return 2;
 }
@@ -152,9 +152,6 @@ main(int argc, char** argv)
         else if (parse_flag(argv[i], "--shards", &val))
             scfg.shards =
                 static_cast<uint32_t>(parse_u64_or_die(val, "--shards"));
-        else if (parse_flag(argv[i], "--batch", &val))
-            scfg.batch =
-                static_cast<uint32_t>(parse_u64_or_die(val, "--batch"));
         else if (parse_flag(argv[i], "--heap-bytes", &val))
             scfg.heap_bytes = parse_u64_or_die(val, "--heap-bytes");
         else if (parse_flag(argv[i], "--health-interval-ms", &val))

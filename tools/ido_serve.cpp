@@ -3,11 +3,11 @@
  * ido-serve: the memcached-protocol server binary over the iDO FASE
  * runtime (src/net).  This is the process the kill -9 harness aims
  * at: a file-backed persistent heap, iDO recovery on reattach, and
- * group-commit batching of pipelined requests.
+ * FASEs run on the event loop, one batch of replies per read.
  *
  * Usage:
  *   ido_serve --heap=/path/cache.heap [--port=0] [--port-file=PATH]
- *             [--shards=4] [--batch=16] [--buckets=256]
+ *             [--shards=4] [--buckets=256]
  *             [--heap-bytes=67108864] [--reset]
  *             [--admin] [--admin-port=0] [--admin-port-file=PATH]
  *
@@ -86,7 +86,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: ido_serve --heap=PATH [--port=N] [--port-file=PATH]\n"
-        "                 [--shards=N] [--batch=K] [--buckets=N]\n"
+        "                 [--shards=N] [--buckets=N]\n"
         "                 [--heap-bytes=N] [--reset] [--admin]\n"
         "                 [--admin-port=N] [--admin-port-file=PATH]\n"
         "                 [--replica-of=HOST:PORT]\n"
@@ -110,7 +110,6 @@ main(int argc, char** argv)
     uint64_t admin_port = 0;
     bool admin = false;
     uint64_t shards = 4;
-    uint64_t batch = 16;
     uint64_t buckets = 256;
     uint64_t heap_bytes = 64u << 20;
     bool reset = false;
@@ -135,8 +134,6 @@ main(int argc, char** argv)
             admin = true;
         else if (parse_flag(argv[i], "--shards", &val))
             shards = parse_u64_or_die(val, "--shards");
-        else if (parse_flag(argv[i], "--batch", &val))
-            batch = parse_u64_or_die(val, "--batch");
         else if (parse_flag(argv[i], "--buckets", &val))
             buckets = parse_u64_or_die(val, "--buckets");
         else if (parse_flag(argv[i], "--heap-bytes", &val))
@@ -165,7 +162,7 @@ main(int argc, char** argv)
             return usage();
     }
     if (heap_path.empty() || port > 65535 || admin_port > 65535 ||
-        shards < 1 || shards > 7 || batch < 1)
+        shards < 1 || shards > 7)
         return usage();
 
     // Slow-request forensics need an armed ring tracer to snapshot.
@@ -203,7 +200,6 @@ main(int argc, char** argv)
     net::ServerConfig cfg;
     cfg.port = static_cast<uint16_t>(port);
     cfg.shards = static_cast<uint32_t>(shards);
-    cfg.batch_limit = static_cast<uint32_t>(batch);
     cfg.nbuckets = buckets;
     cfg.admin = admin;
     cfg.admin_port = static_cast<uint16_t>(admin_port);
@@ -237,9 +233,8 @@ main(int argc, char** argv)
                      admin_port_file.c_str());
         return 1;
     }
-    std::printf("LISTENING 127.0.0.1:%u shards=%llu batch=%llu admin=%u\n",
+    std::printf("LISTENING 127.0.0.1:%u shards=%llu admin=%u\n",
                 server.port(), static_cast<unsigned long long>(shards),
-                static_cast<unsigned long long>(batch),
                 server.admin_port());
     std::fflush(stdout);
 

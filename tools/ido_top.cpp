@@ -11,7 +11,8 @@
  *  - per-op latency percentiles (p50/p99/p999) straight from the
  *    server's live recorders -- cumulative since server start, which
  *    is what the recorders expose;
- *  - per-shard queue depth and connection/pending-bytes gauges;
+ *  - the execute and replica-ack phase percentiles, reply send()s per
+ *    request, and the connection/pending-bytes gauges;
  *  - the cache-line write-back instruction the server issues
  *    (nvm.flush_insn: clwb, clflushopt or clflush).
  *
@@ -157,9 +158,11 @@ render(const std::map<std::string, double>& cur,
                 "conns %.0f    pending %.0f B    flush %s\n",
                 rps, fpo, get(cur, "net.conns"),
                 get(cur, "net.pending_out_bytes"), flush_insn_of(cur));
-    std::printf("one-word FASEs/op: committed %5.3f    fell back %5.3f\n",
+    std::printf("one-word FASEs/op: committed %5.3f    fell back %5.3f    "
+                "reply sends/op %5.3f\n",
                 per_req("ido.single_store.commits"),
-                per_req("ido.single_store.fallbacks"));
+                per_req("ido.single_store.fallbacks"),
+                per_req("net.sends"));
     std::printf("%-10s %10s %12s %12s %12s\n", "op", "count",
                 "p50(us)", "p99(us)", "p999(us)");
     for (const char* op : { "get", "set", "delete" }) {
@@ -172,7 +175,7 @@ render(const std::map<std::string, double>& cur,
                     get(cur, base + ".p99_ns") / 1e3,
                     get(cur, base + ".p999_ns") / 1e3);
     }
-    for (const char* phase : { "queue", "exec", "publish" }) {
+    for (const char* phase : { "exec", "replica_ack" }) {
         const std::string base = std::string("net.lat.") + phase;
         if (get(cur, base + ".count") == 0)
             continue;
@@ -200,17 +203,6 @@ render(const std::map<std::string, double>& cur,
                     get(cur, "heap.gc.last_mark_threads"),
                     get(cur, "heap.gc.last_census_us") / 1e3,
                     get(cur, "heap.gc.last_reclaim_us") / 1e3);
-    std::string depths;
-    for (int s = 0; s < 16; ++s) {
-        const std::string k =
-            "net.shard." + std::to_string(s) + ".queue_depth";
-        if (cur.find(k) == cur.end())
-            break;
-        depths += (s ? " " : "") + std::to_string(
-                      static_cast<uint64_t>(get(cur, k)));
-    }
-    if (!depths.empty())
-        std::printf("shard queue depth: [%s]\n", depths.c_str());
     std::fflush(stdout);
 }
 
