@@ -67,6 +67,12 @@ EventLoop::defer(std::function<void()> fn)
 }
 
 void
+EventLoop::set_round_end(std::function<void()> fn)
+{
+    round_end_ = std::move(fn);
+}
+
+void
 EventLoop::run_deferred()
 {
     // A deferred function may defer more work; it runs in this pass.
@@ -101,6 +107,10 @@ EventLoop::run()
                 continue;
             Callback cb = it->second;
             cb(evs[i].events);
+            run_deferred();
+        }
+        if (round_end_ && !stopped_.load(std::memory_order_relaxed)) {
+            round_end_();
             run_deferred();
         }
     }

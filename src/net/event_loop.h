@@ -58,6 +58,14 @@ class EventLoop
      */
     void defer(std::function<void()> fn);
 
+    /**
+     * Run fn after each round of ready events (one epoll_wait's worth)
+     * was dispatched, before the loop sleeps again.  Lets a user batch
+     * work across the round's callbacks (server.cpp writes every
+     * replica flight of the round at once).  Loop thread only.
+     */
+    void set_round_end(std::function<void()> fn);
+
     /** Run until stop(); dispatches events and deferred work. */
     void run();
 
@@ -82,6 +90,7 @@ class EventLoop
     std::atomic<bool> stopped_{false};
     std::unordered_map<int, Callback> handlers_;
     std::vector<std::function<void()>> deferred_;
+    std::function<void()> round_end_;
 };
 
 } // namespace ido::net

@@ -183,6 +183,28 @@ MemcClient::read_line(std::string* out)
 }
 
 bool
+MemcClient::read_available()
+{
+    if (fd_ < 0)
+        return fail(ClientError::kNotConnected);
+    char buf[8192];
+    for (;;) {
+        const ssize_t n = ::recv(fd_, buf, sizeof buf, MSG_DONTWAIT);
+        if (n > 0) {
+            inbuf_.append(buf, static_cast<size_t>(n));
+            if (static_cast<size_t>(n) < sizeof buf)
+                return true; // drained: skip the EAGAIN round trip
+            continue;
+        }
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            return true;
+        return fail(ClientError::kDisconnected); // EOF or reset
+    }
+}
+
+bool
 MemcClient::set(const std::string& key, uint64_t value)
 {
     if (fd_ < 0)

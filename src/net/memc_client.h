@@ -150,6 +150,13 @@ class MemcClient
      *  (polling fd() cannot see them). */
     bool reply_buffered() const { return !inbuf_.empty(); }
 
+    /**
+     * Buffer whatever reply bytes the socket holds now, without
+     * blocking, so pipeline_collect() parses them with no further
+     * syscall.  False once the peer closed or reset (kDisconnected).
+     */
+    bool read_available();
+
   private:
     bool send_all(const char* data, size_t n);
     /** Read until `out` contains a full line; false on EOF/timeout. */

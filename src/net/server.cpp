@@ -1,6 +1,5 @@
 #include "net/server.h"
 
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
@@ -108,6 +107,15 @@ Server::run()
         its.it_interval.tv_nsec = (kStallMs % 1000) * 1000000l;
         its.it_value = its.it_interval;
         ::timerfd_settime(stall_fd_, 0, &its, nullptr);
+        // Every flight queued this round goes out in one write: fewer
+        // sends on the primary and fewer, larger batches on the replica.
+        loop_.set_round_end([this] {
+            if (replica_.pipeline_pending() != 0
+                && !replica_.pipeline_send()) {
+                replica_drop();
+                release_flights(/*probe=*/false); // re-dial and resend
+            }
+        });
         loop_.add(stall_fd_, EPOLLIN, [this](uint32_t) {
             uint64_t ticks = 0;
             while (::read(stall_fd_, &ticks, sizeof ticks) > 0) {
@@ -238,13 +246,11 @@ Server::forward(std::vector<Done>&& batch)
         f.nmut += d.req.op == MemcOp::kSet || d.req.op == MemcOp::kDelete;
     f.done = std::move(batch);
     f.sent_ns = stat_enabled() ? stat_now_ns() : 0;
-    // Unconnected, the flight goes out with the rest when await_head
-    // reconnects.
-    if (f.nmut != 0 && replica_.connected()) {
+    // Queued here, written at the end of the loop round together with
+    // the round's other flights (run()).  Unconnected, the flight goes
+    // out with the rest when await_head reconnects.
+    if (f.nmut != 0 && replica_.connected())
         queue_mutations(f);
-        if (!replica_.pipeline_send())
-            replica_drop();
-    }
     flights_.push_back(std::move(f));
     // Acks arrive through the replica fd's callback; release here only
     // what cannot wait for one: a read-only head, a full window, or a
@@ -307,14 +313,16 @@ Server::release_flights(bool probe)
     }
 }
 
-/** The head flight's acks can be read without waiting for them. */
+/**
+ * The head flight's acks can be read without waiting for them: some
+ * are buffered, or the replica needs a re-dial (await_head does both).
+ */
 bool
 Server::head_ready()
 {
     if (!replica_.connected() || replica_.reply_buffered())
         return true;
-    struct pollfd pfd = {replica_.fd(), POLLIN, 0};
-    return ::poll(&pfd, 1, 0) > 0;
+    return !replica_.read_available() || replica_.reply_buffered();
 }
 
 /**
@@ -360,8 +368,11 @@ Server::await_head()
             });
             for (const Flight& f : flights_)
                 queue_mutations(f);
-            replica_.pipeline_send(); // a failure shows up as acks
         }
+        // Flights still queued for the round's end go out before we
+        // wait on them; a failed send shows up as missing acks.
+        if (replica_.pipeline_pending() != 0)
+            replica_.pipeline_send();
         if (replica_.pipeline_collect(need) == need)
             return true; // every mutation durable on the replica
         const ClientError err = replica_.last_error();
