@@ -68,8 +68,8 @@ void
 JustdoRuntime::recover()
 {
     bump_lock_epoch();
-    // Relink any block the crashed epoch stranded mid-free
-    // (NvHeap's online leak reclamation).
+    // Relink any block the crashed epoch stranded mid-free (NvHeap's
+    // online leak reclamation, from the census the attach took).
     alloc_.recover_leaks(dom_);
     std::vector<uint64_t> active;
     for (uint64_t off : log_records(nvm::RootSlot::kJustdoState)) {

@@ -67,8 +67,8 @@ void
 MnemosyneRuntime::recover()
 {
     bump_lock_epoch();
-    // Relink any block the crashed epoch stranded mid-free
-    // (NvHeap's online leak reclamation).
+    // Relink any block the crashed epoch stranded mid-free (NvHeap's
+    // online leak reclamation, from the census the attach took).
     alloc_.recover_leaks(dom_);
     trace::emit(trace::EventKind::kRecoveryBegin, 2);
     for (uint64_t off : log_records(nvm::RootSlot::kMnemosyneState)) {

@@ -81,6 +81,7 @@ class NodeSupervisor
         return nodes_[node].admin_port;
     }
     uint16_t replica_port() const { return replica_.port; }
+    uint16_t replica_admin_port() const { return replica_.admin_port; }
     std::string node_heap(uint32_t node) const { return nodes_[node].heap; }
     std::string replica_heap() const { return replica_.heap; }
 

@@ -14,9 +14,11 @@
  * Around those steps: the allocator's crash strays are relinked first
  * (blocks an interrupted FASE's entries name are pinned), and every
  * free a finished FASE recorded but may not have completed is finished
- * before any resumed FASE can allocate.  Recovery never walks the heap
- * for leaks: a FASE's allocations and frees are logged (ido_log.h), so
- * a crash leaves none.  Auditing reachability is `ido_heap audit`.
+ * before any resumed FASE can allocate.  The strays come from the
+ * census the allocator took at attach, so recovery reads no block
+ * header itself.  Recovery never looks for unreachable blocks: a
+ * FASE's allocations and frees are logged (ido_log.h), so a crash
+ * leaves none.  Auditing reachability is `ido_heap audit`.
  */
 #include <atomic>
 #include <barrier>
@@ -62,10 +64,20 @@ IdoRuntime::recover()
     uint64_t t0 = stat_now_ns();
     bump_lock_epoch();
     // Relink any block the crashed epoch stranded mid-free
-    // (NvHeap's online leak reclamation).
+    // (NvHeap's online leak reclamation).  The phase owns the census
+    // that found the strays: a census the attach took ran before this
+    // timeline started, so its walk time is added here and to the
+    // wall time.
     const uint64_t reclaimed = alloc_.recover_leaks(dom_);
-    tl.add_phase("leak-reclaim", stat_now_ns() - t0, reclaimed);
+    const nvm::NvHeap::CensusStats census = alloc_.census_stats();
+    const uint64_t prior_ns = census.reused ? census.ns : 0;
+    tl.backdate(prior_ns);
+    tl.add_phase("leak-reclaim", stat_now_ns() - t0 + prior_ns, reclaimed);
     tl.set_field("leaks_reclaimed", reclaimed);
+    tl.set_field("census_ns", census.ns);
+    tl.set_field("census_blocks", census.blocks);
+    tl.set_field("census_extents", census.extents);
+    tl.set_field("census_threads", census.threads);
 
     t0 = stat_now_ns();
     std::vector<uint64_t> active;

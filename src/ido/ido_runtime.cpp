@@ -671,6 +671,18 @@ IdoThread::on_region_boundary(const rt::FaseProgram& prog,
     // to order ahead of the recovery_pc update, so its boundary costs a
     // single fence.
     const rt::RegionMeta& meta = prog.region(finished_idx);
+    // Fence 1 stores the outputs into their register slots while the
+    // pc still names the finished region: an output that is also one
+    // of its live-ins would resume the region with its post-region
+    // value.
+    if ((meta.out_int & meta.live_in_int)
+        || (meta.out_float & meta.live_in_float))
+        panic("FASE '%s': region '%s' outputs its own live-in register "
+              "(int 0x%x, float 0x%x); a logged boundary would overwrite "
+              "the value its re-execution reads",
+              prog.name, meta.name,
+              static_cast<unsigned>(meta.out_int & meta.live_in_int),
+              static_cast<unsigned>(meta.out_float & meta.live_in_float));
     if (meta.out_int || meta.out_float || !pending_.empty() || new_entries)
         persist_outputs(meta, ctx, FenceSite::kBoundary1);
     mark_claimed_live();

@@ -596,6 +596,8 @@ HeapGc::repair()
         ++s.reclaimed_blocks;
         s.reclaimed_bytes += b.size + sizeof(NvHeap::BlockHeader);
     }
+    // The GC rewrites headers behind the allocator's back: walk afresh.
+    heap_.census_.reset();
     heap_.recover_leaks(dom_);
     s.reclaim_ns = stat_now_ns() - t0;
     return s;
@@ -929,6 +931,7 @@ HeapGc::compact()
     // references a chunk this run might retire.
     heap_.flush_transient_caches(dom_);
     resolve_journal(&s);
+    heap_.census_.reset(); // journal resolution rewrites headers
     heap_.recover_leaks(dom_);
     survey(&s);
 

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <thread>
 #include <unordered_map>
 
 #include "common/cacheline.h"
 #include "common/panic.h"
 #include "nvm/persist_domain.h"
 #include "stats/metrics.h"
+#include "stats/stat_plane.h"
 #include "trace/trace.h"
 
 namespace ido::nvm {
@@ -73,11 +75,6 @@ const ClassTable g_class_table;
 
 } // namespace
 
-template <typename Fn>
-static void walk_blocks(PersistentHeap& heap, uint64_t data_begin,
-                        uint64_t bump, uint64_t heap_size, bool* consistent,
-                        Fn&& fn);
-
 size_t
 NvHeap::class_for_size(size_t size)
 {
@@ -106,6 +103,7 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
     m_leak_reclaim_ = reg.counter("nvheap.leak_reclaim");
     m_oversize_ = reg.counter("nvheap.oversize");
     m_chunk_reuse_ = reg.counter("nvheap.chunk_reuse");
+    m_blocks_walked_ = reg.counter("nvheap.blocks_walked");
 
     state_off_ = heap_.root(RootSlot::kAllocator);
     if (state_off_ == 0) {
@@ -134,31 +132,23 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
         dom.store_val(&st->epoch, dom.load_val(&st->epoch) + 1);
         dom.flush(&st->epoch, sizeof(uint64_t));
         dom.fence();
+        // The attach's one read of every block header.  It seeds the
+        // per-class occupancy counters, so the live/free gauges and the
+        // fragmentation ratio are correct for inherited blocks, not
+        // just this run's churn, and recover_leaks() takes its strays.
+        census_ = take_census();
+        const Census& c = *census_;
+        for (size_t k = 0; k < kNumClasses; ++k) {
+            cls_alloc_[k].store(c.cls_blocks[k], std::memory_order_relaxed);
+            cls_free_[k].store(c.cls_unlive[k], std::memory_order_relaxed);
+        }
+        oversize_blocks_.store(c.oversize_live, std::memory_order_relaxed);
+        oversize_bytes_.store(c.oversize_live_bytes,
+                              std::memory_order_relaxed);
+        census_marks_ = marks();
+        census_stats_ = c.stats;
         if (heap_.recovered_from_crash())
             recover_leaks(dom);
-        // Seed the per-class occupancy counters from the existing
-        // image so the live/free gauges and the fragmentation ratio
-        // are correct for inherited blocks, not just this run's churn.
-        walk_blocks(heap_, data_begin_, st->bump, heap_.size(), nullptr,
-                    [&](uint64_t, uint64_t size, uint64_t meta) {
-                        const uint64_t s = meta_state(meta);
-                        const size_t cls = class_for_size(size);
-                        const bool exact = cls < kNumClasses
-                            && kClassSizes[cls] == size;
-                        if (exact) {
-                            cls_alloc_[cls].fetch_add(
-                                1, std::memory_order_relaxed);
-                            if (s != kBlockLive)
-                                cls_free_[cls].fetch_add(
-                                    1, std::memory_order_relaxed);
-                        } else if (s == kBlockLive) {
-                            oversize_blocks_.fetch_add(
-                                1, std::memory_order_relaxed);
-                            oversize_bytes_.fetch_add(
-                                size + sizeof(BlockHeader),
-                                std::memory_order_relaxed);
-                        }
-                    });
     }
 
     // ido-stat occupancy gauges.  The bump/end reads take the refill
@@ -856,88 +846,120 @@ NvHeap::arena_remaining() const
 }
 
 // --------------------------------------------------------------------------
-// Walks: consistency checking, live census, leak reclamation
+// Walks: consistency checking, census, leak reclamation
 // --------------------------------------------------------------------------
 
 namespace {
 
+constexpr uint64_t kHdr = 16;
+/** How far ahead of a chunk walk its lines are prefetched. */
+constexpr uint64_t kPrefetchBytes = 2048;
+
 /** One extent of the global arena: a chunk or an oversize block. */
 struct Extent
 {
-    uint64_t begin;  ///< first block header (payload walk start)
-    uint64_t end;    ///< one past the extent's block area
+    uint64_t begin; ///< its header: the chunk's, or the block's own
+    uint64_t end;   ///< one past its last byte
     bool is_chunk;
 };
 
-} // namespace
-
 /**
- * Invoke fn(payload_off, hdr) for every block in the arena.  Blocks
- * inside a chunk form a packed prefix; the walk stops at the first
- * header slot never durably written (meta state unrecognizable),
- * which by the carve protocol is always the unused tail.
+ * The arena's extents in address order, found by hopping chunk and
+ * oversize headers up to the bump pointer.  Stops at the first
+ * inconsistent extent header and returns false.
  */
-template <typename Fn>
-static void
-walk_blocks(PersistentHeap& heap, uint64_t data_begin, uint64_t bump,
-            uint64_t heap_size, bool* consistent, Fn&& fn)
+bool
+list_extents(const PersistentHeap& heap, uint64_t data_begin, uint64_t bump,
+             std::vector<Extent>* out)
 {
-    constexpr uint64_t kHdr = 16;
     uint64_t off = data_begin;
     while (off + kHdr <= bump) {
         const auto* words = heap.resolve<uint64_t>(off);
         if (words[0] == NvHeap::kChunkMagic) {
-            const uint64_t chunk_end = off + words[1];
-            if (words[1] != NvHeap::kChunkBytes || chunk_end > bump) {
-                if (consistent)
-                    *consistent = false;
-                return;
-            }
-            uint64_t b = off + kHdr;
-            while (b + kHdr <= chunk_end) {
-                const auto* bw = heap.resolve<uint64_t>(b);
-                const uint64_t st = bw[1] & 0xffff;
-                if (!recognized_state(st))
-                    break; // unused chunk tail
-                if (bw[0] == 0 || b + kHdr + bw[0] > chunk_end) {
-                    if (consistent)
-                        *consistent = false;
-                    return;
-                }
-                fn(b + kHdr, bw[0], bw[1]);
-                b += kHdr + bw[0];
-            }
-            off = chunk_end;
+            if (words[1] != NvHeap::kChunkBytes || off + words[1] > bump)
+                return false;
+            out->push_back({off, off + words[1], true});
         } else {
             // Oversize (or arena-tail) block carved straight from the
             // global arena.
-            const uint64_t st = words[1] & 0xffff;
-            if (!recognized_state(st)) {
-                if (consistent)
-                    *consistent = false;
-                return;
-            }
-            if (words[0] == 0 || off + kHdr + words[0] > heap_size) {
-                if (consistent)
-                    *consistent = false;
-                return;
-            }
-            fn(off + kHdr, words[0], words[1]);
-            off += kHdr + words[0];
+            if (!recognized_state(words[1] & 0xffff) || words[0] == 0
+                || off + kHdr + words[0] > heap.size())
+                return false;
+            out->push_back({off, off + kHdr + words[0], false});
+        }
+        off = out->back().end;
+    }
+    return true;
+}
+
+/**
+ * fn(payload_off, size, meta) for every block of one extent: the one
+ * block walker, shared by every serial walk and each thread of a split
+ * census.  A chunk's blocks form a packed prefix; the walk stops at the
+ * first header slot never durably written (state unrecognizable),
+ * which by the carve protocol is always the unused tail.  Returns false
+ * at an inconsistent header.
+ */
+template <typename Fn>
+bool
+walk_extent(const PersistentHeap& heap, const Extent& e, Fn&& fn)
+{
+    if (!e.is_chunk) {
+        const auto* w = heap.resolve<uint64_t>(e.begin);
+        fn(e.begin + kHdr, w[0], w[1]);
+        return true;
+    }
+    // Each header's position hangs on the one before it, so the walk
+    // is a chain of dependent loads; prefetching the chunk a fixed
+    // distance ahead overlaps their misses (it halves a cold walk).
+    uint64_t b = e.begin + kHdr;
+    uint64_t ahead = b;
+    while (b + kHdr <= e.end) {
+        for (; ahead < std::min(b + kPrefetchBytes, e.end);
+             ahead += kCacheLineBytes)
+            __builtin_prefetch(heap.resolve<char>(ahead));
+        const auto* bw = heap.resolve<uint64_t>(b);
+        if (!recognized_state(bw[1] & 0xffff))
+            break; // unused chunk tail
+        if (bw[0] == 0 || b + kHdr + bw[0] > e.end)
+            return false;
+        fn(b + kHdr, bw[0], bw[1]);
+        b += kHdr + bw[0];
+    }
+    return true;
+}
+
+} // namespace
+
+template <typename Fn>
+bool
+NvHeap::walk_blocks(Fn&& fn) const
+{
+    std::vector<Extent> extents;
+    bool ok = list_extents(heap_, data_begin_, state()->bump, &extents);
+    uint64_t walked = 0;
+    const auto count = [&](uint64_t payload, uint64_t size, uint64_t meta) {
+        ++walked;
+        fn(payload, size, meta);
+    };
+    for (const Extent& e : extents) {
+        if (!walk_extent(heap_, e, count)) {
+            ok = false;
+            break;
         }
     }
+    m_blocks_walked_->fetch_add(walked, std::memory_order_relaxed);
+    return ok;
 }
 
 uint64_t
 NvHeap::live_blocks() const
 {
-    const HeapState* st = state();
     uint64_t live = 0;
-    walk_blocks(heap_, data_begin_, st->bump, heap_.size(), nullptr,
-                [&](uint64_t, uint64_t, uint64_t meta) {
-                    if (meta_state(meta) == kBlockLive)
-                        ++live;
-                });
+    walk_blocks([&](uint64_t, uint64_t, uint64_t meta) {
+        if (meta_state(meta) == kBlockLive)
+            ++live;
+    });
     return live;
 }
 
@@ -947,10 +969,7 @@ NvHeap::check_consistency() const
     const HeapState* st = state();
     if (st->magic != kStateMagic)
         return false;
-    bool ok = true;
-    walk_blocks(heap_, data_begin_, st->bump, heap_.size(), &ok,
-                [](uint64_t, uint64_t, uint64_t) {});
-    if (!ok)
+    if (!walk_blocks([](uint64_t, uint64_t, uint64_t) {}))
         return false;
     // Every free-list entry must be in state FREE with a matching
     // class size, and the lists must be acyclic.
@@ -989,22 +1008,16 @@ NvHeap::check_consistency() const
     return true;
 }
 
-uint64_t
-NvHeap::recover_leaks(PersistDomain& dom)
+NvHeap::Census
+NvHeap::take_census(unsigned threads) const
 {
-    // Serialize against every mutator path; reclamation is a recovery
-    // operation but must be safe even if called mid-run.
-    std::lock_guard<std::mutex> rg(refill_mutex_);
-    std::unique_lock<std::mutex> sg[kNumShards];
-    for (size_t s = 0; s < kNumShards; ++s)
-        sg[s] = std::unique_lock<std::mutex>(shard_mutexes_[s]);
+    const uint64_t t0 = stat_now_ns();
+    const HeapState* st = state();
+    const uint64_t bump = st->bump;
+    const uint64_t cur_tag = epoch_tag(st->epoch);
 
-    HeapState* st = state();
-    const uint64_t cur_epoch = dom.load_val(&st->epoch);
-
-    // Pass 1: index every block reachable from a free list, one bit
-    // per 16-byte payload granule below the bump pointer.
-    const uint64_t bump = dom.load_val(&st->bump);
+    // Index every block reachable from a free list, one bit per
+    // 16-byte payload granule below the bump pointer.
     std::vector<uint64_t> listed(((bump - data_begin_) / 16 + 63) / 64);
     const auto granule = [&](uint64_t payload) {
         return (payload - data_begin_) / 16;
@@ -1038,56 +1051,154 @@ NvHeap::recover_leaks(PersistDomain& dom)
         if (d != nullptr && d->reserved_blocks)
             claimers[t] = d;
     }
-    std::vector<uint64_t> reserved;
 
-    // Pass 2: find strays.  FREEING with a stale epoch means the
-    // freeing run died between the phases; FREE but unlisted means it
-    // died between a spill batch and its head publish (or between a
-    // shard pop's unlink and the LIVE flip).  Current-epoch FREEING
-    // blocks are parked in live transient caches -- leave them alone.
-    std::vector<uint64_t> strays;
-    walk_blocks(heap_, data_begin_, bump, heap_.size(), nullptr,
-                [&](uint64_t payload, uint64_t size, uint64_t meta) {
-                    const uint64_t s = meta_state(meta);
-                    if (s == kBlockLive) {
-                        const TypeDescriptor* d =
-                            claimers[static_cast<size_t>(meta_type(meta))];
-                        if (d != nullptr)
-                            d->reserved_blocks(
-                                heap_,
-                                meta_aligned(meta) ? aligned_payload(payload)
-                                                   : payload,
-                                &reserved);
-                        return;
-                    }
-                    const size_t cls = class_for_size(size);
-                    const bool exact = cls < kNumClasses
-                        && kClassSizes[cls] == size;
-                    if (!exact)
-                        return; // oversize: never relinked (bump-only)
-                    // MOVED blocks are compaction carcasses, reclaimed
-                    // only by chunk retirement -- never relinked.
-                    if (s == kBlockMoved)
-                        return;
-                    if (s == kBlockFreeing
-                        && meta_epoch(meta) < epoch_tag(cur_epoch))
-                        strays.push_back(payload);
-                    else if (s == kBlockFree && !is_listed(payload))
-                        strays.push_back(payload);
-                });
-    if (!reserved.empty()) {
-        std::sort(reserved.begin(), reserved.end());
-        std::erase_if(strays, [&](uint64_t p) {
-            return std::binary_search(reserved.begin(), reserved.end(), p);
-        });
+    // A bad extent header ends the list, as it ends a serial walk.
+    std::vector<Extent> extents;
+    list_extents(heap_, data_begin_, bump, &extents);
+
+    // Each slice walks a contiguous run of extents into its own census.
+    struct Slice
+    {
+        Census c;
+        bool ok = true; ///< no inconsistent header in its extents
+    };
+    const auto walk_slice = [&](Slice& sl, size_t lo, size_t hi) {
+        Census& c = sl.c;
+        const auto visit = [&](uint64_t payload, uint64_t size,
+                               uint64_t meta) {
+            ++c.stats.blocks;
+            const uint64_t s = meta_state(meta);
+            const size_t cls = class_for_size(size);
+            const bool exact = cls < kNumClasses && kClassSizes[cls] == size;
+            if (s == kBlockLive) {
+                if (exact) {
+                    ++c.cls_blocks[cls];
+                } else {
+                    ++c.oversize_live;
+                    c.oversize_live_bytes += size + sizeof(BlockHeader);
+                }
+                const TypeDescriptor* d =
+                    claimers[static_cast<size_t>(meta_type(meta))];
+                if (d != nullptr)
+                    d->reserved_blocks(heap_,
+                                       meta_aligned(meta)
+                                           ? aligned_payload(payload)
+                                           : payload,
+                                       &c.pins);
+                return;
+            }
+            if (!exact)
+                return; // oversize: never relinked (bump-only)
+            ++c.cls_blocks[cls];
+            ++c.cls_unlive[cls];
+            // Strays: FREEING with a stale epoch means the freeing run
+            // died between the phases; FREE but unlisted means it died
+            // between a spill batch and its head publish (or between a
+            // shard pop's unlink and the LIVE flip).  Current-epoch
+            // FREEING blocks are parked in live transient caches, and
+            // MOVED blocks are compaction carcasses, reclaimed only by
+            // chunk retirement: leave them alone.
+            if (s == kBlockFreeing && meta_epoch(meta) < cur_tag)
+                c.strays.push_back(payload);
+            else if (s == kBlockFree && !is_listed(payload))
+                c.strays.push_back(payload);
+        };
+        for (size_t i = lo; i < hi; ++i) {
+            if (!walk_extent(heap_, extents[i], visit)) {
+                sl.ok = false;
+                return;
+            }
+        }
+    };
+    unsigned n = threads;
+    if (n == 0)
+        n = extents.size() < kSplitExtents
+                ? 1
+                : std::clamp(std::thread::hardware_concurrency(), 1u,
+                             kMaxCensusThreads);
+    n = static_cast<unsigned>(
+        std::clamp<size_t>(extents.size(), 1, n));
+    std::vector<Slice> slices(n);
+    {
+        std::vector<std::jthread> walkers; // joined on scope exit
+        for (unsigned k = 1; k < n; ++k)
+            walkers.emplace_back(walk_slice, std::ref(slices[k]),
+                                 extents.size() * k / n,
+                                 extents.size() * (k + 1) / n);
+        walk_slice(slices[0], 0, extents.size() / n);
     }
 
-    // Pass 3: relink, one durable two-step per block (link+meta fence,
-    // then head publish fence) -- crashing mid-reclaim just leaves the
+    // Merge in address order.  A serial walk stops at the first
+    // inconsistent header, so nothing past the first slice that met
+    // one counts.
+    Census out;
+    for (Slice& sl : slices) {
+        Census& c = sl.c;
+        out.strays.insert(out.strays.end(), c.strays.begin(),
+                          c.strays.end());
+        out.pins.insert(out.pins.end(), c.pins.begin(), c.pins.end());
+        for (size_t k = 0; k < kNumClasses; ++k) {
+            out.cls_blocks[k] += c.cls_blocks[k];
+            out.cls_unlive[k] += c.cls_unlive[k];
+        }
+        out.oversize_live += c.oversize_live;
+        out.oversize_live_bytes += c.oversize_live_bytes;
+        out.stats.blocks += c.stats.blocks;
+        if (!sl.ok)
+            break;
+    }
+    std::sort(out.pins.begin(), out.pins.end());
+    out.pins.erase(std::unique(out.pins.begin(), out.pins.end()),
+                   out.pins.end());
+    std::erase_if(out.strays, [&](uint64_t p) {
+        return std::binary_search(out.pins.begin(), out.pins.end(), p);
+    });
+    out.stats.extents = extents.size();
+    out.stats.threads = n;
+    out.stats.ns = stat_now_ns() - t0;
+    m_blocks_walked_->fetch_add(out.stats.blocks, std::memory_order_relaxed);
+    return out;
+}
+
+NvHeap::Marks
+NvHeap::marks() const
+{
+    const HeapState* st = state();
+    uint64_t ops = oversize_blocks_.load(std::memory_order_relaxed)
+                   + oversize_freed_blocks_.load(std::memory_order_relaxed);
+    for (size_t c = 0; c < kNumClasses; ++c)
+        ops += cls_alloc_[c].load(std::memory_order_relaxed)
+               + cls_free_[c].load(std::memory_order_relaxed);
+    return {st->epoch, st->bump, st->chunk_free, ops};
+}
+
+uint64_t
+NvHeap::recover_leaks(PersistDomain& dom)
+{
+    // Serialize against every mutator path; reclamation is a recovery
+    // operation but must be safe even if called mid-run.
+    std::lock_guard<std::mutex> rg(refill_mutex_);
+    std::unique_lock<std::mutex> sg[kNumShards];
+    for (size_t s = 0; s < kNumShards; ++s)
+        sg[s] = std::unique_lock<std::mutex>(shard_mutexes_[s]);
+
+    // A census is current while no block has changed state since it
+    // was taken: every such change moves the epoch, the bump pointer,
+    // the retired-chunk head or a class counter.
+    const bool reuse = census_.has_value() && census_marks_ == marks();
+    Census c = reuse ? std::move(*census_) : take_census();
+    census_.reset(); // a reclaim cut short leaves no census to trust
+    census_stats_ = c.stats;
+    census_stats_.reused = reuse;
+
+    HeapState* st = state();
+    const uint64_t cur_epoch = dom.load_val(&st->epoch);
+    // Relink, one durable two-step per block (link+meta fence, then
+    // head publish fence) -- crashing mid-reclaim just leaves the
     // block a stray for the next reclaim.
     uint64_t reclaimed = 0;
     uint64_t reclaimed_bytes = 0;
-    for (const uint64_t payload : strays) {
+    for (const uint64_t payload : c.strays) {
         const auto* hdr =
             heap_.resolve<BlockHeader>(payload - sizeof(BlockHeader));
         const size_t cls = class_for_size(hdr->size);
@@ -1106,6 +1217,11 @@ NvHeap::recover_leaks(PersistDomain& dom)
         dom.fence();
         ++reclaimed;
     }
+    // Relinking moves no mark: the census stays current, now with
+    // nothing left to reclaim.
+    c.strays.clear();
+    census_ = std::move(c);
+    census_marks_ = marks();
     if (reclaimed != 0)
         m_leak_reclaim_->fetch_add(reclaimed, std::memory_order_relaxed);
     reclaim_stats_.blocks += reclaimed;
@@ -1117,11 +1233,7 @@ void
 NvHeap::for_each_block(
     const std::function<void(uint64_t, uint64_t, uint64_t)>& fn) const
 {
-    const HeapState* st = state();
-    walk_blocks(heap_, data_begin_, st->bump, heap_.size(), nullptr,
-                [&](uint64_t payload, uint64_t size, uint64_t meta) {
-                    fn(payload, size, meta);
-                });
+    walk_blocks(fn);
 }
 
 TypeId

@@ -58,6 +58,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "common/panic.h"
@@ -96,8 +97,10 @@ class NvHeap
 
     /**
      * Attach to (or initialize) the NvHeap state of a heap.  Attaching
-     * to existing state durably bumps the epoch; if the heap reports
-     * recovered_from_crash(), leaked blocks are reclaimed immediately.
+     * to existing state durably bumps the epoch and takes the census
+     * (one read of every block header) that seeds the per-class
+     * counters; if the heap reports recovered_from_crash(), the
+     * census's strays are reclaimed immediately.
      */
     NvHeap(PersistentHeap& heap, PersistDomain& dom);
     ~NvHeap();
@@ -287,8 +290,62 @@ class NvHeap
      * declares reserved (TypeDescriptor::reserved_blocks: the
      * allocations and frees of an interrupted iDO FASE).  Returns the
      * number of blocks reclaimed.
+     *
+     * The strays come from the attach's census while it is current (no
+     * block changed state since it was taken), else from a fresh one.
+     * Relinking leaves the census current with no strays left, so the
+     * constructor's crash-attach reclaim and a runtime's recover() read
+     * the heap's headers once between them.
      */
     uint64_t recover_leaks(PersistDomain& dom);
+
+    /** From this many extents (chunks plus oversize blocks) on, a
+     *  census splits its walk across threads; below it, thread starts
+     *  would cost more than they save. */
+    static constexpr size_t kSplitExtents = 256;
+    /** Walker threads of a split census, at most. */
+    static constexpr unsigned kMaxCensusThreads = 4;
+
+    /** What a census cost. */
+    struct CensusStats
+    {
+        uint64_t ns = 0;      ///< wall time of the walk
+        uint64_t blocks = 0;  ///< block headers read
+        uint64_t extents = 0; ///< chunks plus oversize blocks
+        unsigned threads = 0; ///< walker threads (1: serial)
+        /** Set by recover_leaks(): it took the census from an earlier
+         *  walk instead of walking itself. */
+        bool reused = false;
+    };
+
+    /**
+     * One read of every block header: the per-class counter seeds, the
+     * strays recover_leaks() relinks, and the blocks active log records
+     * pin.  Read-only; quiescent callers only.
+     */
+    struct Census
+    {
+        std::vector<uint64_t> strays; ///< relinkable payloads, ascending,
+                                      ///< pinned ones removed
+        std::vector<uint64_t> pins;   ///< reserved raw payloads, ascending
+        uint64_t cls_blocks[kNumClasses] = {}; ///< exact-class blocks
+        uint64_t cls_unlive[kNumClasses] = {}; ///< ... not LIVE
+        uint64_t oversize_live = 0;
+        uint64_t oversize_live_bytes = 0; ///< payload plus header
+        CensusStats stats;
+    };
+
+    /**
+     * Take a census on `threads` walker threads; 0 picks one below
+     * kSplitExtents extents and min(kMaxCensusThreads,
+     * hardware_concurrency) above.  Every thread count finds the same
+     * census.
+     */
+    Census take_census(unsigned threads = 0) const;
+
+    /** The walk behind the latest recover_leaks() (or the attach's
+     *  census before any). */
+    CensusStats census_stats() const { return census_stats_; }
 
     /** Cumulative recover_leaks() results since this attach. */
     struct ReclaimStats
@@ -336,6 +393,12 @@ class NvHeap
 
   private:
     friend class HeapGc; ///< mark/sweep + compaction (heap_gc.h)
+
+    /** fn(payload, size, meta) for every block, serially, stopping at
+     *  the first inconsistent header; false if there was one. */
+    template <typename Fn>
+    bool walk_blocks(Fn&& fn) const;
+
     /** 16-byte header preceding every payload. */
     struct BlockHeader
     {
@@ -516,6 +579,7 @@ class NvHeap
     std::atomic<uint64_t>* m_leak_reclaim_;
     std::atomic<uint64_t>* m_oversize_;
     std::atomic<uint64_t>* m_chunk_reuse_;
+    std::atomic<uint64_t>* m_blocks_walked_;
 
     // Per-size-class occupancy accounting (transient estimates kept at
     // alloc/free time; gauges derive live/free splits and the
@@ -528,6 +592,22 @@ class NvHeap
     std::atomic<uint64_t> oversize_freed_bytes_{0};
 
     ReclaimStats reclaim_stats_; ///< under refill_mutex_ (recover_leaks)
+
+    /** What a census's validity is judged by: allocator state that any
+     *  change to a block's state moves. */
+    struct Marks
+    {
+        uint64_t epoch, bump, chunk_free;
+        uint64_t ops; ///< sum of the per-instance class counters
+        bool operator==(const Marks&) const = default;
+    };
+    Marks marks() const;
+
+    // Under refill_mutex_ once constructed.  HeapGc resets census_ so
+    // its reclaims walk afresh.
+    std::optional<Census> census_;
+    Marks census_marks_{};
+    CensusStats census_stats_;
 
     /** Estimated live payload+header bytes (from the class counters). */
     uint64_t live_bytes_estimate() const;

@@ -112,14 +112,18 @@ RuntimeThread::run_regions(const FaseProgram& prog, uint32_t start,
 //  3. After a lock acquire, no further stores in the region (the
 //     compiler ends regions immediately after acquires).
 //
-// Note that overwriting a live-in *register* within a region is safe in
-// this log-restore model (unlike overwriting a memory input): the log's
-// intRF slot still holds the register's region-entry value, recovery
-// restores the whole file from the log, and re-execution therefore sees
-// entry values regardless of what the crashed run left in the volatile
-// register.  This is the role the paper's live-interval extension plays
-// for *physical* registers -- here every value has its own slot by
-// construction, so no rule is needed.
+// Overwriting a live-in *register* within a region is safe only while
+// its new value stays volatile: the log's intRF slot holds the
+// register's region-entry value, and recovery restores the file from
+// the log.  But a logged boundary stores the finished region's outputs
+// into those slots before it moves the pc off the region, so a region
+// whose outputs include one of its own live-ins would be re-executed
+// with its post-region value after a crash between the two fences.
+// That is the paper's live-interval rule for physical registers, seen
+// through fixed slots: IdoThread's logged boundary panics on such a
+// region (a loop counter carried around a self-loop is the usual one;
+// rename it across a two-region lap instead).  Regions of the unlogged
+// prefix write no slot and may do it.
 
 namespace {
 

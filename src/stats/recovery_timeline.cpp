@@ -29,6 +29,14 @@ RecoveryTimeline::start(const std::string& trigger)
 }
 
 void
+RecoveryTimeline::backdate(uint64_t ns)
+{
+    std::lock_guard<std::mutex> g(mu_);
+    if (open_)
+        start_ns_ -= ns;
+}
+
+void
 RecoveryTimeline::add_phase(const std::string& name, uint64_t dur_ns,
                             uint64_t detail)
 {

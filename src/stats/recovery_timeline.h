@@ -35,6 +35,10 @@ class RecoveryTimeline
      *  `trigger` is "crash" or "clean". */
     void start(const std::string& trigger);
 
+    /** Count `ns` of work done for this recovery before start() (the
+     *  allocator's attach census) into the wall time. */
+    void backdate(uint64_t ns);
+
     /** Append a completed phase: wall time + one detail count. */
     void add_phase(const std::string& name, uint64_t dur_ns,
                    uint64_t detail = 0);

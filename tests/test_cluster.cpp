@@ -43,6 +43,7 @@
 #include "cluster/supervisor.h"
 #include "common/rng.h"
 #include "ido/ido_runtime.h"
+#include "net/admin.h"
 #include "net/memc_client.h"
 #include "nvm/heap_gc.h"
 #include "nvm/persist_domain.h"
@@ -704,6 +705,14 @@ TEST(Replication, AckWaitsForReplicaDurableAck)
             .count();
     EXPECT_EQ(v, 1u);
     EXPECT_LT(get_ms, 200);
+
+    // The replica runs its own admin endpoint, which cluster.state
+    // names next to its port.
+    ASSERT_NE(sup.replica_admin_port(), 0u);
+    std::string health;
+    EXPECT_TRUE(net::admin_http_get(sup.replica_admin_port(), "/healthz",
+                                    &health, 2000));
+    EXPECT_EQ(health, "ok\n");
 
     // Every acked write is durable on the replica's own heap: ask the
     // replica directly (it is a stock ido_serve).

@@ -39,6 +39,7 @@
 #include "nvm/shadow_domain.h"
 #include "stats/metrics.h"
 #include "stats/persist_stats.h"
+#include "stats/recovery_timeline.h"
 
 namespace ido {
 namespace {
@@ -848,6 +849,85 @@ TEST(IdoRecovery, DeleteHitFreeEveryCrashPoint)
         });
 }
 
+// --------------------------------------------------------------------------
+// One census per attach
+// --------------------------------------------------------------------------
+
+uint64_t
+blocks_walked()
+{
+    return MetricsRegistry::instance().counter_value("nvheap.blocks_walked");
+}
+
+TEST(IdoRecovery, RecoveryReadsEveryHeaderOnce)
+{
+    // The attach's census feeds the counter seeds and every reclaim of
+    // the recovery: an attach plus recover() reads each block header
+    // exactly once, and so does a crash attach, whose constructor
+    // reclaims too.
+    apps::MemcachedMini::register_programs();
+    for (const bool crash_attach : {false, true}) {
+        const std::string where =
+            crash_attach ? "crash attach" : "in-process attach";
+        RecoveryWorld world(26000);
+        world.heap.mark_running(world.shadow);
+        {
+            auto th = world.runtime->make_thread();
+            const uint64_t root = make_cache(world, *th, false);
+            apps::MemcachedMini cache(world.heap, root);
+            for (uint64_t k = 10; k < 400; ++k)
+                cache.set(*th, k, 0, k);
+            for (uint64_t k = 10; k < 400; k += 3)
+                cache.del(*th, k, 0);
+            world.shadow.drain_all();
+            // Tick 18 lies inside the set-insert's active span, behind
+            // its activation fence.
+            ASSERT_TRUE(run_with_crash_at(
+                world, 18, [&] { cache.set(*th, 2, 0, 222); }));
+        }
+        world.shadow.crash(CrashPolicy::kRandom);
+        if (crash_attach) {
+            world.heap.simulate_fresh_open();
+            ASSERT_TRUE(world.heap.recovered_from_crash());
+        }
+        const uint64_t walked0 = blocks_walked();
+        world.make_runtime();
+        world.runtime->recover();
+        const nvm::NvHeap::CensusStats census =
+            world.runtime->allocator().census_stats();
+        EXPECT_GT(census.blocks, 300u) << where;
+        EXPECT_EQ(census.threads, 1u) << where << ": below the split cut";
+        EXPECT_TRUE(census.reused) << where;
+        EXPECT_EQ(blocks_walked() - walked0, census.blocks)
+            << where << ": headers read "
+            << double(blocks_walked() - walked0) / census.blocks
+            << " times";
+        const std::string tl = RecoveryTimeline::instance().to_json();
+        EXPECT_NE(tl.find("\"census_blocks\":"
+                          + std::to_string(census.blocks)),
+                  std::string::npos)
+            << tl;
+        EXPECT_NE(tl.find("\"fases_resumed\":1"), std::string::npos) << tl;
+        // The attach's census counts into the recovery's wall time.
+        const size_t wall = tl.find("\"wall_ns\":");
+        ASSERT_NE(wall, std::string::npos) << tl;
+        EXPECT_GE(std::stoull(tl.substr(wall + 10)), census.ns) << tl;
+        world.shadow.drain_all();
+        world.expect_clean_heap(where);
+
+        // A leak planted now is found by HeapGc repair's own walk.
+        nvm::NvHeap& alloc = world.runtime->allocator();
+        const uint64_t leak = alloc.alloc(sizeof(apps::McItem), world.shadow,
+                                          nvm::TypeId::kMcItem);
+        ASSERT_NE(leak, 0u);
+        world.shadow.drain_all();
+        const nvm::GcStats s =
+            nvm::HeapGc(alloc, world.shadow).repair();
+        EXPECT_EQ(s.reclaimed_blocks, 1u) << where << " " << s.to_json();
+        EXPECT_FALSE(alloc.is_live(leak, world.shadow)) << where;
+    }
+}
+
 TEST(IdoRecovery, BackToBackSetsNeverReuseAStaleEntry)
 {
     // One thread inserts key 2, then key 3.  The first set leaves a
@@ -1147,18 +1227,28 @@ enum class WordsMode : uint64_t
     kWide,         ///< one 16-byte store
     kMisaligned,   ///< one 8-byte store at a 4-byte offset
     kStoreLock,    ///< one word, then a lock acquire
-    kSelfLoop,     ///< one word on its first lap, looping on itself
+    kLoop,         ///< one word per lap of a two-region loop
 };
 
 constexpr uint64_t kWordsValue = 5;
 
 // words(r0 = lock A, r1 = lock B, r2 = block, r3 = value, r4 = mode):
-// take A, run the storing region, release B (if taken) and A.
+// take A, run the storing region, release B (if taken) and A.  In
+// kLoop mode the storing region and `advance` form a loop whose counter
+// is r5 on entry to the storing region and r6 on its way out, so no
+// region outputs one of its own live-ins.
 uint32_t
 words_lock(rt::RuntimeThread& t, rt::RegionCtx& ctx)
 {
     t.fase_lock(ctx.r[0]);
-    return 1;
+    return 2;
+}
+
+uint32_t
+words_advance(rt::RuntimeThread&, rt::RegionCtx& ctx)
+{
+    ctx.r[5] = ctx.r[6];
+    return ctx.r[5] < 2 ? 2 : 3;
 }
 
 uint32_t
@@ -1197,21 +1287,21 @@ words_store(rt::RuntimeThread& t, rt::RegionCtx& ctx)
         t.store_u64(w, v);
         t.fase_lock(ctx.r[1]);
         break;
-      case WordsMode::kSelfLoop:
-        // Lap i stores words 0..i, so a lap resumed with the counter
-        // its crashed boundary already logged redoes the earlier ones.
-        for (uint64_t i = 0; i <= ctx.r[5]; ++i)
-            t.store_u64(w + 8 * i, v);
-        return ++ctx.r[5] < 2 ? 1 : 2;
+      case WordsMode::kLoop:
+        // Lap i stores word i alone: a lap resumed with a counter its
+        // crashed boundary had already advanced would skip a word.
+        t.store_u64(w + 8 * ctx.r[5], v);
+        ctx.r[6] = ctx.r[5] + 1;
+        return 1;
     }
-    return 2;
+    return 3;
 }
 
 uint32_t
 words_unlock_b(rt::RuntimeThread& t, rt::RegionCtx& ctx)
 {
     t.fase_unlock(ctx.r[1]);
-    return 3;
+    return 4;
 }
 
 uint32_t
@@ -1226,13 +1316,16 @@ words_program()
 {
     static const rt::FaseProgram prog = [] {
         constexpr uint16_t R0 = 1, R1 = 2, R2 = 4, R3 = 8, R4 = 16,
-                           R5 = 32;
+                           R5 = 32, R6 = 64;
         rt::FaseProgram p;
         p.fase_id = 9202;
         p.name = "words";
+        // `advance` sits below `store`, so a boundary into it still has
+        // a storing region ahead by index and stays logged.
         p.regions = {
             {words_lock, "lock", R0, 0, 0, 0, 0},
-            {words_store, "store", R1 | R2 | R3 | R4 | R5, R5, 0, 0},
+            {words_advance, "advance", R6, R5, 0, 0, 0},
+            {words_store, "store", R1 | R2 | R3 | R4 | R5, R6, 0, 0},
             {words_unlock_b, "unlock_b", R1, 0, 0, 0, 0},
             {words_unlock_a, "unlock_a", R0, 0, 0, 0, 0},
         };
@@ -1377,11 +1470,12 @@ TEST(IdoRecovery, SingleStoreFallbackLockEveryCrashPoint)
     sweep_words(WordsMode::kStoreLock, 23000);
 }
 
-TEST(IdoRecovery, SingleStoreFallbackSelfLoopEveryCrashPoint)
+TEST(IdoRecovery, SingleStoreFallbackLoopEveryCrashPoint)
 {
-    // The first lap's boundary leads back into the storing region, so
-    // its successor tail is not store-free: it activates the log.
-    sweep_words(WordsMode::kSelfLoop, 24000);
+    // The first lap's boundary leads back toward the storing region, so
+    // its successor tail is not store-free: it activates the log.  A
+    // resumed lap must store the word its crashed run was storing.
+    sweep_words(WordsMode::kLoop, 24000);
 }
 
 TEST(IdoRecovery, SingleStoreFallbackFreeEveryCrashPoint)

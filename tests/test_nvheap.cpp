@@ -6,7 +6,8 @@
  * ShadowDomain crash policies, and a multi-thread alloc/free stress
  * run.  The sweep is the acceptance gate for the two-phase free
  * protocol: after any crash the heap must check consistent, nothing
- * may be handed out twice, and leak reclamation must converge.
+ * may be handed out twice, and leak reclamation must converge.  A
+ * census split across threads must find what the serial walk finds.
  */
 #include <gtest/gtest.h>
 
@@ -18,6 +19,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ido/ido_runtime.h"
+#include "nvm/heap_gc.h"
 #include "nvm/nv_heap.h"
 #include "nvm/persist_domain.h"
 #include "nvm/shadow_domain.h"
@@ -344,6 +347,8 @@ TEST(NvHeapCrashSweep, EveryFusePointEveryPolicy)
             EXPECT_EQ(rec.recover_leaks(dom), 0u)
                 << "reclamation did not converge (fuse " << fuse
                 << ")";
+            EXPECT_TRUE(rec.take_census().strays.empty())
+                << "a fresh walk still finds strays (fuse " << fuse << ")";
             // No double allocation: blocks the crashed run held live
             // were durably kBlockLive when alloc returned, so no new
             // allocation may overlap them.
@@ -434,6 +439,9 @@ TEST(NvHeapCrashSweep, DoubleDirtyAttachConverges)
             h3.recover_leaks(dom);
             EXPECT_EQ(h3.recover_leaks(dom), 0u)
                 << "reclamation did not converge (policy "
+                << static_cast<int>(policy) << " fuse " << fuse << ")";
+            EXPECT_TRUE(h3.take_census().strays.empty())
+                << "a fresh walk still finds strays (policy "
                 << static_cast<int>(policy) << " fuse " << fuse << ")";
             EXPECT_TRUE(h3.check_consistency())
                 << "policy " << static_cast<int>(policy) << " fuse "
@@ -608,10 +616,124 @@ TEST(NvHeapCrashRandom, MetadataSurvivesRandomCrashes)
         NvHeap recovered(heap, dom); // ctor reclaims leaks
         EXPECT_TRUE(recovered.check_consistency()) << "seed " << seed;
         EXPECT_EQ(recovered.recover_leaks(dom), 0u) << "seed " << seed;
+        EXPECT_TRUE(recovered.take_census().strays.empty())
+            << "seed " << seed;
         for (int i = 0; i < 50; ++i)
             EXPECT_NE(recovered.alloc(48, dom), 0u);
         EXPECT_TRUE(recovered.check_consistency()) << "seed " << seed;
     }
+}
+
+// --------------------------------------------------------------------------
+// Census: one walk, serial or split
+// --------------------------------------------------------------------------
+
+/** Rewrite a block header's state and epoch, keeping owner and type. */
+void
+plant_state(PersistentHeap& heap, uint64_t payload, uint64_t state,
+            uint64_t epoch)
+{
+    auto* meta = heap.resolve<uint64_t>(payload - 8);
+    *meta = (*meta & 0x000000ffffff0000ull) | state | (epoch << 40);
+}
+
+TEST(NvHeapCensus, SplitFindsWhatTheSerialWalkFinds)
+{
+    PersistentHeap heap({.size = 24u << 20});
+    RealDomain dom;
+    // The iDO runtime registers the log record type whose entries pin.
+    IdoRuntime rt(heap, dom, rt::RuntimeConfig{});
+    NvHeap& h = rt.allocator();
+    auto th = rt.make_thread();
+    const std::vector<uint64_t> recs =
+        rt.log_records(RootSlot::kIdoLogHead);
+    ASSERT_EQ(recs.size(), 1u);
+
+    // Three 4 KiB blocks fill a chunk up to an unused tail; an oversize
+    // block lands between chunks every 50 of them.
+    std::vector<uint64_t> big;
+    std::vector<uint64_t> oversize;
+    for (size_t i = 0; i < 3 * (NvHeap::kSplitExtents + 100); ++i) {
+        big.push_back(h.alloc(4096, dom));
+        ASSERT_NE(big.back(), 0u);
+        if (i % 150 == 0) {
+            oversize.push_back(h.alloc(9000, dom));
+            ASSERT_NE(oversize.back(), 0u);
+        }
+    }
+    // A chunk another thread fills and empties retires onto the reuse
+    // list at compaction.
+    std::thread([&] {
+        uint64_t b[3];
+        for (uint64_t& x : b)
+            x = h.alloc(4096, dom);
+        for (const uint64_t x : b)
+            h.free_block(x, dom);
+    }).join();
+    const GcStats gc = HeapGc(h, dom).compact();
+    ASSERT_GE(gc.chunks_retired, 1u) << gc.to_json();
+
+    // Strays: a stale FREEING block and an unlisted FREE one.  A third
+    // stray and a LIVE block are named by the record's current
+    // instance; an entry of an older instance pins nothing.
+    const uint64_t ep = h.epoch();
+    plant_state(heap, big[10], NvHeap::kBlockFreeing, ep - 1);
+    plant_state(heap, big[20], NvHeap::kBlockFree, ep);
+    plant_state(heap, big[30], NvHeap::kBlockFreeing, ep - 1);
+    auto* rec = heap.resolve<IdoLogRec>(recs[0]);
+    constexpr uint32_t kInst = 5;
+    rec->entries[0] = {make_entry_tag(kInst, LogEntryKind::kAlloc, 1, 0, 0),
+                       make_entry_block(big[30])};
+    rec->entries[1] = {make_entry_tag(kInst, LogEntryKind::kFree, 1, 1, 0),
+                       make_entry_block(big[40])};
+    rec->entries[2] = {
+        make_entry_tag(kInst - 1, LogEntryKind::kFree, 1, 0, 0),
+        make_entry_block(big[50])};
+    rec->recovery_pc = pack_recovery_pc(1, 1, kInst, 2);
+    // A block parked in a live cache is FREEING in the current epoch:
+    // not a stray.
+    h.free_block(big[60], dom);
+
+    const NvHeap::Census serial = h.take_census(1);
+    const NvHeap::Census split = h.take_census(NvHeap::kMaxCensusThreads);
+    EXPECT_GT(serial.stats.extents, NvHeap::kSplitExtents);
+    EXPECT_EQ(serial.stats.threads, 1u);
+    EXPECT_EQ(split.stats.threads, NvHeap::kMaxCensusThreads);
+    EXPECT_EQ(serial.strays, (std::vector<uint64_t>{big[10], big[20]}));
+    EXPECT_EQ(serial.pins, (std::vector<uint64_t>{big[30], big[40]}));
+    EXPECT_EQ(serial.oversize_live, oversize.size());
+    EXPECT_EQ(serial.cls_blocks[NvHeap::kNumClasses - 1], big.size());
+    EXPECT_EQ(serial.cls_unlive[NvHeap::kNumClasses - 1], 4u);
+
+    EXPECT_EQ(split.strays, serial.strays);
+    EXPECT_EQ(split.pins, serial.pins);
+    for (size_t c = 0; c < NvHeap::kNumClasses; ++c) {
+        EXPECT_EQ(split.cls_blocks[c], serial.cls_blocks[c]) << c;
+        EXPECT_EQ(split.cls_unlive[c], serial.cls_unlive[c]) << c;
+    }
+    EXPECT_EQ(split.oversize_live, serial.oversize_live);
+    EXPECT_EQ(split.oversize_live_bytes, serial.oversize_live_bytes);
+    EXPECT_EQ(split.stats.blocks, serial.stats.blocks);
+    EXPECT_EQ(split.stats.extents, serial.stats.extents);
+
+    // Above the cut an unforced census splits; the reclaim relinks
+    // exactly the unpinned strays.
+    EXPECT_EQ(h.take_census().stats.threads,
+              std::clamp(std::thread::hardware_concurrency(), 1u,
+                         NvHeap::kMaxCensusThreads));
+    rec->recovery_pc = kInactivePc;
+    EXPECT_EQ(h.recover_leaks(dom), 3u);
+    EXPECT_TRUE(h.check_consistency());
+
+    // A walk stops at the first inconsistent header, split or not.
+    heap.resolve<uint64_t>(big[big.size() / 2] - 16)[0] = 0;
+    EXPECT_FALSE(h.check_consistency());
+    const NvHeap::Census cut_serial = h.take_census(1);
+    const NvHeap::Census cut_split =
+        h.take_census(NvHeap::kMaxCensusThreads);
+    EXPECT_LT(cut_serial.stats.blocks, serial.stats.blocks);
+    EXPECT_EQ(cut_split.stats.blocks, cut_serial.stats.blocks);
+    EXPECT_EQ(cut_split.strays, cut_serial.strays);
 }
 
 } // namespace

@@ -108,9 +108,10 @@ write_state(const std::string& path, const cluster::NodeSupervisor& sup,
                      static_cast<int>(sup.node_pid(i)), sup.node_port(i),
                      sup.node_admin_port(i), sup.node_heap(i).c_str());
     if (sup.replicated() && sup.replica_pid() > 0)
-        std::fprintf(f, "replica0 %d %u 0 %s\n",
+        std::fprintf(f, "replica0 %d %u %u %s\n",
                      static_cast<int>(sup.replica_pid()),
-                     sup.replica_port(), sup.replica_heap().c_str());
+                     sup.replica_port(), sup.replica_admin_port(),
+                     sup.replica_heap().c_str());
     std::fflush(f);
     std::fclose(f);
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {

@@ -14,7 +14,10 @@
  *  - the execute and replica-ack phase percentiles, reply send()s per
  *    request, and the connection/pending-bytes gauges;
  *  - the cache-line write-back instruction the server issues
- *    (nvm.flush_insn: clwb, clflushopt or clflush).
+ *    (nvm.flush_insn: clwb, clflushopt or clflush);
+ *  - after a crash restart, what recovery cost: wall time, the
+ *    leak-reclaim phase and the allocator census behind it
+ *    (recovery.*).
  *
  * JSON handling is a deliberately tiny scanner over the flat schema
  * MetricsRegistry::format_json() emits ("name":value and
@@ -203,6 +206,19 @@ render(const std::map<std::string, double>& cur,
                     get(cur, "heap.gc.last_mark_threads"),
                     get(cur, "heap.gc.last_census_us") / 1e3,
                     get(cur, "heap.gc.last_reclaim_us") / 1e3);
+    // The crash recovery this server ran at attach, if any: its wall
+    // time, and the leak-reclaim phase with the census behind it.
+    if (get(cur, "recovery.count") > 0)
+        std::printf("recovery: wall %.2f ms  leak-reclaim %.2f ms "
+                    "(census %.0f blk / %.0f extents on %.0f thr, "
+                    "%.2f ms)  resumed %.0f FASEs\n",
+                    get(cur, "recovery.wall_ns") / 1e6,
+                    get(cur, "recovery.phase.leak-reclaim_ns") / 1e6,
+                    get(cur, "recovery.census_blocks"),
+                    get(cur, "recovery.census_extents"),
+                    get(cur, "recovery.census_threads"),
+                    get(cur, "recovery.census_ns") / 1e6,
+                    get(cur, "recovery.fases_resumed"));
     std::fflush(stdout);
 }
 
