@@ -37,6 +37,14 @@ struct alignas(kCacheLineBytes) McShard
     // nbuckets u64 bucket heads follow.
 };
 
+/**
+ * 48 bytes, so nv_alloc takes the compact class-48 path: 16-byte block
+ * header + item = one 64-byte block.  In a line-aligned chunk of items,
+ * whose first header sits 16 bytes into a line, each item's header and
+ * hot words (next, key, value -- everything GET and the chain walks
+ * read) share one line and only lru_next/lru_prev spill into the next
+ * (DESIGN.md §9).
+ */
 struct McItem
 {
     uint64_t next; ///< hash-chain link
@@ -45,10 +53,9 @@ struct McItem
     uint64_t value;
     uint64_t lru_next;
     uint64_t lru_prev;
-    uint64_t pad[2];
 };
 
-static_assert(sizeof(McItem) == kCacheLineBytes);
+static_assert(sizeof(McItem) == 48);
 
 struct alignas(kCacheLineBytes) McRoot
 {

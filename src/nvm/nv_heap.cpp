@@ -153,11 +153,13 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
 
     // ido-stat occupancy gauges.  The bump/end reads take the refill
     // mutex so a scrape-thread evaluation never races a refill's plain
-    // stores.  Estimates derive from the global nvheap.* counters:
-    // live = allocs - frees; pooled = frees - reuses (cache hits +
-    // shard pops).  If a later NvHeap re-registers these names its
-    // registration wins, and whichever instance dies first removes the
-    // name -- a gauge never outlives the state it reads.
+    // stores.  Estimates derive from this heap's census-seeded
+    // per-class counters, so inherited blocks count after a restart:
+    // live = allocs - frees (plus live oversize blocks); pooled =
+    // frees - reuses (cache hits + shard pops).  If a later NvHeap
+    // re-registers these names its registration wins, and whichever
+    // instance dies first removes the name -- a gauge never outlives
+    // the state it reads.
     reg.register_gauge("nvheap.arena_remaining_bytes", [this] {
         std::lock_guard<std::mutex> g(refill_mutex_);
         return arena_remaining();
@@ -168,15 +170,19 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
         return st->bump - data_begin_;
     });
     reg.register_gauge("nvheap.live_blocks_est", [this] {
-        const uint64_t a = m_alloc_->load(std::memory_order_relaxed);
-        const uint64_t f = m_free_->load(std::memory_order_relaxed);
+        uint64_t a = oversize_blocks_.load(std::memory_order_relaxed);
+        uint64_t f = oversize_freed_blocks_.load(std::memory_order_relaxed);
+        for (size_t c = 0; c < kNumClasses; ++c) {
+            a += cls_alloc_[c].load(std::memory_order_relaxed);
+            f += cls_free_[c].load(std::memory_order_relaxed);
+        }
         return a > f ? a - f : 0;
     });
     reg.register_gauge("nvheap.free_pool_blocks_est", [this] {
-        const uint64_t f = m_free_->load(std::memory_order_relaxed);
-        const uint64_t reused =
-            m_cache_hit_->load(std::memory_order_relaxed)
-            + m_shard_pop_->load(std::memory_order_relaxed);
+        uint64_t f = 0;
+        for (size_t c = 0; c < kNumClasses; ++c)
+            f += cls_free_[c].load(std::memory_order_relaxed);
+        const uint64_t reused = reused_.load(std::memory_order_relaxed);
         return f > reused ? f - reused : 0;
     });
     // Per-size-class live/free split, from the same cheap counters the
@@ -453,6 +459,7 @@ NvHeap::shard_pop(size_t shard, size_t cls, PersistDomain& dom)
     dom.flush(head, sizeof(uint64_t));
     dom.fence();
     m_shard_pop_->fetch_add(1, std::memory_order_relaxed);
+    reused_.fetch_add(1, std::memory_order_relaxed);
     return off;
 }
 
@@ -617,6 +624,7 @@ NvHeap::alloc_impl(size_t size, PersistDomain& dom, TypeId type,
         if (claim == nullptr)
             set_meta(off, live, dom, /*fence=*/false);
         m_cache_hit_->fetch_add(1, std::memory_order_relaxed);
+        reused_.fetch_add(1, std::memory_order_relaxed);
     }
     // Shard pops unlink behind one fence and publish LIVE behind a
     // second; a claim is named between them, so the second fence also

@@ -590,6 +590,7 @@ class NvHeap
     std::atomic<uint64_t> oversize_freed_blocks_{0};
     std::atomic<uint64_t> oversize_bytes_{0};
     std::atomic<uint64_t> oversize_freed_bytes_{0};
+    std::atomic<uint64_t> reused_{0}; ///< cache hits + shard pops
 
     ReclaimStats reclaim_stats_; ///< under refill_mutex_ (recover_leaks)
 

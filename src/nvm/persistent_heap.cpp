@@ -1,5 +1,7 @@
 #include "nvm/persistent_heap.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include <fcntl.h>
@@ -10,6 +12,7 @@
 #include "common/cacheline.h"
 #include "common/panic.h"
 #include "nvm/persist_domain.h"
+#include "stats/metrics.h"
 
 namespace ido::nvm {
 
@@ -50,6 +53,15 @@ PersistentHeap::PersistentHeap(const Options& opts)
         if (base_ == MAP_FAILED)
             fatal("PersistentHeap: mmap of %s failed", opts.path.c_str());
     }
+    // Back the heap with 2 MiB pages where the kernel allows: a random
+    // access into a large arena otherwise pays a 4 KiB-page TLB miss
+    // and page walk.  Anonymous heaps get them under THP "madvise"
+    // mode; tmpfs files only if shmem_enabled allows.  The kernel
+    // places mappings this large on a 2 MiB boundary by itself.
+    // EINVAL: no THP for this mapping, which is fine.
+    if (madvise(base_, size_, MADV_HUGEPAGE) != 0 && errno != EINVAL)
+        warn("PersistentHeap: madvise(MADV_HUGEPAGE) failed: %s",
+             std::strerror(errno));
 
     HeapHeader* h = header();
     if (existing && h->magic == kMagic) {
@@ -72,14 +84,50 @@ PersistentHeap::PersistentHeap(const Options& opts)
         }
         sfence_hw();
     }
+    // Read at scrape time.  As with the NvHeap gauges, the newest heap
+    // wins the name and whichever heap dies first removes it.
+    MetricsRegistry::instance().register_gauge(
+        "nvm.heap.huge_page_bytes", [this] { return huge_page_bytes(); });
 }
 
 PersistentHeap::~PersistentHeap()
 {
+    MetricsRegistry::instance().unregister_gauge("nvm.heap.huge_page_bytes");
     if (base_ != nullptr && base_ != MAP_FAILED)
         munmap(base_, size_);
     if (fd_ >= 0)
         ::close(fd_);
+}
+
+uint64_t
+PersistentHeap::huge_page_bytes() const
+{
+    std::FILE* f = std::fopen("/proc/self/smaps", "r");
+    if (f == nullptr)
+        return 0;
+    const auto lo = reinterpret_cast<uintptr_t>(base_);
+    const uintptr_t hi = lo + size_;
+    bool overlaps = false;
+    uint64_t kb = 0;
+    char line[256];
+    // smaps lists VMAs in address order: a "start-end perms ..." line,
+    // then its "Field: N kB" lines.  Stop at the first VMA past the
+    // heap so the kernel does not walk the rest of the address space.
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+        unsigned long start, end, n;
+        if (std::sscanf(line, "%lx-%lx ", &start, &end) == 2) {
+            if (start >= hi)
+                break;
+            overlaps = end > lo;
+        } else if (overlaps
+                   && (std::sscanf(line, "AnonHugePages: %lu kB", &n) == 1
+                       || std::sscanf(line, "ShmemPmdMapped: %lu kB", &n)
+                              == 1)) {
+            kb += n;
+        }
+    }
+    std::fclose(f);
+    return kb * 1024;
 }
 
 uint64_t

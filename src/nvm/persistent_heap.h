@@ -83,6 +83,14 @@ class PersistentHeap
     /** True if an existing heap image was reused (file mode). */
     bool reopened() const { return reopened_; }
 
+    /**
+     * Bytes of the mapping backed by 2 MiB pages right now
+     * (AnonHugePages + ShmemPmdMapped of its VMAs in
+     * /proc/self/smaps); 0 where smaps is unreadable.  The
+     * nvm.heap.huge_page_bytes gauge.
+     */
+    uint64_t huge_page_bytes() const;
+
     // --- offset <-> pointer -------------------------------------------
 
     /** Offset of p within the heap; 0 for nullptr. */

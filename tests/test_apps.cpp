@@ -7,7 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <thread>
+#include <vector>
 
 #include "apps/memcached_client.h"
 #include "apps/memcached_mini.h"
@@ -15,6 +17,7 @@
 #include "apps/redis_mini.h"
 #include "baselines/runtime_factory.h"
 #include "ido/ido_runtime.h"
+#include "nvm/nv_heap.h"
 #include "nvm/shadow_domain.h"
 
 namespace ido::apps {
@@ -248,6 +251,53 @@ TEST(AppCrash, RedisSetAtomicAtEveryCrashPoint)
             EXPECT_TRUE(store.get(*th2, 43, &v));
             EXPECT_EQ(v, 2u);
         }
+    }
+}
+
+TEST(AppLayout, MemcachedItemsPackOneBlockEach)
+{
+    // A 48-byte item takes the compact class-48 path: 16-byte header +
+    // item = one 64-byte block, carved back to back from the inserting
+    // thread's chunk, whose first header starts 16 bytes into a line.
+    // So each item's header and its hot words (next, key, value) share
+    // one cache line.
+    nvm::PersistentHeap heap({.size = 64u << 20});
+    nvm::RealDomain dom;
+    auto runtime =
+        baselines::make_runtime(RuntimeKind::kIdo, heap, dom, {});
+    MemcachedMini::register_programs();
+    auto setup = runtime->make_thread();
+    MemcachedMini cache(heap, MemcachedMini::create(*setup, 1, 64));
+    // Made on this thread, so its log record comes from this thread's
+    // chunk; the inserts run on a thread whose chunk holds items only.
+    auto th = runtime->make_thread();
+    constexpr uint64_t kItems = 300;
+    std::thread([&] {
+        for (uint64_t i = 0; i < kItems; ++i) {
+            const auto [lo, hi] = memcached_key(i);
+            cache.set(*th, lo, hi, i);
+        }
+    }).join();
+
+    // The LRU list from its tail is insertion order.
+    const auto* root = heap.resolve<McRoot>(cache.root_off());
+    std::vector<uint64_t> items;
+    for (uint64_t it = heap.resolve<McShard>(root->shard_off[0])->lru_tail;
+         it != 0; it = heap.resolve<McItem>(it)->lru_prev)
+        items.push_back(it);
+    ASSERT_EQ(items.size(), kItems);
+    // Only a chunk's end breaks the 64-byte stride.
+    uint64_t breaks = 0;
+    for (size_t i = 1; i < items.size(); ++i)
+        breaks += items[i] != items[i - 1] + 64;
+    EXPECT_LE(breaks, kItems / (nvm::NvHeap::kChunkBytes / 64));
+    const auto line = [&](uint64_t off) {
+        return reinterpret_cast<uintptr_t>(heap.resolve<uint8_t>(off))
+               / kCacheLineBytes;
+    };
+    for (uint64_t it : items) {
+        EXPECT_EQ(line(it - 16), line(it + offsetof(McItem, value) + 7))
+            << "item at heap offset " << it;
     }
 }
 

@@ -689,9 +689,14 @@ TEST_F(McCostFixture, WriteFenceCounts)
     // allocator fence for the fresh item.
     const OpCost insert = cost([&] { cache.set(*th, 50, 0, 7); });
     EXPECT_EQ(insert.fences, 7u);
-    // 15: the 14 of a set-insert before allocation entries, plus the
-    // entry naming the new item (its LIVE mark moved, not added).
-    EXPECT_EQ(insert.flushes, 15u);
+    // 14 lines: activation 4 (lock record, two register lines, pc),
+    // the alloc entry, the new block's header, build's boundary 4 (two
+    // register lines, the item, pc), link's 3 (bucket, shard header,
+    // old LRU head) and the deactivating pc.  The 48-byte item takes
+    // the class-48 path: no aligned back-pointer to write back, and
+    // here its 64-byte block is one whole line, so the header and the
+    // item are written back from the same line.
+    EXPECT_EQ(insert.flushes, 14u);
     EXPECT_EQ(insert.site(FenceSite::kBoundary2), 1u);
     EXPECT_EQ(insert.site(FenceSite::kDeactivate), 1u);
     EXPECT_EQ(insert.site(FenceSite::kAlloc), 1u);

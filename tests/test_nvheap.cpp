@@ -24,6 +24,7 @@
 #include "nvm/nv_heap.h"
 #include "nvm/persist_domain.h"
 #include "nvm/shadow_domain.h"
+#include "stats/metrics.h"
 
 namespace ido::nvm {
 namespace {
@@ -199,6 +200,41 @@ TEST_F(NvHeapFixture, ReattachFindsExistingState)
     EXPECT_NE(b, 0u);
     EXPECT_NE(a, b);
     EXPECT_TRUE(again.check_consistency());
+}
+
+TEST(NvHeapGauges, ReattachCountsInheritedBlocks)
+{
+    // A restarted process attaches to blocks its own counters never
+    // saw: the live and free-pool gauges start from the attach's census.
+    PersistentHeap heap({.size = 4u << 20});
+    RealDomain dom;
+    constexpr uint64_t kLive = 300;
+    constexpr uint64_t kFreed = 40;
+    {
+        NvHeap first(heap, dom);
+        std::vector<uint64_t> blocks;
+        for (uint64_t i = 0; i < kLive + kFreed; ++i)
+            blocks.push_back(first.alloc(48 + (i % 3) * 100, dom));
+        blocks.push_back(first.alloc(8192, dom)); // oversize
+        for (uint64_t i = 0; i < kFreed; ++i)
+            first.free_block(blocks[i], dom);
+    }
+    // Counters are process-wide; a new process starts them at zero.
+    MetricsRegistry::instance().reset();
+    NvHeap again(heap, dom);
+    const auto gauge = [](const char* name) {
+        return MetricsRegistry::instance().snapshot().gauges.at(name);
+    };
+    EXPECT_EQ(gauge("nvheap.live_blocks_est"), kLive + 1);
+    EXPECT_EQ(gauge("nvheap.free_pool_blocks_est"), kFreed);
+    // A carve adds a live block; its free and reuse (a cache hit) move
+    // it to the pool and back.
+    again.free_block(again.alloc(48, dom), dom);
+    EXPECT_EQ(gauge("nvheap.live_blocks_est"), kLive + 1);
+    EXPECT_EQ(gauge("nvheap.free_pool_blocks_est"), kFreed + 1);
+    again.alloc(48, dom);
+    EXPECT_EQ(gauge("nvheap.live_blocks_est"), kLive + 2);
+    EXPECT_EQ(gauge("nvheap.free_pool_blocks_est"), kFreed);
 }
 
 using NvHeapDeath = NvHeapFixture;

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -111,6 +112,31 @@ TEST(PersistentHeap, FileBackedResetDiscards)
         EXPECT_EQ(heap.root(RootSlot::kAppRoot), 0u);
     }
     std::remove(path.c_str());
+}
+
+TEST(PersistentHeap, AnonymousHeapGetsHugePages)
+{
+    // The heap asks for 2 MiB pages (MADV_HUGEPAGE); only a host with
+    // transparent huge pages off refuses them outright.
+    std::FILE* f =
+        std::fopen("/sys/kernel/mm/transparent_hugepage/enabled", "r");
+    char mode[128] = {};
+    if (f != nullptr) {
+        if (std::fgets(mode, sizeof(mode), f) == nullptr)
+            mode[0] = '\0';
+        std::fclose(f);
+    }
+    if (f == nullptr
+        || std::string(mode).find("[never]") != std::string::npos)
+        GTEST_SKIP() << "transparent huge pages are off on this host";
+    PersistentHeap heap({.size = 16u << 20});
+    std::memset(heap.base(), 0x5a, heap.size());
+    EXPECT_GT(heap.huge_page_bytes(), 0u);
+    EXPECT_LE(heap.huge_page_bytes(), heap.size());
+    // The gauge reads the same smaps lines at scrape time.
+    const auto gauges = MetricsRegistry::instance().snapshot().gauges;
+    ASSERT_TRUE(gauges.count("nvm.heap.huge_page_bytes"));
+    EXPECT_GT(gauges.at("nvm.heap.huge_page_bytes"), 0u);
 }
 
 TEST(RealDomain, StoreLoadRoundTrip)

@@ -189,12 +189,15 @@ render(const std::map<std::string, double>& cur,
                     get(cur, base + ".p999_ns") / 1e3);
     }
     // Heap occupancy: live/free split, fragmentation share of the
-    // consumed arena (served in ppm), and what the last GC run saw.
+    // consumed arena (served in ppm), the mapping's 2 MiB-page share,
+    // and what the last GC run saw.
     std::printf("heap live %.0f blk / free %.0f blk    frag %5.2f%%    "
-                "gc leaks %.0f (%.0f B)  retired %.0f chunks\n",
+                "huge pages %.1f MiB\n",
                 get(cur, "nvheap.live_blocks_est"),
                 get(cur, "nvheap.free_pool_blocks_est"),
                 get(cur, "heap.fragmentation") / 1e4,
+                get(cur, "nvm.heap.huge_page_bytes") / (1024.0 * 1024.0));
+    std::printf("gc leaks %.0f (%.0f B)  retired %.0f chunks\n",
                 get(cur, "heap.gc.leaked_blocks"),
                 get(cur, "heap.gc.leaked_bytes"),
                 get(cur, "heap.gc.chunks_retired"));
