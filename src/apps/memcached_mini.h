@@ -10,7 +10,11 @@
  * chain and either updates in place or allocates+links a new item
  * (hash head + LRU head + count -- several stores spread over a few
  * idempotent regions, which is why ~30% of memcached's dynamic regions
- * have multiple stores, Fig. 8).  GET is a read-only critical section.
+ * have multiple stores, Fig. 8).  SET and DELETE are FASEs under the
+ * shard lock.  GET, a read-only critical section in the paper, walks
+ * the chain without the lock and validates the walk against the lock
+ * word, which is also a sequence (DESIGN.md §5a): it costs no fence, no
+ * flush and no atomic read-modify-write.
  *
  * Keys are 16 bytes (two u64 words) and values 8 bytes, exactly the
  * memaslap configuration of the paper.
@@ -76,9 +80,14 @@ class MemcachedMini
     void set(rt::RuntimeThread& th, uint64_t key_lo, uint64_t key_hi,
              uint64_t value);
 
-    /** GET: returns true and fills *value if present. */
+    /**
+     * GET: returns true and fills *value if present.  Not a FASE: a
+     * lock-free walk validated against the shard lock's sequence
+     * (RuntimeThread::read_validated), so it returns what a locked
+     * GET could have, and pays no fence, flush or lock RMW.
+     */
     bool get(rt::RuntimeThread& th, uint64_t key_lo, uint64_t key_hi,
-             uint64_t* value);
+             uint64_t* value) const;
 
     /** DELETE: returns true if the key was present. */
     bool del(rt::RuntimeThread& th, uint64_t key_lo, uint64_t key_hi);
@@ -100,7 +109,6 @@ class MemcachedMini
                                  uint64_t root_off);
 
     static const rt::FaseProgram& set_program();
-    static const rt::FaseProgram& get_program();
     static const rt::FaseProgram& del_program();
 
     /** Register the memcached FASEs (idempotent). */
@@ -111,6 +119,8 @@ class MemcachedMini
     locate(uint64_t key_lo, uint64_t key_hi) const;
 
     uint64_t root_off_;
+    uint64_t heap_bytes_;
+    uint64_t walk_limit_; ///< more hops than the heap has items: torn
     uint64_t nshards_;
     uint64_t nbuckets_;
     uint64_t shard_off_[7];

@@ -99,6 +99,14 @@ class MnemosyneThread final : public rt::RuntimeThread
     uint64_t aborts() const { return aborts_; }
 
   protected:
+    /** Writers apply their redo in place while the global version is
+     *  odd, and take no program locks: readers validate against it. */
+    const std::atomic<uint64_t>&
+    read_sequence(uint64_t) override
+    {
+        return mn_rt_.global_version();
+    }
+
     void do_load(uint64_t off, void* dst, size_t n) override;
     void do_store(uint64_t off, const void* src, size_t n) override;
     void do_lock(uint64_t holder_off, rt::TransientLock& l) override;

@@ -23,8 +23,9 @@ enum FaseId : uint32_t
     kFaseListRemove,
     kFaseListLookup,
     kFaseMemcachedSet,
-    kFaseMemcachedGet,
-    kFaseMemcachedDelete,
+    // 9 was memcached.get, now a validated read and no FASE; the ids
+    // after it keep their values.
+    kFaseMemcachedDelete = kFaseMemcachedSet + 2,
     kFaseRedisSet,
     kFaseRedisGet,
     kFaseBankTransfer,

@@ -181,9 +181,8 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
     reg.register_gauge("nvheap.free_pool_blocks_est", [this] {
         uint64_t f = 0;
         for (size_t c = 0; c < kNumClasses; ++c)
-            f += cls_free_[c].load(std::memory_order_relaxed);
-        const uint64_t reused = reused_.load(std::memory_order_relaxed);
-        return f > reused ? f - reused : 0;
+            f += pooled_blocks(c);
+        return f;
     });
     // Per-size-class live/free split, from the same cheap counters the
     // alloc/free paths already touch (no heap walk on scrape).  "free"
@@ -197,11 +196,8 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
             const uint64_t f = cls_free_[c].load(std::memory_order_relaxed);
             return a > f ? a - f : 0;
         });
-        reg.register_gauge(base + ".free", [this, c] {
-            const uint64_t a = cls_alloc_[c].load(std::memory_order_relaxed);
-            const uint64_t f = cls_free_[c].load(std::memory_order_relaxed);
-            return f > a ? 0 : f; // net frees currently reusable
-        });
+        reg.register_gauge(base + ".free",
+                           [this, c] { return pooled_blocks(c); });
     }
     // Fragmentation ratio in parts-per-million: the share of the
     // consumed arena (data_begin..bump) not covered by live payloads
@@ -237,6 +233,14 @@ NvHeap::~NvHeap()
         reg.unregister_gauge(base + ".free");
     }
     reg.unregister_gauge("heap.fragmentation");
+}
+
+uint64_t
+NvHeap::pooled_blocks(size_t cls) const
+{
+    const uint64_t f = cls_free_[cls].load(std::memory_order_relaxed);
+    const uint64_t r = cls_reuse_[cls].load(std::memory_order_relaxed);
+    return f > r ? f - r : 0;
 }
 
 uint64_t
@@ -415,6 +419,9 @@ NvHeap::carve_global(size_t payload, uint16_t owner, PersistDomain& dom,
     fuzz::rr::OrderedGuard g(refill_mutex_,
                              fuzz::obj_key(fuzz::ObjKind::kHeapRefill));
     HeapState* st = state();
+    // Oversize payloads fill whole lines (payload_for), so the bump
+    // stays line-aligned; a class block carved here (the arena tail,
+    // once no chunk fits) may leave it off a line, but no chunk follows.
     const uint64_t need = sizeof(BlockHeader) + payload;
     const uint64_t bump = dom.load_val(&st->bump);
     if (bump + need > dom.load_val(&st->end))
@@ -459,7 +466,7 @@ NvHeap::shard_pop(size_t shard, size_t cls, PersistDomain& dom)
     dom.flush(head, sizeof(uint64_t));
     dom.fence();
     m_shard_pop_->fetch_add(1, std::memory_order_relaxed);
-    reused_.fetch_add(1, std::memory_order_relaxed);
+    cls_reuse_[cls].fetch_add(1, std::memory_order_relaxed);
     return off;
 }
 
@@ -532,8 +539,50 @@ NvHeap::payload_for(size_t size)
     if (size == 0)
         size = 1;
     const size_t cls = class_for_size(size);
-    return cls < kNumClasses ? class_payload(cls)
-                             : (size + 15) & ~size_t{15};
+    return cls < kNumClasses ? class_payload(cls) : line_payload(size);
+}
+
+size_t
+NvHeap::line_payload(size_t size)
+{
+    return ((size + sizeof(BlockHeader) + 63) & ~size_t{63})
+           - sizeof(BlockHeader);
+}
+
+uint64_t
+NvHeap::carve_oversize(size_t payload, ThreadCache& tc, PersistDomain& dom,
+                       TypeId type, bool aligned, Claim* claim,
+                       bool* live_deferred)
+{
+    // A claimed oversize block is carved FREEING (a crash before the
+    // claim leaves free space, not a leak) and marked LIVE by the
+    // caller once the claim is durable.
+    const uint64_t off = carve_global(payload, tc.owner_tag, dom, type,
+                                      aligned, claim != nullptr);
+    if (off != 0) {
+        if (claim != nullptr) {
+            claim->name(off);
+            *live_deferred = true;
+        }
+        m_alloc_->fetch_add(1, std::memory_order_relaxed);
+        m_oversize_->fetch_add(1, std::memory_order_relaxed);
+        oversize_blocks_.fetch_add(1, std::memory_order_relaxed);
+        oversize_bytes_.fetch_add(payload + sizeof(BlockHeader),
+                                  std::memory_order_relaxed);
+        trace::emit(trace::EventKind::kAlloc, off, payload);
+    }
+    return off;
+}
+
+uint64_t
+NvHeap::alloc_arena_aligned(size_t size, PersistDomain& dom, TypeId type)
+{
+    // The payload is 48 mod 64 and over 48, so it is no class size:
+    // the block is never recycled, like any oversize block.
+    const size_t payload = line_payload(size + 8 + 64);
+    const uint64_t raw = carve_oversize(payload, tcache(), dom, type,
+                                        /*aligned=*/true, nullptr, nullptr);
+    return raw == 0 ? 0 : publish_aligned(raw, dom);
 }
 
 void
@@ -571,27 +620,9 @@ NvHeap::alloc_impl(size_t size, PersistDomain& dom, TypeId type,
     ThreadCache& tc = tcache();
     const size_t cls = class_for_size(size);
 
-    if (cls >= kNumClasses) {
-        const size_t payload = (size + 15) & ~size_t{15};
-        // A claimed oversize block is carved FREEING (a crash before
-        // the claim leaves free space, not a leak) and marked LIVE by
-        // the caller once the claim is durable.
-        const uint64_t off = carve_global(payload, tc.owner_tag, dom, type,
-                                          aligned, claim != nullptr);
-        if (off != 0) {
-            if (claim != nullptr) {
-                claim->name(off);
-                *live_deferred = true;
-            }
-            m_alloc_->fetch_add(1, std::memory_order_relaxed);
-            m_oversize_->fetch_add(1, std::memory_order_relaxed);
-            oversize_blocks_.fetch_add(1, std::memory_order_relaxed);
-            oversize_bytes_.fetch_add(payload + sizeof(BlockHeader),
-                                      std::memory_order_relaxed);
-            trace::emit(trace::EventKind::kAlloc, off, payload);
-        }
-        return off;
-    }
+    if (cls >= kNumClasses)
+        return carve_oversize(payload_for(size), tc, dom, type, aligned,
+                              claim, live_deferred);
 
     const size_t payload = class_payload(cls);
     uint64_t off = 0;
@@ -624,7 +655,7 @@ NvHeap::alloc_impl(size_t size, PersistDomain& dom, TypeId type,
         if (claim == nullptr)
             set_meta(off, live, dom, /*fence=*/false);
         m_cache_hit_->fetch_add(1, std::memory_order_relaxed);
-        reused_.fetch_add(1, std::memory_order_relaxed);
+        cls_reuse_[cls].fetch_add(1, std::memory_order_relaxed);
     }
     // Shard pops unlink behind one fence and publish LIVE behind a
     // second; a claim is named between them, so the second fence also

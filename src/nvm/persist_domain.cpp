@@ -1,5 +1,7 @@
 #include "nvm/persist_domain.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <utility>
 
@@ -124,10 +126,64 @@ RealDomain::RealDomain(uint32_t extra_flush_delay_ns)
     });
 }
 
+namespace {
+
+/** The word at a, for an 8-aligned address. */
+std::atomic_ref<uint64_t>
+word_at(uintptr_t a)
+{
+    return std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(a));
+}
+
+} // namespace
+
+void
+load_words(void* dst, const void* src, size_t n)
+{
+    auto* d = static_cast<uint8_t*>(dst);
+    auto a = reinterpret_cast<uintptr_t>(src);
+    const uintptr_t end = a + n;
+    // Unaligned head and tail bytes are plain copies; the one-word
+    // case (every GET load) takes no library call.
+    const size_t head = std::min<size_t>(n, (8 - (a & 7)) & 7);
+    if (head != 0) {
+        std::memcpy(d, reinterpret_cast<const void*>(a), head);
+        d += head;
+        a += head;
+    }
+    for (; a + 8 <= end; a += 8, d += 8) {
+        const uint64_t w = word_at(a).load(std::memory_order_relaxed);
+        std::memcpy(d, &w, 8);
+    }
+    if (a != end)
+        std::memcpy(d, reinterpret_cast<const void*>(a), end - a);
+}
+
+void
+store_words(void* dst, const void* src, size_t n)
+{
+    auto a = reinterpret_cast<uintptr_t>(dst);
+    const auto* s = static_cast<const uint8_t*>(src);
+    const uintptr_t end = a + n;
+    const size_t head = std::min<size_t>(n, (8 - (a & 7)) & 7);
+    if (head != 0) {
+        std::memcpy(reinterpret_cast<void*>(a), s, head);
+        s += head;
+        a += head;
+    }
+    for (; a + 8 <= end; a += 8, s += 8) {
+        uint64_t w;
+        std::memcpy(&w, s, 8);
+        word_at(a).store(w, std::memory_order_relaxed);
+    }
+    if (a != end)
+        std::memcpy(reinterpret_cast<void*>(a), s, end - a);
+}
+
 void
 RealDomain::store(void* dst, const void* src, size_t n)
 {
-    std::memcpy(dst, src, n);
+    store_words(dst, src, n);
     auto& c = tls_persist_counters();
     c.stores += 1;
     c.store_bytes += n;
@@ -136,7 +192,7 @@ RealDomain::store(void* dst, const void* src, size_t n)
 void
 RealDomain::load(const void* src, void* dst, size_t n)
 {
-    std::memcpy(dst, src, n);
+    load_words(dst, src, n);
 }
 
 void

@@ -8,7 +8,8 @@
  * runtimes in this repo issue their persistent-memory traffic through
  * this interface, so the same FASE code can run in two modes:
  *
- *  - RealDomain: stores go directly to the mapped heap; flush/fence
+ *  - RealDomain: stores go directly to the mapped heap, each aligned
+ *    word as one relaxed atomic (load_words/store_words); flush/fence
  *    execute real write-back (clwb, else clflushopt, else clflush) and
  *    sfence instructions (plus optional emulated NVM latency) and are
  *    counted.  Used for performance runs.
@@ -99,6 +100,20 @@ class PersistDomain
         fence();
     }
 };
+
+/**
+ * Copy n bytes out of persistent memory at src, reading every aligned
+ * word with a relaxed atomic load (the same mov on x86).  Threads
+ * store words of the heap while others read them -- a validated
+ * reader (RuntimeThread::read_validated) racing a writer, LockTable
+ * CASing a holder slot, NVThreads copying a page -- so a copy never
+ * tears a word and is no data race.
+ */
+void load_words(void* dst, const void* src, size_t n);
+
+/** Store counterpart of load_words: every aligned word of
+ *  [dst, dst + n) is written with a relaxed atomic store. */
+void store_words(void* dst, const void* src, size_t n);
 
 /**
  * Direct-to-memory domain with real flush instructions and optional

@@ -16,34 +16,6 @@
 
 namespace ido::nvm {
 
-namespace {
-
-/**
- * Copy bytes out of the simulated NVM image.  Other threads CAS some of
- * its words in place (LockTable holder slots), so aligned words are read
- * with relaxed atomic loads: a copy never tears a word or races a CAS.
- */
-void
-copy_from_image(void* dst, const void* src, size_t n)
-{
-    auto* d = static_cast<uint8_t*>(dst);
-    auto a = reinterpret_cast<uintptr_t>(src);
-    const uintptr_t end = a + n;
-    const size_t head = std::min<size_t>(n, (8 - (a & 7)) & 7);
-    std::memcpy(d, reinterpret_cast<const void*>(a), head);
-    d += head;
-    a += head;
-    for (; a + 8 <= end; a += 8, d += 8) {
-        const uint64_t w =
-            std::atomic_ref<uint64_t>(*reinterpret_cast<uint64_t*>(a))
-                .load(std::memory_order_relaxed);
-        std::memcpy(d, &w, 8);
-    }
-    std::memcpy(d, reinterpret_cast<const void*>(a), end - a);
-}
-
-} // namespace
-
 ShadowDomain::ShadowDomain(void* base, size_t size, uint64_t seed)
     : base_(reinterpret_cast<uintptr_t>(base)), size_(size), crash_seed_(seed)
 {
@@ -81,9 +53,8 @@ ShadowDomain::store(void* dst, const void* src, size_t n)
         auto it = sh.lines.find(lb);
         if (it == sh.lines.end()) {
             ShadowLine line;
-            copy_from_image(line.data.data(),
-                            reinterpret_cast<const void*>(lb),
-                            kCacheLineBytes);
+            load_words(line.data.data(), reinterpret_cast<const void*>(lb),
+                       kCacheLineBytes);
             line.state = LineState::kDirty;
             line.owner_tid = self_tid();
             it = sh.lines.emplace(lb, line).first;
@@ -132,8 +103,8 @@ ShadowDomain::load(const void* src, void* dst, size_t n)
             std::memcpy(static_cast<uint8_t*>(dst) + done,
                         it->second.data.data() + off_in_line, chunk);
         } else {
-            copy_from_image(static_cast<uint8_t*>(dst) + done,
-                            reinterpret_cast<const void*>(cur), chunk);
+            load_words(static_cast<uint8_t*>(dst) + done,
+                       reinterpret_cast<const void*>(cur), chunk);
         }
         done += chunk;
     }

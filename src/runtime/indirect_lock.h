@@ -21,6 +21,13 @@
  * abandoned spinlock is just a word.  The critical sections in all of
  * the paper's workloads are short, so spinning is also the
  * performance-appropriate choice.
+ *
+ * The lock word is also its own version (a seqlock, the idiom of
+ * SNIPPETS.md's mem-record-rtmseq.c): an odd value means held, and
+ * every acquire and every release adds one.  A reader that sees the
+ * same even value before and after a lock-free read of the protected
+ * data read a state no critical section was changing, which is what
+ * RuntimeThread::read_validated builds on (DESIGN.md §5a).
  */
 #pragma once
 
@@ -32,9 +39,47 @@
 #include <thread>
 #include <vector>
 
+#include "common/panic.h"
+
 namespace ido::rt {
 
-/** Trivially-abandonable transient spinlock. */
+/**
+ * One backoff step of a thread waiting for the sequence word `w` to go
+ * even (no writer): pause while it stays odd, occasionally yield.
+ */
+inline void
+seq_spin_wait(const std::atomic<uint64_t>& w)
+{
+    for (int i = 0; i < 64; ++i) {
+        if ((w.load(std::memory_order_relaxed) & 1) == 0)
+            return;
+#if defined(__x86_64__)
+        __builtin_ia32_pause();
+#endif
+    }
+    std::this_thread::yield();
+}
+
+/** Start of a validated read of the data `w` guards (odd: held). */
+inline uint64_t
+seq_read_begin(const std::atomic<uint64_t>& w)
+{
+    return w.load(std::memory_order_acquire);
+}
+
+/**
+ * End of a validated read begun at `s`: true if no writer took `w`
+ * since, so every load between the two saw one unchanging state.  The
+ * fence keeps those loads ahead of the re-read.
+ */
+inline bool
+seq_read_valid(const std::atomic<uint64_t>& w, uint64_t s)
+{
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return w.load(std::memory_order_relaxed) == s;
+}
+
+/** Trivially-abandonable transient spinlock whose word is a sequence. */
 class TransientLock
 {
   public:
@@ -45,32 +90,37 @@ class TransientLock
             spin_wait();
     }
 
+    /** Even to odd.  The release fence orders the CAS ahead of the
+     *  holder's data stores, so a validated reader that sees one of
+     *  them also sees the sequence move. */
     bool
     try_lock()
     {
-        return !word_.load(std::memory_order_relaxed)
-               && !word_.exchange(true, std::memory_order_acquire);
+        uint64_t s = word_.load(std::memory_order_relaxed);
+        if ((s & 1) != 0
+            || !word_.compare_exchange_strong(s, s + 1,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed))
+            return false;
+        std::atomic_thread_fence(std::memory_order_release);
+        return true;
     }
 
+    /** Odd to the next even; only the holder writes the word now.
+     *  Releasing a lock not held would leave it odd for good. */
     void
     unlock()
     {
-        word_.store(false, std::memory_order_release);
+        const uint64_t s = word_.load(std::memory_order_relaxed);
+        IDO_ASSERT((s & 1) != 0, "release of a transient lock not held");
+        word_.store(s + 1, std::memory_order_release);
     }
 
     /** One backoff step while waiting (pause, occasionally yield). */
-    void
-    spin_wait()
-    {
-        for (int i = 0; i < 64; ++i) {
-            if (!word_.load(std::memory_order_relaxed))
-                return;
-#if defined(__x86_64__)
-            __builtin_ia32_pause();
-#endif
-        }
-        std::this_thread::yield();
-    }
+    void spin_wait() const { seq_spin_wait(word_); }
+
+    /** The sequence word, for seq_read_begin / seq_read_valid. */
+    const std::atomic<uint64_t>& sequence() const { return word_; }
 
     /** Record/replay sync-object key (kFaseLock, id = holder-slot heap
      *  offset).  Set once when the lock is installed in a holder slot;
@@ -87,7 +137,7 @@ class TransientLock
     }
 
   private:
-    std::atomic<bool> word_{false};
+    std::atomic<uint64_t> word_{0};
     std::atomic<uint64_t> rr_key_{0};
 };
 

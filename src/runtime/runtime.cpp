@@ -3,6 +3,8 @@
 #include "common/cacheline.h"
 #include "common/panic.h"
 #include "fuzz/rr.h"
+#include "stats/metrics.h"
+#include "stats/persist_stats.h"
 #include "trace/trace.h"
 
 namespace ido::rt {
@@ -15,6 +17,10 @@ Runtime::Runtime(nvm::PersistentHeap& heap, nvm::PersistDomain& dom,
     // offset, which is stable across runs; absolute addresses are not.
     locks_.set_key_base(heap.base());
     bump_lock_epoch();
+    // Publish the validated-read counters from the start, zero or not.
+    MetricsRegistry& reg = MetricsRegistry::instance();
+    reg.counter(kReadRetriesMetric);
+    reg.counter(kReadWaitsMetric);
 }
 
 uint32_t
@@ -160,14 +166,20 @@ RuntimeThread::drain_deferred_frees()
 // FASE-boundary locks
 // --------------------------------------------------------------------------
 
-bool
-RuntimeThread::holds_lock(uint64_t holder_off) const
+const RuntimeThread::HeldLock*
+RuntimeThread::find_held(uint64_t holder_off) const
 {
     for (const HeldLock& h : held_) {
         if (h.holder_off == holder_off)
-            return true;
+            return &h;
     }
-    return false;
+    return nullptr;
+}
+
+bool
+RuntimeThread::holds_lock(uint64_t holder_off) const
+{
+    return find_held(holder_off) != nullptr;
 }
 
 void
@@ -206,6 +218,38 @@ RuntimeThread::acquire_transient(TransientLock& l, uint64_t holder_off)
         fuzz::rr::post(l.rr_key());
 }
 
+const std::atomic<uint64_t>&
+RuntimeThread::read_sequence(uint64_t holder_off)
+{
+    return rt_.locks()
+        .lock_for(heap().resolve<uint64_t>(holder_off))
+        .sequence();
+}
+
+uint64_t
+RuntimeThread::wait_for_writer(const std::atomic<uint64_t>& seq,
+                               uint64_t holder_off)
+{
+    IDO_ASSERT(!holds_lock(holder_off),
+               "validated read under its own lock (holder 0x%llx)",
+               static_cast<unsigned long long>(holder_off));
+    ++tls_persist_counters().read_waits;
+    // Crash-aware like acquire_transient: the holder may have died.
+    uint64_t s;
+    while (((s = seq_read_begin(seq)) & 1) != 0) {
+        if (rt_.crash_scheduler().crashed())
+            throw SimCrashException{};
+        seq_spin_wait(seq);
+    }
+    return s;
+}
+
+void
+RuntimeThread::note_read_retry()
+{
+    ++tls_persist_counters().read_retries;
+}
+
 void
 RuntimeThread::fase_lock(uint64_t holder_off)
 {
@@ -229,11 +273,12 @@ RuntimeThread::fase_unlock(uint64_t holder_off)
     // clobber another thread's subsequent update.
     IDO_ASSERT(!rt_.config().check_contracts || region_stores_ == 0,
                "fase_unlock after a store within the same region");
-    if (!holds_lock(holder_off))
+    const HeldLock* held = find_held(holder_off);
+    if (held == nullptr)
         return; // recovery re-execution of an unlock already performed
-    TransientLock& l =
-        rt_.locks().lock_for(heap().resolve<uint64_t>(holder_off));
-    do_unlock(holder_off, l); // clears ownership durably, then releases
+    // The lock acquired, whatever the holder slot resolves to now;
+    // clears ownership durably, then releases.
+    do_unlock(holder_off, *held->lock);
     trace::emit(trace::EventKind::kLockRelease, holder_off);
 }
 
@@ -243,7 +288,7 @@ void
 RuntimeThread::do_lock(uint64_t holder_off, TransientLock& l)
 {
     acquire_transient(l, holder_off);
-    held_.push_back(HeldLock{holder_off, 0});
+    held_.push_back(HeldLock{holder_off, 0, &l});
 }
 
 void

@@ -238,6 +238,41 @@ class RuntimeThread
     bool holds_lock(uint64_t holder_off) const;
     size_t locks_held() const { return held_.size(); }
 
+    // ---- validated reads ------------------------------------------------
+
+    /**
+     * Run `body`, a read-only pass over data guarded by the lock whose
+     * holder slot is at holder_off, without taking that lock: wait
+     * while a writer holds it, run body, and run body again whenever a
+     * writer took the lock meanwhile.  The result returned comes from a
+     * pass no critical section overlapped, so it is a state a locked
+     * read could have seen, durability included: every runtime
+     * releases its locks only once a locked reader may see the data
+     * (DESIGN.md §5a).  No FASE, no crash opportunity, no persist
+     * traffic.
+     *
+     * body may see torn state and must survive it: it checks every
+     * offset it follows against the heap and bounds every walk.  The
+     * caller must not hold the lock.  Throws SimCrashException when a
+     * simulated crash has fired while a writer holds the lock, since
+     * that writer will never release it.
+     */
+    template <typename Body>
+    auto
+    read_validated(uint64_t holder_off, Body&& body)
+    {
+        const std::atomic<uint64_t>& seq = read_sequence(holder_off);
+        for (;;) {
+            uint64_t s = seq_read_begin(seq);
+            if ((s & 1) != 0) [[unlikely]]
+                s = wait_for_writer(seq, holder_off);
+            auto result = body();
+            if (seq_read_valid(seq, s)) [[likely]]
+                return result;
+            note_read_retry();
+        }
+    }
+
     /** Crash-injection opportunity (no-op unless a test armed it). */
     void
     crash_tick()
@@ -276,6 +311,13 @@ class RuntimeThread
     virtual void do_load(uint64_t off, void* dst, size_t n);
     virtual void do_store(uint64_t off, const void* src, size_t n);
 
+    /**
+     * The version word read_validated checks for holder_off's data:
+     * the transient lock's sequence.  Mnemosyne takes no program
+     * locks and overrides it with its global version.
+     */
+    virtual const std::atomic<uint64_t>& read_sequence(uint64_t holder_off);
+
     /** Lock instrumentation around the transient acquire/release. */
     virtual void do_lock(uint64_t holder_off, TransientLock& l);
     virtual void do_unlock(uint64_t holder_off, TransientLock& l);
@@ -286,6 +328,13 @@ class RuntimeThread
      */
     void acquire_transient(TransientLock& l, uint64_t holder_off = 0);
 
+    /** read_validated's cold paths: wait until `seq` is even (counted
+     *  in rt.read.waits) and return it; count a failed validation
+     *  (rt.read.retries). */
+    uint64_t wait_for_writer(const std::atomic<uint64_t>& seq,
+                             uint64_t holder_off);
+    void note_read_retry();
+
     /** Execute deferred frees after FASE commit. */
     void drain_deferred_frees();
 
@@ -293,7 +342,15 @@ class RuntimeThread
     {
         uint64_t holder_off;
         uint8_t slot; ///< lock_array slot (used by iDO/JUSTDO)
+        /** The transient lock acquired, which fase_unlock releases
+         *  whatever the holder slot resolves to by then.  The word is a
+         *  sequence, so releasing a lock never acquired would leave it
+         *  odd, held by nobody, forever. */
+        TransientLock* lock;
     };
+
+    /** The entry of held_ for holder_off, or null. */
+    const HeldLock* find_held(uint64_t holder_off) const;
 
     /** The driver loop (exposed so Mnemosyne can wrap it in a retry). */
     void run_regions(const FaseProgram& prog, uint32_t start, RegionCtx& ctx);

@@ -26,6 +26,8 @@ struct FoldCells
     std::atomic<uint64_t>* sites[kNumFenceSites];
     std::atomic<uint64_t>* single_commits;
     std::atomic<uint64_t>* single_fallbacks;
+    std::atomic<uint64_t>* read_retries;
+    std::atomic<uint64_t>* read_waits;
 };
 
 const FoldCells&
@@ -40,7 +42,9 @@ fold_cells()
                     reg.counter("persist.log_bytes"),
                     {},
                     reg.counter(kSingleStoreCommitsMetric),
-                    reg.counter(kSingleStoreFallbacksMetric)};
+                    reg.counter(kSingleStoreFallbacksMetric),
+                    reg.counter(kReadRetriesMetric),
+                    reg.counter(kReadWaitsMetric)};
         for (size_t i = 0; i < kNumFenceSites; ++i)
             f.sites[i] = reg.counter(kFenceSiteMetrics[i]);
         return f;
@@ -67,7 +71,8 @@ struct TlsCounters
         // Every fence site counts a fence, and a one-word commit or a
         // fallback's activation fences, so fences == 0 covers them.
         if (c.stores == 0 && c.store_bytes == 0 && c.flushes == 0 &&
-            c.fences == 0 && c.log_bytes == 0)
+            c.fences == 0 && c.log_bytes == 0 && c.read_retries == 0 &&
+            c.read_waits == 0)
             return;
         const FoldCells& f = fold_cells();
         const auto add = [](std::atomic<uint64_t>* cell, uint64_t v) {
@@ -83,6 +88,8 @@ struct TlsCounters
             add(f.sites[i], c.fence_sites[i]);
         add(f.single_commits, c.single_store_commits);
         add(f.single_fallbacks, c.single_store_fallbacks);
+        add(f.read_retries, c.read_retries);
+        add(f.read_waits, c.read_waits);
         c.clear();
     }
 };
@@ -109,6 +116,8 @@ PersistCounters::operator+=(const PersistCounters& o)
         fence_sites[i] += o.fence_sites[i];
     single_store_commits += o.single_store_commits;
     single_store_fallbacks += o.single_store_fallbacks;
+    read_retries += o.read_retries;
+    read_waits += o.read_waits;
     return *this;
 }
 
@@ -139,6 +148,8 @@ persist_counters_global()
     c.single_store_commits = reg.counter_value(kSingleStoreCommitsMetric);
     c.single_store_fallbacks =
         reg.counter_value(kSingleStoreFallbacksMetric);
+    c.read_retries = reg.counter_value(kReadRetriesMetric);
+    c.read_waits = reg.counter_value(kReadWaitsMetric);
     return c;
 }
 
@@ -155,6 +166,8 @@ persist_counters_reset_global()
         reg.set(name, 0);
     reg.set(kSingleStoreCommitsMetric, 0);
     reg.set(kSingleStoreFallbacksMetric, 0);
+    reg.set(kReadRetriesMetric, 0);
+    reg.set(kReadWaitsMetric, 0);
 }
 
 std::string

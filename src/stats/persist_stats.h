@@ -3,7 +3,8 @@
  * Contention-free accounting of persistence events.
  *
  * Every runtime under test issues stores / cache-line write-backs /
- * persist fences through nvm::PersistDomain; this module counts them.
+ * persist fences through nvm::PersistDomain; this module counts them,
+ * along with the runtime's validated-read retries and waits.
  * Counters are thread-local (the microbenchmarks of Sec. V-B measure
  * scalability, so shared atomic counters would perturb the results) and
  * are folded into a global registry for reporting.
@@ -44,6 +45,10 @@ constexpr const char* kSingleStoreCommitsMetric = "ido.single_store.commits";
 constexpr const char* kSingleStoreFallbacksMetric =
     "ido.single_store.fallbacks";
 
+/** Counter names of PersistCounters' validated-read fields. */
+constexpr const char* kReadRetriesMetric = "rt.read.retries";
+constexpr const char* kReadWaitsMetric = "rt.read.waits";
+
 /** Metric name of a site, e.g. "ido.fence.activate1". */
 const char* fence_site_metric(FenceSite site);
 
@@ -60,6 +65,11 @@ struct PersistCounters
      *  fell back to it (`ido.single_store.{commits,fallbacks}`). */
     uint64_t single_store_commits = 0;
     uint64_t single_store_fallbacks = 0;
+    /** Validated reads (RuntimeThread::read_validated) run again
+     *  because a writer took the lock meanwhile, and those that found
+     *  it held and waited (`rt.read.{retries,waits}`). */
+    uint64_t read_retries = 0;
+    uint64_t read_waits = 0;
 
     uint64_t&
     site(FenceSite s)

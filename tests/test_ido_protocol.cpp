@@ -19,6 +19,7 @@
 #include "ds/stack.h"
 #include "ds/workload.h"
 #include "ido/ido_runtime.h"
+#include "net/memc_protocol.h"
 #include "nvm/persist_domain.h"
 #include "nvm/shadow_domain.h"
 #include "runtime/crash_sim.h"
@@ -660,9 +661,9 @@ struct McCostFixture : public ::testing::Test
 
 TEST_F(McCostFixture, ReadOnlyFasesPersistNothing)
 {
-    // GETs and delete-misses never reach a may_store region, so the
-    // log never activates: their lock records stay in the volatile
-    // mirror.
+    // A GET is a validated read, no FASE; a delete-miss never reaches
+    // a may_store region, so the log never activates and its lock
+    // record stays in the volatile mirror.
     uint64_t v = 0;
     const OpCost hit = cost([&] { EXPECT_TRUE(cache.get(*th, 1, 0, &v)); });
     const OpCost miss =
@@ -720,19 +721,24 @@ TEST_F(McCostFixture, WriteFenceCounts)
 
 TEST_F(McCostFixture, FenceSitesPublished)
 {
-    // The sites and the one-word FASE counters reach /metrics
-    // (Prometheus text) and /stats.json (the registry's JSON, which
-    // every BENCH_*.json row embeds).
+    // The sites, the one-word FASE counters and the validated-read
+    // counters reach /metrics (Prometheus text), /stats.json (the
+    // registry's JSON, which every BENCH_*.json row embeds) and the
+    // memcached `stats` reply.
     cache.set(*th, 2, 0, 8);
     persist_counters_flush_tls();
     const std::string prom = stat_prometheus_text();
     const std::string json = MetricsRegistry::instance().format_json();
+    const std::string stats = net::memc_reply_stats();
     std::vector<std::string> names = {kSingleStoreCommitsMetric,
-                                      kSingleStoreFallbacksMetric};
+                                      kSingleStoreFallbacksMetric,
+                                      kReadRetriesMetric, kReadWaitsMetric};
     for (size_t i = 0; i < kNumFenceSites; ++i)
         names.push_back(fence_site_metric(static_cast<FenceSite>(i)));
     for (std::string name : names) {
         EXPECT_NE(json.find("\"" + name + "\""), std::string::npos)
+            << name;
+        EXPECT_NE(stats.find("STAT " + name + " "), std::string::npos)
             << name;
         for (char& ch : name)
             ch = ch == '.' ? '_' : ch;
@@ -740,15 +746,16 @@ TEST_F(McCostFixture, FenceSitesPublished)
     }
 }
 
-TEST(IdoReadOnlyFase, GetLeavesDurableLogUntouched)
+TEST(IdoReadOnlyFase, DeleteMissLeavesDurableLogUntouched)
 {
-    // Crash a GET at every opportunity, and once more after it
+    // Crash a delete-miss at every opportunity, and once more after it
     // finishes, keeping every dirty line: the durable log record must
     // still read inactive with the lock bitmap the set left, because
-    // nothing the GET did was ever written.
+    // nothing the read-only FASE did was ever written.  (A GET is no
+    // FASE at all: it has no crash opportunity to sweep.)
     apps::MemcachedMini::register_programs();
     for (int64_t k = 1;; ++k) {
-        ASSERT_LT(k, 1000) << "GET never completed";
+        ASSERT_LT(k, 1000) << "delete never completed";
         nvm::PersistentHeap heap({.size = 16u << 20});
         nvm::ShadowDomain shadow(heap.base(), heap.size(),
                                  static_cast<uint64_t>(k));
@@ -764,9 +771,7 @@ TEST(IdoReadOnlyFase, GetLeavesDurableLogUntouched)
         runtime.crash_scheduler().arm(k);
         bool crashed = false;
         try {
-            uint64_t v = 0;
-            EXPECT_TRUE(cache.get(*th, 1, 0, &v));
-            EXPECT_EQ(v, 10u);
+            EXPECT_FALSE(cache.del(*th, 99, 0));
         } catch (const rt::SimCrashException&) {
             crashed = true;
         }

@@ -26,6 +26,23 @@ TEST(TransientLock, BasicExclusion)
     l.unlock();
 }
 
+TEST(TransientLock, WordIsASequence)
+{
+    // Odd = held; every acquire and release adds one, so a validated
+    // read begun before an acquire fails even after the release.
+    TransientLock l;
+    const uint64_t s = seq_read_begin(l.sequence());
+    EXPECT_EQ(s, 0u);
+    EXPECT_TRUE(seq_read_valid(l.sequence(), s));
+    ASSERT_TRUE(l.try_lock());
+    EXPECT_EQ(seq_read_begin(l.sequence()), 1u);
+    EXPECT_FALSE(seq_read_valid(l.sequence(), s));
+    l.unlock();
+    EXPECT_EQ(seq_read_begin(l.sequence()), 2u);
+    EXPECT_FALSE(seq_read_valid(l.sequence(), s));
+    EXPECT_TRUE(seq_read_valid(l.sequence(), 2));
+}
+
 TEST(TransientLock, MutualExclusionStress)
 {
     TransientLock l;

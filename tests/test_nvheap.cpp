@@ -237,6 +237,24 @@ TEST(NvHeapGauges, ReattachCountsInheritedBlocks)
     EXPECT_EQ(gauge("nvheap.free_pool_blocks_est"), kFreed);
 }
 
+TEST(NvHeapGauges, ClassFreeCountsBlocksFreeNow)
+{
+    // nvheap.class.<n>.free is the class's blocks free now (frees minus
+    // reuses), not its cumulative frees.
+    PersistentHeap heap({.size = 4u << 20});
+    RealDomain dom;
+    NvHeap h(heap, dom);
+    const auto gauge = [](const char* name) {
+        return MetricsRegistry::instance().snapshot().gauges.at(name);
+    };
+    h.free_block(h.alloc(48, dom), dom);
+    EXPECT_EQ(gauge("nvheap.class.48.free"), 1u);
+    EXPECT_EQ(gauge("nvheap.class.48.live"), 0u);
+    h.alloc(48, dom); // a cache hit takes the freed block back
+    EXPECT_EQ(gauge("nvheap.class.48.free"), 0u);
+    EXPECT_EQ(gauge("nvheap.class.48.live"), 1u);
+}
+
 using NvHeapDeath = NvHeapFixture;
 
 TEST_F(NvHeapDeath, DoubleFreePanicsWithForensics)
@@ -737,7 +755,8 @@ TEST(NvHeapCensus, SplitFindsWhatTheSerialWalkFinds)
     EXPECT_EQ(split.stats.threads, NvHeap::kMaxCensusThreads);
     EXPECT_EQ(serial.strays, (std::vector<uint64_t>{big[10], big[20]}));
     EXPECT_EQ(serial.pins, (std::vector<uint64_t>{big[30], big[40]}));
-    EXPECT_EQ(serial.oversize_live, oversize.size());
+    // The thread's log record is an oversize-shaped block too.
+    EXPECT_EQ(serial.oversize_live, oversize.size() + recs.size());
     EXPECT_EQ(serial.cls_blocks[NvHeap::kNumClasses - 1], big.size());
     EXPECT_EQ(serial.cls_unlive[NvHeap::kNumClasses - 1], 4u);
 

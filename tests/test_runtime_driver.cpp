@@ -7,9 +7,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include "baselines/origin_runtime.h"
 #include "nvm/persist_domain.h"
 #include "runtime/runtime.h"
+#include "stats/persist_stats.h"
 
 namespace ido::rt {
 namespace {
@@ -253,6 +258,58 @@ TEST_F(DriverFixture, DeferredFreeRunsAfterFase)
     RegionCtx ctx;
     th->run_fase(p, ctx);
     EXPECT_EQ(runtime.allocator().live_blocks(), before);
+}
+
+TEST_F(DriverFixture, ValidatedReadRetriesWhenAWriterOverlaps)
+{
+    // The first pass's writer (another thread's lock and unlock) moves
+    // the sequence by two: the pass fails validation and is run again.
+    auto writer = runtime.make_thread();
+    const uint64_t holder = data_off + 512;
+    const uint64_t retries0 = tls_persist_counters().read_retries;
+    int passes = 0;
+    const int result = th->read_validated(holder, [&] {
+        if (++passes == 1) {
+            writer->fase_lock(holder);
+            writer->fase_unlock(holder);
+        }
+        return passes;
+    });
+    EXPECT_EQ(result, 2);
+    EXPECT_EQ(tls_persist_counters().read_retries, retries0 + 1);
+}
+
+TEST_F(DriverFixture, ValidatedReadWaitsForAHeldLock)
+{
+    const uint64_t holder = data_off + 512;
+    th->fase_lock(holder);
+    std::atomic<bool> done{false};
+    uint64_t waits = 0;
+    std::thread reader([&] {
+        auto t = runtime.make_thread();
+        t->read_validated(holder, [] { return 0; });
+        waits = tls_persist_counters().read_waits;
+        done = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(done.load());
+    th->fase_unlock(holder);
+    reader.join();
+    EXPECT_EQ(waits, 1u);
+}
+
+TEST_F(DriverFixture, ValidatedReadThrowsBehindACrashedHolder)
+{
+    const uint64_t holder = data_off + 512;
+    th->fase_lock(holder);
+    runtime.crash_scheduler().arm(1);
+    EXPECT_THROW(th->crash_tick(), SimCrashException);
+    std::thread reader([&] {
+        auto t = runtime.make_thread();
+        EXPECT_THROW(t->read_validated(holder, [] { return 0; }),
+                     SimCrashException);
+    });
+    reader.join();
 }
 
 TEST_F(DriverFixture, NestedFaseForbidden)

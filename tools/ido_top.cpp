@@ -7,7 +7,8 @@
  *  - throughput (requests/s) and fences/op, computed as deltas between
  *    consecutive frames (counters are cumulative), and per request the
  *    one-word FASEs committed without the log and those that fell
- *    back to it (ido.single_store.*);
+ *    back to it (ido.single_store.*), and the validated GETs' retries
+ *    and waits for a writer (rt.read.*);
  *  - per-op latency percentiles (p50/p99/p999) straight from the
  *    server's live recorders -- cumulative since server start, which
  *    is what the recorders expose;
@@ -166,6 +167,8 @@ render(const std::map<std::string, double>& cur,
                 per_req("ido.single_store.commits"),
                 per_req("ido.single_store.fallbacks"),
                 per_req("net.sends"));
+    std::printf("validated GETs/op: retries %5.3f    waits %5.3f\n",
+                per_req("rt.read.retries"), per_req("rt.read.waits"));
     std::printf("%-10s %10s %12s %12s %12s\n", "op", "count",
                 "p50(us)", "p99(us)", "p999(us)");
     for (const char* op : { "get", "set", "delete" }) {
