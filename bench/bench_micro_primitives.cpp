@@ -282,13 +282,19 @@ run_heap_series()
     nvm::RealDomain dom;
     nvm::NvHeap h(heap, dom);
     constexpr uint64_t kNodes = 20000;
+    // Chunk-carved nodes (alloc_linked carves from the arena, which
+    // compaction never touches), each published after its write-back.
     for (uint64_t t = 0; t < kNodes; ++t) {
-        h.alloc_linked(nvm::RootSlot::kUser0, nvm::TypeId::kTestBlock,
-                       sizeof(Node), dom,
-                       [&](void* p, uint64_t prev_head) {
-                           Node n{prev_head, t, {0, 0}};
-                           dom.store(p, &n, sizeof(n));
-                       });
+        const uint64_t off =
+            h.alloc_aligned(sizeof(Node), dom, nvm::TypeId::kTestBlock);
+        Node* p = heap.resolve<Node>(off);
+        const Node n{nvm::RootRegistry::get_ref(heap,
+                                                nvm::RootSlot::kUser0),
+                     t, {0, 0}};
+        dom.store(p, &n, sizeof(n));
+        dom.flush(p, sizeof(n));
+        dom.fence();
+        nvm::RootRegistry::set_ref(heap, nvm::RootSlot::kUser0, off, dom);
     }
     // Delete 3 of every 4 nodes, unlinking durably as a mutator would.
     uint64_t head = nvm::RootRegistry::get_ref(heap,

@@ -59,16 +59,27 @@ register_node_type()
     TypeRegistry::instance().register_type(TypeId::kTestBlock, d);
 }
 
-/** Push one node onto the kUser0 chain (alloc_linked publish). */
+/**
+ * Push one node onto the kUser0 chain: initialize, write back, then
+ * publish.  The node comes from the thread's chunk (alloc_linked would
+ * carve it from the arena, which compaction never touches).
+ */
 uint64_t
 push_node(NvHeap& h, PersistDomain& dom, uint64_t tag)
 {
-    return h.alloc_linked(
-        RootSlot::kUser0, TypeId::kTestBlock, sizeof(Node), dom,
-        [&](void* p, uint64_t prev_head) {
-            Node n{prev_head, tag, stamp_for(tag), 0};
-            dom.store(p, &n, sizeof(n));
-        });
+    const uint64_t off =
+        h.alloc_aligned(sizeof(Node), dom, TypeId::kTestBlock);
+    if (off == 0)
+        return 0;
+    PersistentHeap& heap = h.heap();
+    Node* p = heap.resolve<Node>(off);
+    const Node n{RootRegistry::get_ref(heap, RootSlot::kUser0), tag,
+                 stamp_for(tag), 0};
+    dom.store(p, &n, sizeof(n));
+    dom.flush(p, sizeof(n));
+    dom.fence();
+    RootRegistry::set_ref(heap, RootSlot::kUser0, off, dom);
+    return off;
 }
 
 /**
