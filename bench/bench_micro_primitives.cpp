@@ -249,18 +249,16 @@ run_boundary_series()
 }
 
 // --------------------------------------------------------------------------
-// Heap GC / compaction series (BENCH_heap.json)
+// Heap audit series (BENCH_heap.json)
 // --------------------------------------------------------------------------
 
 /**
- * Reachability GC and compaction cost on a churned typed corpus.
- * Builds a rooted chain, deletes three quarters of it (the sparse-heap
- * shape a long-running server produces), plants a batch of unrooted
- * blocks, and times the three GC entry points.  One BENCH_heap.json
- * row per phase -- audit ops are blocks walked, repair ops blocks
- * reclaimed, compact ops blocks relocated -- and every row's embedded
- * metrics snapshot carries heap.fragmentation plus the heap.gc.*
- * counters the CI churn gate reads.
+ * Reachability audit cost on a churned typed corpus.  Builds a rooted
+ * chain, deletes three quarters of it (the sparse-heap shape a
+ * long-running server produces), plants a batch of unrooted blocks,
+ * and times HeapGc::audit.  One BENCH_heap.json row whose ops are
+ * blocks walked; its embedded metrics snapshot carries
+ * heap.fragmentation plus the heap.gc.* counters.
  */
 void
 run_heap_series()
@@ -282,8 +280,7 @@ run_heap_series()
     nvm::RealDomain dom;
     nvm::NvHeap h(heap, dom);
     constexpr uint64_t kNodes = 20000;
-    // Chunk-carved nodes (alloc_linked carves from the arena, which
-    // compaction never touches), each published after its write-back.
+    // Chunk-carved nodes, each published after its write-back.
     for (uint64_t t = 0; t < kNodes; ++t) {
         const uint64_t off =
             h.alloc_aligned(sizeof(Node), dom, nvm::TypeId::kTestBlock);
@@ -324,7 +321,7 @@ run_heap_series()
         dom.fence();
         h.free_block(cur, dom);
     }
-    // Unrooted blocks give the repair phase real work.
+    // Unrooted blocks give the audit leaks to report.
     constexpr uint64_t kLeaks = 1000;
     for (uint64_t i = 0; i < kLeaks; ++i) {
         const uint64_t off =
@@ -333,39 +330,22 @@ run_heap_series()
         dom.store(heap.resolve<void>(off), &z, sizeof(z));
     }
 
-    std::printf("\n=== heap GC / compaction (%llu-node corpus, 1/4 "
-                "live) ===\n",
+    std::printf("\n=== heap audit (%llu-node corpus, 1/4 live) ===\n",
                 static_cast<unsigned long long>(kNodes));
     std::printf("%-12s %10s %14s %14s\n", "phase", "ops", "ops/sec",
                 "notes");
-    nvm::HeapGc gc(h, dom);
-    const auto timed = [&](const char* phase, auto&& run,
-                           auto&& ops_of) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const nvm::GcStats s = run();
-        const double seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        nvm::HeapGc::publish(s);
-        const uint64_t ops = ops_of(s);
-        char notes[128];
-        std::snprintf(notes, sizeof(notes),
-                      "live %llu  leaked %llu  retired %llu",
-                      static_cast<unsigned long long>(s.live_blocks),
-                      static_cast<unsigned long long>(s.leaked_blocks),
-                      static_cast<unsigned long long>(s.chunks_retired));
-        std::printf("%-12s %10llu %14.0f %s\n", phase,
-                    static_cast<unsigned long long>(ops),
-                    seconds > 0 ? double(ops) / seconds : 0.0, notes);
-        bench::emit_json_row("heap", phase, 1, ops, seconds);
-    };
-    timed("gc_audit", [&] { return gc.audit(); },
-          [](const nvm::GcStats& s) { return s.blocks; });
-    timed("gc_repair", [&] { return gc.repair(); },
-          [](const nvm::GcStats& s) { return s.reclaimed_blocks; });
-    timed("gc_compact", [&] { return gc.compact(); },
-          [](const nvm::GcStats& s) { return s.relocated_blocks; });
+    const auto t0 = std::chrono::steady_clock::now();
+    const nvm::GcStats s = nvm::HeapGc(h, dom).audit();
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    nvm::HeapGc::publish(s);
+    std::printf("%-12s %10llu %14.0f live %llu  leaked %llu\n", "gc_audit",
+                static_cast<unsigned long long>(s.blocks),
+                seconds > 0 ? double(s.blocks) / seconds : 0.0,
+                static_cast<unsigned long long>(s.live_blocks),
+                static_cast<unsigned long long>(s.leaked_blocks));
+    bench::emit_json_row("heap", "gc_audit", 1, s.blocks, seconds);
 }
 
 // --------------------------------------------------------------------------

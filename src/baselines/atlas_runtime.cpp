@@ -12,17 +12,13 @@ namespace ido::baselines {
 namespace {
 
 // GC layout facts: the log record links the per-runtime log list and
-// owns its entry buffer; live entries hold raw heap offsets the GC
-// cannot retarget, so any log record pins the heap against relocation.
+// owns its entry buffer.
 const bool g_atlas_log_type = [] {
     nvm::TypeDescriptor d;
     d.name = "atlas_log";
     d.payload_size = sizeof(AtlasThreadLog);
     d.link_offsets = {offsetof(AtlasThreadLog, next),
                       offsetof(AtlasThreadLog, buf_off)};
-    d.pins_relocation = [](const nvm::PersistentHeap&, uint64_t) {
-        return true;
-    };
     nvm::TypeRegistry::instance().register_type(nvm::TypeId::kAtlasLog,
                                                 std::move(d));
     return true;

@@ -16,16 +16,12 @@ using rt::RegionCtx;
 
 namespace {
 
-// GC layout facts: JUSTDO log records link only the list; their
-// register snapshots hold raw heap offsets, so they pin relocation.
+// GC layout facts: JUSTDO log records link only the list.
 const bool g_justdo_log_type = [] {
     nvm::TypeDescriptor d;
     d.name = "justdo_log";
     d.payload_size = sizeof(JustdoLogRec);
     d.link_offsets = {offsetof(JustdoLogRec, next)};
-    d.pins_relocation = [](const nvm::PersistentHeap&, uint64_t) {
-        return true;
-    };
     nvm::TypeRegistry::instance().register_type(nvm::TypeId::kJustdoLogRec,
                                                 std::move(d));
     return true;

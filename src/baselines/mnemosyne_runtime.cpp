@@ -11,16 +11,13 @@ namespace ido::baselines {
 
 namespace {
 
-// GC layout facts (see atlas_runtime.cpp for the pinning rationale).
+// GC layout facts for the audit's mark.
 const bool g_mnemosyne_log_type = [] {
     nvm::TypeDescriptor d;
     d.name = "mnemosyne_log";
     d.payload_size = sizeof(MnemosyneThreadLog);
     d.link_offsets = {offsetof(MnemosyneThreadLog, next),
                       offsetof(MnemosyneThreadLog, buf_off)};
-    d.pins_relocation = [](const nvm::PersistentHeap&, uint64_t) {
-        return true;
-    };
     nvm::TypeRegistry::instance().register_type(nvm::TypeId::kMnemosyneLog,
                                                 std::move(d));
     return true;

@@ -12,16 +12,13 @@ namespace ido::baselines {
 
 namespace {
 
-// GC layout facts (see atlas_runtime.cpp for the pinning rationale).
+// GC layout facts for the audit's mark.
 const bool g_nvml_log_type = [] {
     nvm::TypeDescriptor d;
     d.name = "nvml_log";
     d.payload_size = sizeof(NvmlThreadLog);
     d.link_offsets = {offsetof(NvmlThreadLog, next),
                       offsetof(NvmlThreadLog, buf_off)};
-    d.pins_relocation = [](const nvm::PersistentHeap&, uint64_t) {
-        return true;
-    };
     nvm::TypeRegistry::instance().register_type(nvm::TypeId::kNvmlLog,
                                                 std::move(d));
     return true;

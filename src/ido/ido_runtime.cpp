@@ -23,21 +23,12 @@ metric(const char* name)
     return *MetricsRegistry::instance().counter(name);
 }
 
-// GC layout facts for the iDO log record.  Unlike the baselines, an
-// iDO log pins relocation only while it records an *interrupted* FASE
-// (recovery_pc active): the boundary snapshot then holds raw heap
-// offsets in its register file, which the GC cannot retarget.  An
-// idle record (recovery_pc == kInactivePc) is relocatable metadata.
+// GC layout facts for the iDO log record.
 const bool g_ido_log_type = [] {
     nvm::TypeDescriptor d;
     d.name = "ido_log";
     d.payload_size = sizeof(IdoLogRec);
     d.link_offsets = {offsetof(IdoLogRec, next)};
-    d.pins_relocation = [](const nvm::PersistentHeap& heap,
-                           uint64_t payload_off) {
-        const auto* rec = heap.resolve<IdoLogRec>(payload_off);
-        return rec->recovery_pc != kInactivePc;
-    };
     // An interrupted FASE's current-instance entries name blocks its
     // resumed region takes back (allocations) or frees at deactivation;
     // the crash may have left them FREEING or FREE-unlisted, which

@@ -1,50 +1,22 @@
 /**
  * @file
- * HeapGc: root-reachability mark/sweep and crash-consistent slab
- * compaction for NvHeap v2.
+ * HeapGc: the root-reachability audit of NvHeap v2.
  *
  * The typed root layer (root_registry.h) made reachability decidable
  * from metadata alone: every durable root declares what it holds,
  * every block header carries a 7-bit TypeId, and every described type
- * publishes its link-field map.  HeapGc is the consumer of that
- * metadata -- three entry points layered on one mark phase:
- *
- *  - audit():   read-only census.  Marks from RootRegistry::block_roots,
- *               traces through TypeDescriptors, and reports every LIVE
- *               block no root can reach (a leak), every link field
- *               whose target is not a block (dangling), every opaque
- *               (untyped / undescribed) survivor, and every block
- *               currently pinning the heap against relocation.
- *  - repair():  audit + reclamation.  Unreachable LIVE blocks are
- *               durably demoted to the FREEING state with a stale epoch
- *               tag and handed to NvHeap::recover_leaks(), which owns
- *               the (already crash-proven) relink protocol -- the GC
- *               never grows a second free-list writer.  A crash at any
- *               point leaves strays the next attach reclaims.  Refuses
- *               to reclaim anything while an opaque block is reachable
- *               (its unseen interior could be the only path to a
- *               "leak").
- *  - compact(): journal-based relocation plus chunk retirement.  Live
- *               blocks are copied out of sparse chunks, every move
- *               recorded in a persistent journal *before* the source
- *               header flips to kBlockMoved, then all stored links and
- *               roots are rewritten and the emptied chunks are zeroed
- *               and pushed on the retired-chunk list refill_chunk()
- *               reuses.  Every step is fenced and hook()ed, so the
- *               fuse-point crash sweep can kill it anywhere: an
- *               interrupted compaction is finished (or harmlessly
- *               discarded) by the journal-resolution prologue of the
- *               next GC.  Relocation is refused while any pinning
- *               block (interrupted-FASE log record) or any opaque LIVE
- *               block exists, since their interiors may hold offsets
- *               the GC cannot retarget.  Fully-empty chunks are still
- *               retired, except while a log record pins: its FASE may
- *               have reserved a block in a chunk that walks as empty.
+ * publishes its link-field map.  audit() consumes that metadata: it
+ * marks from RootRegistry::block_roots, traces through the
+ * TypeDescriptors, and reports every LIVE block no root can reach (a
+ * leak), every link field whose target is not a block (dangling), and
+ * every opaque (untyped / undescribed) survivor.  It never writes the
+ * heap.  It is the leak oracle of the tests, the fuzzer, the repo
+ * benchmark and `ido_heap audit`; nothing reclaims through it, since
+ * iDO recovery leaks nothing and NvHeap::recover_leaks relinks what a
+ * crash strands mid-free.
  *
  * Concurrency contract: quiescent callers only (no mutator threads
- * between construction and the call's return).  Transient caches are
- * flushed and chunk cursors abandoned up front, so no thread-local
- * state can reference a chunk the GC retires.
+ * between construction and the call's return).
  */
 #pragma once
 
@@ -57,16 +29,15 @@
 
 namespace ido::nvm {
 
-/** One GC run's census and actions, for tools/tests/recovery. */
+/** One audit's census and findings, for tools and tests. */
 struct GcStats
 {
-    // Census (every run).
+    // Census.
     uint64_t blocks = 0;        ///< all walked blocks
     uint64_t bytes = 0;         ///< header+payload bytes walked
     uint64_t live_blocks = 0;
     uint64_t live_bytes = 0;
     uint64_t free_blocks = 0;   ///< FREE or FREEING
-    uint64_t moved_blocks = 0;  ///< relocation carcasses awaiting retire
     uint64_t chunks = 0;        ///< chunks currently carved from the arena
 
     // Reachability findings.
@@ -74,24 +45,11 @@ struct GcStats
     uint64_t leaked_bytes = 0;
     uint64_t dangling_links = 0; ///< link fields targeting no block
     uint64_t opaque_live = 0;    ///< LIVE untyped/undescribed blocks
-    uint64_t pinned_blocks = 0;  ///< blocks vetoing relocation
 
-    // Actions (repair / compact only).
-    uint64_t reclaimed_blocks = 0;
-    uint64_t reclaimed_bytes = 0;
-    uint64_t relocated_blocks = 0;
-    uint64_t relocated_bytes = 0;
-    uint64_t chunks_retired = 0;
-    uint64_t journal_resolved = 0; ///< prior interrupted moves completed
-    bool repair_refused = false;   ///< opaque reachable block blocked reclaim
-    bool relocation_refused = false; ///< pin/opaque blocked relocation
-
-    // Phase wall times.  The same stamps feed heap.gc.last_*_us and the
-    // recovery timeline's gc_*_ms fields.
+    // Phase wall times; the same stamps feed heap.gc.last_*_us.
     uint64_t index_ns = 0;   ///< block/chunk index walk
     uint64_t mark_ns = 0;    ///< reachability mark from the roots
     uint64_t census_ns = 0;  ///< per-block classification
-    uint64_t reclaim_ns = 0; ///< repair's reclaim; compact's other work
     uint64_t mark_threads = 0; ///< threads the mark ran on (1 = serial)
 
     /** Human-readable issue lines (capped; see kMaxFindings). */
@@ -105,35 +63,19 @@ class HeapGc
 {
   public:
     static constexpr size_t kMaxFindings = 32;
-    /** Relocations recorded per journal round (journal block size). */
-    static constexpr size_t kJournalEntries = 512;
-    /** A chunk is a relocation victim when its live payloads cover at
-     *  most this fraction (in percent) of the chunk. */
-    static constexpr uint64_t kVictimLivePct = 50;
     /** A block with more link fields than this (a hash shard's bucket
      *  heads) has its fields split across up to kMaxMarkThreads
      *  threads; heaps without one mark serially. */
     static constexpr size_t kSplitLinkFields = 65536;
     static constexpr unsigned kMaxMarkThreads = 4;
 
+    /** The domain is not read: the audit reads the heap image as is. */
     HeapGc(NvHeap& heap, PersistDomain& dom);
 
     /** Read-only reachability census; never writes the heap. */
     GcStats audit();
 
-    /** Census + reclaim unreachable LIVE blocks through the existing
-     *  recover_leaks protocol.  No-op (repair_refused) while any
-     *  opaque block is reachable. */
-    GcStats repair();
-
-    /** Resolve any interrupted prior compaction, relocate live blocks
-     *  out of sparse chunks under the persistent move journal, rewrite
-     *  all links/roots, and retire emptied chunks onto the reuse
-     *  list.  Also reports the census it marked from. */
-    GcStats compact();
-
-    /** Publish a run's results as heap.gc.* metrics (counters set to
-     *  the latest census, cumulative action totals added). */
+    /** Publish an audit's results as heap.gc.* metrics. */
     static void publish(const GcStats& s);
 
   private:
@@ -144,16 +86,6 @@ class HeapGc
         uint64_t size; ///< class-rounded payload size
         uint64_t meta;
         bool marked = false;
-        bool opaque = false; ///< LIVE with no usable descriptor
-        bool pinned = false;
-    };
-
-    /** One carved chunk and the index range of its blocks. */
-    struct ChunkInfo
-    {
-        uint64_t off;       ///< chunk header offset
-        size_t first_block; ///< index into blocks_ (first_block==last_block
-        size_t last_block;  ///<  means the chunk holds no blocks)
     };
 
     /** One thread's mark state (heap_gc.cpp). */
@@ -172,8 +104,6 @@ class HeapGc
     void build_index();
     void mark(GcStats* s);
     void census(GcStats* s);
-    /** build_index + mark + census, each timed into s. */
-    void survey(GcStats* s);
     /** Mark the block a link value v resolves to, or count v dangling. */
     void mark_target(Marker& m, uint64_t v, uint64_t holder,
                      uint64_t field, const char* what, const char* who);
@@ -183,33 +113,10 @@ class HeapGc
     /** Trace every block on m's work stack; big blocks are deferred. */
     void drain(Marker& m);
 
-    /** Complete an interrupted prior compaction: flip journaled
-     *  sources to MOVED, rewrite links, truncate the journal. */
-    void resolve_journal(GcStats* s);
-
-    /** Rewrite every stored link and root that targets a journaled
-     *  source extent to its copy.  Idempotent. */
-    void rewrite_references();
-
-    /** Durably ensure the journal block exists; 0 if arena exhausted. */
-    uint64_t ensure_journal();
-
-    /** Unlink every free-list entry that lives inside one of the
-     *  victim chunks (sorted chunk offsets); the entries become
-     *  recoverable strays until their chunk is zeroed. */
-    void purge_free_lists(const std::vector<uint64_t>& victims);
-
-    /** Zero a victim chunk and push it on the retired-chunk list. */
-    void retire_chunk(uint64_t chunk_off);
-
-    bool relocate_one(const BlockInfo& b, uint64_t* journal_count);
-
     NvHeap& heap_;
-    PersistDomain& dom_;
-    uint64_t journal_off_ = 0; ///< cached HeapState.compact_journal
 
     std::vector<BlockInfo> blocks_; ///< sorted by raw offset
-    std::vector<ChunkInfo> chunks_;
+    uint64_t chunks_ = 0;           ///< chunks the index walked
     /** TypeRegistry snapshot taken by build_index (one lock per run,
      *  not one per block), indexed by the header's 7-bit type field. */
     const TypeDescriptor* types_[128] = {};

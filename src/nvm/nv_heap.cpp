@@ -33,8 +33,6 @@ state_name(uint64_t st)
         return "FREEING";
       case NvHeap::kBlockFree:
         return "FREE";
-      case NvHeap::kBlockMoved:
-        return "MOVED";
     }
     return "INVALID";
 }
@@ -43,7 +41,7 @@ bool
 recognized_state(uint64_t st)
 {
     return st == NvHeap::kBlockLive || st == NvHeap::kBlockFreeing
-           || st == NvHeap::kBlockFree || st == NvHeap::kBlockMoved;
+           || st == NvHeap::kBlockFree;
 }
 
 } // namespace
@@ -102,7 +100,7 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
     m_shard_pop_ = reg.counter("nvheap.shard_pop");
     m_leak_reclaim_ = reg.counter("nvheap.leak_reclaim");
     m_oversize_ = reg.counter("nvheap.oversize");
-    m_chunk_reuse_ = reg.counter("nvheap.chunk_reuse");
+    m_tail_reuse_ = reg.counter("nvheap.tail_reuse");
     m_blocks_walked_ = reg.counter("nvheap.blocks_walked");
 
     state_off_ = heap_.root(RootSlot::kAllocator);
@@ -127,6 +125,15 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
         IDO_ASSERT(dom.load_val(&st->magic) == kStateMagic,
                    "NvHeap: allocator root was written by an "
                    "incompatible (v1) allocator");
+        // Only an older build's offline compaction wrote a relocation
+        // journal, and only a relocation leaves MOVED blocks, which no
+        // walk here recognizes.  Such an image is refused; one whose
+        // compaction merely retired empty chunks is fine: those chunks
+        // walk as empty, and the census hands their bodies out as tails.
+        IDO_ASSERT(dom.load_val(&st->old_journal) == 0,
+                   "NvHeap: heap image was compacted by an older build "
+                   "(relocation journal present); this allocator cannot "
+                   "read its relocated blocks");
         // New attach epoch: everything the previous epoch held in
         // transient caches becomes recognizably stale.
         dom.store_val(&st->epoch, dom.load_val(&st->epoch) + 1);
@@ -136,7 +143,10 @@ NvHeap::NvHeap(PersistentHeap& heap, PersistDomain& dom)
         // per-class occupancy counters, so the live/free gauges and the
         // fragmentation ratio are correct for inherited blocks, not
         // just this run's churn, and recover_leaks() takes its strays.
+        // No thread of this attach owns a chunk yet, so every unused
+        // chunk tail is an earlier run's, free to hand out again.
         census_ = take_census();
+        tails_ = std::move(census_->tails);
         const Census& c = *census_;
         for (size_t k = 0; k < kNumClasses; ++k) {
             cls_alloc_[k].store(c.cls_blocks[k], std::memory_order_relaxed);
@@ -368,27 +378,21 @@ NvHeap::refill_chunk(ThreadCache& tc, PersistDomain& dom)
 {
     fuzz::rr::OrderedGuard g(refill_mutex_,
                              fuzz::obj_key(fuzz::ObjKind::kHeapRefill));
-    HeapState* st = state();
-    // Retired chunks (emptied by compaction) are reused before the
-    // global bump ever grows -- this is what bounds the heap file's
-    // high-water mark under steady churn.  The unlink is durable
-    // before the chunk is handed out; a crash after the unlink leaks
-    // the chunk until the next GC re-retires it (it walks as empty and
-    // is on no list), the usual leak-not-corruption outcome.
-    const uint64_t freec = dom.load_val(&st->chunk_free);
-    if (freec != 0) {
-        const uint64_t next =
-            dom.load_val(heap_.resolve<uint64_t>(freec + sizeof(BlockHeader)));
-        hook();
-        dom.store_val(&st->chunk_free, next);
-        dom.flush(&st->chunk_free, sizeof(uint64_t));
-        dom.fence();
-        tc.chunk_cursor = freec + sizeof(BlockHeader);
-        tc.chunk_end = freec + kChunkBytes;
-        m_chunk_reuse_->fetch_add(1, std::memory_order_relaxed);
-        trace::emit(trace::EventKind::kArenaRefill, freec, kChunkBytes);
+    // Chunk tails an earlier run never carved (a killed thread's chunk
+    // always has one) go out before the global bump grows, which keeps
+    // the heap's high-water mark flat across restarts.  Nothing durable
+    // changes: the tail is the walk's stopping point already, and a
+    // carve there is an ordinary chunk carve.
+    if (!tails_.empty()) {
+        const auto [begin, end] = tails_.back();
+        tails_.pop_back();
+        tc.chunk_cursor = begin;
+        tc.chunk_end = end;
+        m_tail_reuse_->fetch_add(1, std::memory_order_relaxed);
+        trace::emit(trace::EventKind::kArenaRefill, begin, end - begin);
         return true;
     }
+    HeapState* st = state();
     const uint64_t bump = dom.load_val(&st->bump);
     if (bump + kChunkBytes > dom.load_val(&st->end))
         return false;
@@ -471,11 +475,10 @@ NvHeap::shard_pop(size_t shard, size_t cls, PersistDomain& dom)
 }
 
 void
-NvHeap::spill_cache(ThreadCache& tc, size_t cls, PersistDomain& dom,
-                    bool spill_all)
+NvHeap::spill_cache(ThreadCache& tc, size_t cls, PersistDomain& dom)
 {
     auto& cache = tc.free_blocks[cls];
-    const size_t spill = spill_all ? cache.size() : cache.size() / 2;
+    const size_t spill = cache.size() / 2;
     if (spill == 0)
         return;
     const size_t shard = home_shard(tc);
@@ -677,21 +680,25 @@ NvHeap::alloc_impl(size_t size, PersistDomain& dom, TypeId type,
         if (off != 0)
             take_popped();
     }
-    // 3. Private bump chunk (refilled from the global arena).
-    if (off == 0) {
+    // 3. Private bump chunk.
+    if (off == 0)
         off = carve_from_chunk(tc, payload, tc.owner_tag, dom, type,
                                aligned, claim);
-        if (off == 0 && refill_chunk(tc, dom))
-            off = carve_from_chunk(tc, payload, tc.owner_tag, dom, type,
-                                   aligned, claim);
-    }
-    // 4. Steal from any shard, then the arena tail, before giving up.
+    // 4. Steal from any shard before a refill grows the arena: a crash
+    //    attach relinks a dead run's strays over every shard, not just
+    //    the home shard of whichever thread allocates next.
     if (off == 0) {
         for (size_t s = 0; s < kNumShards && off == 0; ++s)
             off = shard_pop(s, cls, dom);
         if (off != 0)
             take_popped();
     }
+    // 5. A fresh chunk (a handed-back tail may be too short for this
+    //    class: its room is lost, as a chunk's last bytes are), then
+    //    the arena tail, before giving up.
+    while (off == 0 && refill_chunk(tc, dom))
+        off = carve_from_chunk(tc, payload, tc.owner_tag, dom, type,
+                               aligned, claim);
     if (off == 0) {
         off = carve_global(payload, tc.owner_tag, dom, type, aligned,
                            claim != nullptr);
@@ -936,12 +943,14 @@ list_extents(const PersistentHeap& heap, uint64_t data_begin, uint64_t bump,
  * block walker, shared by every serial walk and each thread of a split
  * census.  A chunk's blocks form a packed prefix; the walk stops at the
  * first header slot never durably written (state unrecognizable),
- * which by the carve protocol is always the unused tail.  Returns false
+ * which by the carve protocol is always the unused tail.  *tail is
+ * set to where a chunk's unused tail begins.  Returns false
  * at an inconsistent header.
  */
 template <typename Fn>
 bool
-walk_extent(const PersistentHeap& heap, const Extent& e, Fn&& fn)
+walk_extent(const PersistentHeap& heap, const Extent& e, Fn&& fn,
+            uint64_t* tail = nullptr)
 {
     if (!e.is_chunk) {
         const auto* w = heap.resolve<uint64_t>(e.begin);
@@ -965,6 +974,8 @@ walk_extent(const PersistentHeap& heap, const Extent& e, Fn&& fn)
         fn(b + kHdr, bw[0], bw[1]);
         b += kHdr + bw[0];
     }
+    if (tail != nullptr)
+        *tail = b;
     return true;
 }
 
@@ -1027,21 +1038,6 @@ NvHeap::check_consistency() const
                 if (++hops > heap_.size() / 16)
                     return false; // cycle
             }
-        }
-    }
-    // Retired chunks on the reuse list must still carry their chunk
-    // header (the walk relies on it to skip them as a unit) and the
-    // list must be acyclic.
-    {
-        uint64_t c = st->chunk_free;
-        size_t hops = 0;
-        while (c != 0) {
-            const auto* words = heap_.resolve<uint64_t>(c);
-            if (words[0] != kChunkMagic || words[1] != kChunkBytes)
-                return false;
-            c = *heap_.resolve<uint64_t>(c + sizeof(BlockHeader));
-            if (++hops > heap_.size() / kChunkBytes + 1)
-                return false; // cycle
         }
     }
     return true;
@@ -1134,19 +1130,23 @@ NvHeap::take_census(unsigned threads) const
             // died between the phases; FREE but unlisted means it died
             // between a spill batch and its head publish (or between a
             // shard pop's unlink and the LIVE flip).  Current-epoch
-            // FREEING blocks are parked in live transient caches, and
-            // MOVED blocks are compaction carcasses, reclaimed only by
-            // chunk retirement: leave them alone.
+            // FREEING blocks are parked in live transient caches: leave
+            // them alone.
             if (s == kBlockFreeing && meta_epoch(meta) < cur_tag)
                 c.strays.push_back(payload);
             else if (s == kBlockFree && !is_listed(payload))
                 c.strays.push_back(payload);
         };
         for (size_t i = lo; i < hi; ++i) {
-            if (!walk_extent(heap_, extents[i], visit)) {
+            uint64_t tail = 0;
+            if (!walk_extent(heap_, extents[i], visit, &tail)) {
                 sl.ok = false;
                 return;
             }
+            // Room for at least the smallest block.
+            if (extents[i].is_chunk
+                && extents[i].end - tail >= kHdr + kClassSizes[0])
+                c.tails.emplace_back(tail, extents[i].end);
         }
     };
     unsigned n = threads;
@@ -1176,6 +1176,7 @@ NvHeap::take_census(unsigned threads) const
         out.strays.insert(out.strays.end(), c.strays.begin(),
                           c.strays.end());
         out.pins.insert(out.pins.end(), c.pins.begin(), c.pins.end());
+        out.tails.insert(out.tails.end(), c.tails.begin(), c.tails.end());
         for (size_t k = 0; k < kNumClasses; ++k) {
             out.cls_blocks[k] += c.cls_blocks[k];
             out.cls_unlive[k] += c.cls_unlive[k];
@@ -1191,6 +1192,14 @@ NvHeap::take_census(unsigned threads) const
                    out.pins.end());
     std::erase_if(out.strays, [&](uint64_t p) {
         return std::binary_search(out.pins.begin(), out.pins.end(), p);
+    });
+    // A pin inside a tail is a block an interrupted FASE claimed whose
+    // header the crash lost; its resumed region takes it back, so the
+    // tail holding it stays unused this run.
+    std::erase_if(out.tails, [&](const std::pair<uint64_t, uint64_t>& t) {
+        const auto it = std::lower_bound(out.pins.begin(), out.pins.end(),
+                                         t.first);
+        return it != out.pins.end() && *it < t.second;
     });
     out.stats.extents = extents.size();
     out.stats.threads = n;
@@ -1208,7 +1217,7 @@ NvHeap::marks() const
     for (size_t c = 0; c < kNumClasses; ++c)
         ops += cls_alloc_[c].load(std::memory_order_relaxed)
                + cls_free_[c].load(std::memory_order_relaxed);
-    return {st->epoch, st->bump, st->chunk_free, ops};
+    return {st->epoch, st->bump, ops};
 }
 
 uint64_t
@@ -1222,8 +1231,8 @@ NvHeap::recover_leaks(PersistDomain& dom)
         sg[s] = std::unique_lock<std::mutex>(shard_mutexes_[s]);
 
     // A census is current while no block has changed state since it
-    // was taken: every such change moves the epoch, the bump pointer,
-    // the retired-chunk head or a class counter.
+    // was taken: every such change moves the epoch, the bump pointer
+    // or a class counter.
     const bool reuse = census_.has_value() && census_marks_ == marks();
     Census c = reuse ? std::move(*census_) : take_census();
     census_.reset(); // a reclaim cut short leaves no census to trust
@@ -1297,28 +1306,6 @@ NvHeap::block_type(uint64_t payload_off) const
     }
     const auto* hdr = heap_.resolve<BlockHeader>(raw - sizeof(BlockHeader));
     return meta_type(hdr->meta);
-}
-
-void
-NvHeap::flush_transient_caches(PersistDomain& dom)
-{
-    // Push every cached FREEING block onto the durable shard lists so
-    // no transient cache holds an offset into a chunk the GC is about
-    // to relocate or retire.  Chunk cursors are abandoned too: a
-    // cursor into a chunk the GC then retires would otherwise carve
-    // LIVE headers into a zeroed (possibly re-handed-out) chunk.  The
-    // abandoned tail is dead space until its chunk empties and
-    // retires, the same bounded cost a crash already has.
-    std::lock_guard<std::mutex> g(tc_mutex_);
-    for (auto& up : tcs_) {
-        ThreadCache& tc = *up;
-        for (size_t c = 0; c < kNumClasses; ++c) {
-            if (!tc.free_blocks[c].empty())
-                spill_cache(tc, c, dom, /*spill_all=*/true);
-        }
-        tc.chunk_cursor = 0;
-        tc.chunk_end = 0;
-    }
 }
 
 } // namespace ido::nvm

@@ -59,6 +59,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/panic.h"
@@ -89,8 +90,6 @@ class NvHeap
     static constexpr uint64_t kBlockLive = 0xa1ce;
     static constexpr uint64_t kBlockFreeing = 0xf4e2; ///< phase 1
     static constexpr uint64_t kBlockFree = 0xf4ee;    ///< phase 2
-    /** Relocated by compaction: the journal maps it to its copy. */
-    static constexpr uint64_t kBlockMoved = 0x30ed;
 
     /** First word of a chunk; cannot collide with a block size. */
     static constexpr uint64_t kChunkMagic = 0xc7a2c7a2c7a2c7a2ull;
@@ -99,8 +98,11 @@ class NvHeap
      * Attach to (or initialize) the NvHeap state of a heap.  Attaching
      * to existing state durably bumps the epoch and takes the census
      * (one read of every block header) that seeds the per-class
-     * counters; if the heap reports recovered_from_crash(), the
-     * census's strays are reclaimed immediately.
+     * counters and collects the unused chunk tails refill_chunk()
+     * hands out before it grows the arena; if the heap reports
+     * recovered_from_crash(), the census's strays are reclaimed
+     * immediately.  An attach declares every earlier attach to the
+     * same heap dead: its chunks and parked blocks are taken back.
      */
     NvHeap(PersistentHeap& heap, PersistDomain& dom);
     ~NvHeap();
@@ -324,14 +326,19 @@ class NvHeap
 
     /**
      * One read of every block header: the per-class counter seeds, the
-     * strays recover_leaks() relinks, and the blocks active log records
-     * pin.  Read-only; quiescent callers only.
+     * strays recover_leaks() relinks, the blocks active log records
+     * pin, and the chunk tails no block was carved in.  Read-only;
+     * quiescent callers only.
      */
     struct Census
     {
         std::vector<uint64_t> strays; ///< relinkable payloads, ascending,
                                       ///< pinned ones removed
         std::vector<uint64_t> pins;   ///< reserved raw payloads, ascending
+        /** Unused chunk tails [first, second), ascending, none holding
+         *  a pin.  Only an attach's census may hand them out: later,
+         *  the chunks this attach's threads carve from have tails too. */
+        std::vector<std::pair<uint64_t, uint64_t>> tails;
         uint64_t cls_blocks[kNumClasses] = {}; ///< exact-class blocks
         uint64_t cls_unlive[kNumClasses] = {}; ///< ... not LIVE
         uint64_t oversize_live = 0;
@@ -379,14 +386,6 @@ class NvHeap
     TypeId block_type(uint64_t payload_off) const;
 
     /**
-     * Complete phase 2 of every parked free in every thread cache and
-     * empty the caches.  Quiescent callers only (GC/compaction prep:
-     * after this no transient cache references any block, so retiring
-     * a chunk cannot orphan a parked entry).
-     */
-    void flush_transient_caches(PersistDomain& dom);
-
-    /**
      * Test hook fired at every durable protocol step (fence-adjacent
      * points in alloc, free, spill, refill, link).  Crash-sweep tests
      * install a counting hook that throws to simulate a crash at an
@@ -396,7 +395,7 @@ class NvHeap
     void set_crash_hook(std::function<void()> hook_fn);
 
   private:
-    friend class HeapGc; ///< mark/sweep + compaction (heap_gc.h)
+    friend class HeapGc; ///< reachability audit (heap_gc.h)
 
     /** fn(payload, size, meta) for every block, serially, stopping at
      *  the first inconsistent header; false if there was one. */
@@ -425,11 +424,12 @@ class NvHeap
         uint64_t bump;       ///< next unused global arena offset
         uint64_t end;        ///< arena end offset
         uint64_t epoch;      ///< attach epoch (bumped durably per attach)
-        uint64_t chunk_free; ///< head of retired-chunk list (0 = empty;
-                             ///< zero on pre-GC images, so backward
-                             ///< compatible).  Next link of a retired
-                             ///< chunk lives in its first header slot.
-        uint64_t compact_journal; ///< relocation journal block (0 = none)
+        /** Retired-chunk list head of older images; ignored (their
+         *  retired chunks walk as empty, so their tails are reused). */
+        uint64_t pad_chunk_free;
+        /** Relocation journal of older images' offline compaction;
+         *  attach refuses an image where it is non-zero. */
+        uint64_t old_journal;
         uint64_t pad0[2];
         ShardList shards[kNumShards];
     };
@@ -531,17 +531,15 @@ class NvHeap
         return (raw + 8 + 63) & ~uint64_t{63};
     }
 
-    /** Refill the thread's chunk: retired-chunk list first, then the
-     *  global arena bump. */
+    /** Refill the thread's chunk: the attach census's orphaned chunk
+     *  tails first, then the global arena bump. */
     bool refill_chunk(ThreadCache& tc, PersistDomain& dom);
 
     /** Pop from one shard's class list; 0 if empty. */
     uint64_t shard_pop(size_t shard, size_t cls, PersistDomain& dom);
 
-    /** Spill half (or, for the GC, all) of one transient class cache
-     *  to the home shard. */
-    void spill_cache(ThreadCache& tc, size_t cls, PersistDomain& dom,
-                     bool spill_all = false);
+    /** Spill half of one transient class cache to the home shard. */
+    void spill_cache(ThreadCache& tc, size_t cls, PersistDomain& dom);
 
     /** Carve an exact-size block from the global arena (oversize and
      *  arena-tail allocations).  A claimed block is carved FREEING. */
@@ -598,7 +596,7 @@ class NvHeap
     std::atomic<uint64_t>* m_shard_pop_;
     std::atomic<uint64_t>* m_leak_reclaim_;
     std::atomic<uint64_t>* m_oversize_;
-    std::atomic<uint64_t>* m_chunk_reuse_;
+    std::atomic<uint64_t>* m_tail_reuse_;
     std::atomic<uint64_t>* m_blocks_walked_;
 
     // Per-size-class occupancy accounting (transient estimates kept at
@@ -614,19 +612,21 @@ class NvHeap
     std::atomic<uint64_t> oversize_freed_bytes_{0};
 
     ReclaimStats reclaim_stats_; ///< under refill_mutex_ (recover_leaks)
+    /** The attach census's chunk tails not yet handed out, popped from
+     *  the back; under refill_mutex_. */
+    std::vector<std::pair<uint64_t, uint64_t>> tails_;
 
     /** What a census's validity is judged by: allocator state that any
      *  change to a block's state moves. */
     struct Marks
     {
-        uint64_t epoch, bump, chunk_free;
+        uint64_t epoch, bump;
         uint64_t ops; ///< sum of the per-instance class counters
         bool operator==(const Marks&) const = default;
     };
     Marks marks() const;
 
-    // Under refill_mutex_ once constructed.  HeapGc resets census_ so
-    // its reclaims walk afresh.
+    // Under refill_mutex_ once constructed.
     std::optional<Census> census_;
     Marks census_marks_{};
     CensusStats census_stats_;

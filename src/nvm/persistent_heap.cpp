@@ -45,7 +45,15 @@ PersistentHeap::PersistentHeap(const Options& opts)
         fd_ = ::open(opts.path.c_str(), O_RDWR | O_CREAT, 0644);
         if (fd_ < 0)
             fatal("PersistentHeap: cannot open %s", opts.path.c_str());
-        if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0)
+        uint64_t magic = 0;
+        existing = existing
+                   && ::pread(fd_, &magic, sizeof(magic), 0) == sizeof(magic)
+                   && magic == kMagic;
+        // A heap not reopened starts from zeroes: a reset or resized
+        // file would keep the old image's block headers, and a chunk
+        // carved over them would walk them as blocks.
+        if ((!existing && ::ftruncate(fd_, 0) != 0)
+            || ::ftruncate(fd_, static_cast<off_t>(size_)) != 0)
             fatal("PersistentHeap: ftruncate(%s) failed",
                   opts.path.c_str());
         base_ = mmap(nullptr, size_, PROT_READ | PROT_WRITE, MAP_SHARED,

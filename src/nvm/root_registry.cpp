@@ -25,10 +25,6 @@ TypeRegistry::TypeRegistry()
     TypeDescriptor buf;
     buf.name = "log_buffer";
     register_type(TypeId::kLogBuffer, std::move(buf));
-
-    TypeDescriptor journal;
-    journal.name = "gc_journal";
-    register_type(TypeId::kGcJournal, std::move(journal));
 }
 
 void

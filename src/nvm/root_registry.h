@@ -18,13 +18,11 @@
  *  - TypeId: a 7-bit type tag carried in every block header's meta
  *    word (co-located in the block's own first cache line, after
  *    *Fine-Grain Checkpointing with In-Cache-Line Logging*: marking
- *    and relocation read it without touching mutator-hot lines).
+ *    reads it without touching mutator-hot lines).
  *  - TypeDescriptor: per-type layout facts -- expected payload size,
  *    fixed link-field offsets, an optional dynamic link enumerator
- *    for variable-shape blocks (hash-bucket arrays), and an optional
- *    relocation pin (log records of interrupted FASEs hold register
- *    snapshots the GC cannot retarget, so they pin the heap against
- *    compaction until recovery clears them).
+ *    for variable-shape blocks (hash-bucket arrays), and the blocks
+ *    an interrupted FASE's log record reserves.
  *  - RootRegistry: a static declaration, per RootSlot, of what the
  *    slot *is* -- a traced block reference, a scalar counter
  *    (kLockEpoch), or allocator-internal state (kAllocator) -- with
@@ -34,8 +32,7 @@
  * apps/, baselines/, ido/) at static-initialization time, so the id
  * namespace lives here but the offsetof() truth stays with the struct.
  * A block whose TypeId was never described is treated conservatively:
- * reachable if marked, but opaque -- audit reports it, and repair
- * refuses to reclaim around it.
+ * reachable if marked, but opaque -- audit reports it.
  */
 #pragma once
 
@@ -61,7 +58,7 @@ enum class TypeId : uint8_t
 {
     kUntyped = 0,   ///< legacy / opaque: conservatively kept, never traced
     kLogBuffer,     ///< baseline per-thread log buffer (opaque leaf)
-    kGcJournal,     ///< compaction relocation journal (allocator-internal)
+    kRetired2,      ///< unused: keeps every later id's number stable
     // ds/
     kListNode,      ///< ds::PListNode (also hash-map chain nodes)
     kMapRoot,       ///< ds::PMapRoot + inline bucket sentinels
@@ -116,16 +113,6 @@ struct TypeDescriptor
     std::function<void(const PersistentHeap&, uint64_t payload_off,
                        std::vector<uint64_t>* out)>
         enumerate_link_fields;
-
-    /**
-     * True if this block currently pins the heap against relocation:
-     * a log record of an interrupted FASE whose register snapshot
-     * holds heap offsets the GC cannot see.  Compaction refuses to
-     * move anything while any pinning block exists (it still retires
-     * fully-empty chunks, which never invalidates an offset).
-     */
-    std::function<bool(const PersistentHeap&, uint64_t payload_off)>
-        pins_relocation;
 
     /**
      * Blocks this LIVE block durably claims although they need not be

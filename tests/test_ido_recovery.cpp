@@ -915,16 +915,14 @@ TEST(IdoRecovery, RecoveryReadsEveryHeaderOnce)
         world.shadow.drain_all();
         world.expect_clean_heap(where);
 
-        // A leak planted now is found by HeapGc repair's own walk.
+        // A leak planted now is found by the audit's own walk.
         nvm::NvHeap& alloc = world.runtime->allocator();
         const uint64_t leak = alloc.alloc(sizeof(apps::McItem), world.shadow,
                                           nvm::TypeId::kMcItem);
         ASSERT_NE(leak, 0u);
         world.shadow.drain_all();
-        const nvm::GcStats s =
-            nvm::HeapGc(alloc, world.shadow).repair();
-        EXPECT_EQ(s.reclaimed_blocks, 1u) << where << " " << s.to_json();
-        EXPECT_FALSE(alloc.is_live(leak, world.shadow)) << where;
+        const nvm::GcStats s = nvm::HeapGc(alloc, world.shadow).audit();
+        EXPECT_EQ(s.leaked_blocks, 1u) << where << " " << s.to_json();
     }
 }
 

@@ -8,6 +8,8 @@
  * protocol: after any crash the heap must check consistent, nothing
  * may be handed out twice, and leak reclamation must converge.  A
  * census split across threads must find what the serial walk finds.
+ * A restart hands the dead run's chunk tails and free blocks out
+ * before the arena grows, and a reset file heap keeps no old block.
  */
 #include <gtest/gtest.h>
 
@@ -15,8 +17,11 @@
 #include <atomic>
 #include <cstring>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "ido/ido_runtime.h"
@@ -715,17 +720,8 @@ TEST(NvHeapCensus, SplitFindsWhatTheSerialWalkFinds)
             ASSERT_NE(oversize.back(), 0u);
         }
     }
-    // A chunk another thread fills and empties retires onto the reuse
-    // list at compaction.
-    std::thread([&] {
-        uint64_t b[3];
-        for (uint64_t& x : b)
-            x = h.alloc(4096, dom);
-        for (const uint64_t x : b)
-            h.free_block(x, dom);
-    }).join();
-    const GcStats gc = HeapGc(h, dom).compact();
-    ASSERT_GE(gc.chunks_retired, 1u) << gc.to_json();
+    // Another thread's chunk holds one small block ahead of its tail.
+    std::thread([&] { ASSERT_NE(h.alloc(64, dom), 0u); }).join();
 
     // Strays: a stale FREEING block and an unlisted FREE one.  A third
     // stray and a LIVE block are named by the record's current
@@ -757,11 +753,15 @@ TEST(NvHeapCensus, SplitFindsWhatTheSerialWalkFinds)
     EXPECT_EQ(serial.pins, (std::vector<uint64_t>{big[30], big[40]}));
     // The thread's log record is an oversize-shaped block too.
     EXPECT_EQ(serial.oversize_live, oversize.size() + recs.size());
+    // Three 4 KiB blocks leave every chunk a tail.
+    EXPECT_EQ(serial.tails.size(),
+              serial.stats.extents - oversize.size() - recs.size());
     EXPECT_EQ(serial.cls_blocks[NvHeap::kNumClasses - 1], big.size());
     EXPECT_EQ(serial.cls_unlive[NvHeap::kNumClasses - 1], 4u);
 
     EXPECT_EQ(split.strays, serial.strays);
     EXPECT_EQ(split.pins, serial.pins);
+    EXPECT_EQ(split.tails, serial.tails);
     for (size_t c = 0; c < NvHeap::kNumClasses; ++c) {
         EXPECT_EQ(split.cls_blocks[c], serial.cls_blocks[c]) << c;
         EXPECT_EQ(split.cls_unlive[c], serial.cls_unlive[c]) << c;
@@ -789,6 +789,138 @@ TEST(NvHeapCensus, SplitFindsWhatTheSerialWalkFinds)
     EXPECT_LT(cut_serial.stats.blocks, serial.stats.blocks);
     EXPECT_EQ(cut_split.stats.blocks, cut_serial.stats.blocks);
     EXPECT_EQ(cut_split.strays, cut_serial.strays);
+}
+
+// --------------------------------------------------------------------------
+// Restart: the next attach reuses what the dead run left
+// --------------------------------------------------------------------------
+
+TEST(NvHeapRestart, AttachHandsBackChunkTails)
+{
+    PersistentHeap heap({.size = 4u << 20});
+    RealDomain dom;
+    uint64_t first = 0;
+    {
+        // One block, then the run dies: the rest of its chunk is a tail.
+        NvHeap dead(heap, dom);
+        first = dead.alloc(48, dom);
+        ASSERT_NE(first, 0u);
+    }
+    NvHeap h(heap, dom);
+    const NvHeap::Census c = h.take_census();
+    ASSERT_EQ(c.tails.size(), 1u);
+    EXPECT_EQ(c.tails[0].first, first + 48);
+    const uint64_t remaining = h.arena_remaining();
+    EXPECT_EQ(h.alloc(48, dom), first + 48 + 16);
+    EXPECT_EQ(h.arena_remaining(), remaining);
+    EXPECT_TRUE(h.check_consistency());
+}
+
+TEST(NvHeapRestart, TailHoldingAPinIsNotHandedOut)
+{
+    PersistentHeap heap({.size = 4u << 20});
+    RealDomain dom;
+    IdoRuntime rt(heap, dom, rt::RuntimeConfig{});
+    NvHeap& h = rt.allocator();
+    auto th = rt.make_thread();
+    const uint64_t first = h.alloc(48, dom);
+    ASSERT_NE(first, 0u);
+    // An interrupted FASE claimed the chunk's next block, and the crash
+    // lost the block's header: the walk sees the tail start there.
+    const uint64_t claimed = first + 48 + 16;
+    auto* rec = heap.resolve<IdoLogRec>(
+        rt.log_records(RootSlot::kIdoLogHead).at(0));
+    constexpr uint32_t kInst = 5;
+    rec->entries[0] = {make_entry_tag(kInst, LogEntryKind::kAlloc, 1, 0, 0),
+                       make_entry_block(claimed)};
+    rec->recovery_pc = pack_recovery_pc(1, 1, kInst, 2);
+    const auto holds_claim = [&](const std::pair<uint64_t, uint64_t>& t) {
+        return t.first < claimed && claimed < t.second;
+    };
+    NvHeap::Census c = h.take_census();
+    EXPECT_EQ(c.pins, std::vector<uint64_t>{claimed});
+    EXPECT_TRUE(std::none_of(c.tails.begin(), c.tails.end(), holds_claim));
+    // Once the FASE is resumed and retired, the tail is free again.
+    rec->recovery_pc = kInactivePc;
+    c = h.take_census();
+    EXPECT_TRUE(std::any_of(c.tails.begin(), c.tails.end(), holds_claim));
+}
+
+TEST(NvHeapRestart, StealsStraysBeforeGrowingTheArena)
+{
+    PersistentHeap heap({.size = 4u << 20});
+    RealDomain dom;
+    std::set<uint64_t> dead_blocks;
+    {
+        NvHeap dead(heap, dom);
+        heap.mark_running(dom);
+        std::vector<uint64_t> blocks;
+        for (size_t i = 0; i < NvHeap::kCacheCap; ++i)
+            blocks.push_back(dead.alloc(48, dom));
+        // Half spill to the home shard; the rest die parked.
+        for (const uint64_t b : blocks)
+            dead.free_block(b, dom);
+        dom.fence();
+        dead_blocks.insert(blocks.begin(), blocks.end());
+    }
+    heap.simulate_fresh_open();
+    ASSERT_TRUE(heap.recovered_from_crash());
+    NvHeap h(heap, dom); // relinks the parked blocks over every shard
+    ASSERT_EQ(h.reclaim_stats().blocks, NvHeap::kCacheCap / 2);
+    const uint64_t remaining = h.arena_remaining();
+    for (size_t i = 0; i < NvHeap::kCacheCap; ++i) {
+        const uint64_t off = h.alloc(48, dom);
+        EXPECT_EQ(dead_blocks.erase(off), 1u)
+            << "alloc " << i << " carved 0x" << std::hex << off
+            << " while the dead run's blocks were free";
+    }
+    EXPECT_EQ(h.arena_remaining(), remaining);
+    EXPECT_TRUE(h.check_consistency());
+}
+
+TEST(NvHeapRestart, ResetFileHeapKeepsNoOldBlock)
+{
+    const std::string path = ::testing::TempDir() + "nvheap_reset_"
+                             + std::to_string(::getpid()) + ".heap";
+    constexpr size_t kBytes = 4u << 20;
+    RealDomain dom;
+    {
+        // Fill a dozen chunks with live and freed blocks.
+        PersistentHeap heap({.path = path, .size = kBytes});
+        NvHeap h(heap, dom);
+        std::vector<uint64_t> blocks;
+        for (int i = 0; i < 3000; ++i)
+            blocks.push_back(h.alloc(48, dom, TypeId::kMcItem));
+        for (size_t i = 0; i < blocks.size(); i += 2)
+            h.free_block(blocks[i], dom);
+    }
+    {
+        PersistentHeap heap({.path = path, .size = kBytes, .reset = true});
+        NvHeap h(heap, dom);
+        // Part of one chunk, carved over where the old blocks were.
+        constexpr uint64_t kCarved = 10;
+        for (uint64_t i = 0; i < kCarved; ++i)
+            ASSERT_NE(h.alloc(48, dom, TypeId::kMcItem), 0u);
+        const NvHeap::Census c = h.take_census();
+        EXPECT_EQ(c.stats.blocks, kCarved);
+        const GcStats s = HeapGc(h, dom).audit();
+        EXPECT_EQ(s.blocks, kCarved) << s.to_json();
+        EXPECT_EQ(s.live_blocks, kCarved);
+        EXPECT_EQ(s.free_blocks, 0u);
+        EXPECT_EQ(s.chunks, 1u);
+    }
+    ::unlink(path.c_str());
+}
+
+TEST_F(NvHeapDeath, CompactedImageIsRefused)
+{
+    // An older build's compaction left its relocation journal in the
+    // HeapState word after {magic, bump, end, epoch, chunk list}.
+    uint64_t* state =
+        heap.resolve<uint64_t>(heap.root(RootSlot::kAllocator));
+    state[5] = heap.arena_begin() + 4096;
+    EXPECT_DEATH({ NvHeap again(heap, dom); },
+                 "compacted by an older build");
 }
 
 } // namespace

@@ -18,6 +18,10 @@
  *
  * - Soak: repeats that crash cycle for $IDO_SOAK_SECONDS (default 2;
  *   CI runs 30) with a seeded random kill point per round.
+ *
+ * - RestartsKeepHeapChunksFlat: set/delete churn killed with -9 and
+ *   restarted round after round; the heap's carved chunks must not
+ *   grow, since each attach hands the dead run's free space back.
  */
 #include <gtest/gtest.h>
 
@@ -42,6 +46,7 @@
 #include "net/admin.h"
 #include "net/memc_client.h"
 #include "net/server.h"
+#include "nvm/heap_gc.h"
 #include "nvm/persist_domain.h"
 #include "nvm/persistent_heap.h"
 #include "stats/metrics.h"
@@ -593,6 +598,75 @@ TEST(KillNine, Soak)
     std::printf("soak: %d crash/recover rounds, %llu writes modeled\n",
                 rounds,
                 static_cast<unsigned long long>(next_value - 1));
+}
+
+/**
+ * The CI churn soak's traffic, 50% set / 40% delete / 10% get over
+ * 4096 keys, so live blocks stay flat and any heap growth is space a
+ * restart failed to reuse.  After each round the server dies by kill
+ * -9 once every reply is in, and the heap is recovered and audited in
+ * process, as `ido_heap audit` does.
+ */
+TEST(KillNine, RestartsKeepHeapChunksFlat)
+{
+    const char* bin = serve_bin();
+    if (!bin)
+        GTEST_SKIP() << "IDO_SERVE_BIN not set";
+    TempDir dir;
+    ASSERT_FALSE(dir.path.empty());
+    const std::string heap_path = dir.path + "/cache.heap";
+    const std::string port_path = dir.path + "/port";
+    constexpr int kRounds = 8;
+    constexpr int kBatches = 160; // of 256 requests per round
+    Rng rng(42);
+    std::vector<uint64_t> chunks;
+    for (int round = 0; round < kRounds; ++round) {
+        ServerProcess sp = spawn_server(bin, heap_path, port_path, 4,
+                                        /*reset=*/round == 0);
+        ASSERT_GT(sp.pid, 0) << "server failed to start, round " << round;
+        struct KillOnExit
+        {
+            ServerProcess& sp;
+            ~KillOnExit() { kill_server(sp); } // a failed ASSERT too
+        } kill_on_exit{sp};
+        MemcClient c;
+        ASSERT_TRUE(c.connect_retry("127.0.0.1", sp.port, 100, 20));
+        for (int b = 0; b < kBatches; ++b) {
+            for (int i = 0; i < 256; ++i) {
+                const std::string key =
+                    "key" + std::to_string(rng.next_below(4096));
+                const uint64_t r = rng.next_below(10);
+                if (r < 5)
+                    c.pipeline_set(key, rng.next());
+                else if (r < 9)
+                    c.pipeline_del(key);
+                else
+                    c.pipeline_get(key);
+            }
+            ASSERT_EQ(c.pipeline_flush(), 256u) << "round " << round;
+        }
+        c.close();
+        kill_server(sp);
+
+        nvm::PersistentHeap heap({.path = heap_path, .size = 64u << 20});
+        nvm::RealDomain dom;
+        IdoRuntime rt(heap, dom, rt::RuntimeConfig{});
+        apps::MemcachedMini::register_programs();
+        ASSERT_TRUE(heap.recovered_from_crash());
+        rt.recover();
+        const nvm::GcStats s = nvm::HeapGc(rt.allocator(), dom).audit();
+        heap.mark_clean(dom);
+        EXPECT_EQ(s.leaked_blocks, 0u) << "round " << round << " "
+                                       << s.to_json();
+        EXPECT_EQ(s.dangling_links, 0u) << "round " << round;
+        chunks.push_back(s.chunks);
+    }
+    std::string trend;
+    for (const uint64_t n : chunks)
+        trend += std::to_string(n) + " ";
+    EXPECT_EQ(chunks.back(), chunks.front())
+        << "carved chunks per round: " << trend;
+    std::printf("chunks per round: %s\n", trend.c_str());
 }
 
 } // namespace

@@ -1,27 +1,22 @@
 /**
  * @file
- * ido_heap: offline heap maintenance CLI for NvHeap v2.
+ * ido_heap: offline heap inspection CLI for NvHeap v2.
  *
- * Attaches to an ido heap file and runs the reachability GC against
- * it.  A dirty heap (crash flag set) is first taken through full iDO
- * recovery -- resumed FASEs retire their log records, which would
- * otherwise pin the heap -- unless --no-recover asks for a raw look.
+ * Attaches to an ido heap file and runs the reachability audit
+ * against it.  A dirty heap (crash flag set) is first taken through
+ * full iDO recovery -- resumed FASEs finish and retire their log
+ * entries -- unless --no-recover asks for a raw look.
  *
  * Subcommands:
  *   audit    read-only census + leak/dangling report.  Exit 1 when
  *            any unreachable-live block or dangling link is found.
- *   gc       audit + reclaim unreachable blocks (HeapGc::repair).
- *            Exit 1 if reclamation was refused (reachable opaque
- *            block) or findings remain.
- *   compact  gc, then relocate live blocks out of sparse chunks and
- *            retire the emptied chunks onto the reuse list.
  *   stats    census only, always exit 0 (monitoring-friendly).
  *   selftest build a throwaway heap in-process, run a churn workload
- *            through the iDO runtime, and exercise
- *            audit/repair/compact end to end (CI hook; no --heap).
+ *            through the iDO runtime, and check the audit's counts
+ *            end to end (CI hook; no --heap).
  *
  * Usage:
- *   ido_heap <audit|gc|compact|stats> --heap=PATH [--heap-bytes=N]
+ *   ido_heap <audit|stats> --heap=PATH [--heap-bytes=N]
  *            [--json] [--no-recover]
  *   ido_heap selftest [--json]
  *
@@ -60,7 +55,7 @@ int
 usage()
 {
     std::fprintf(stderr,
-                 "usage: ido_heap <audit|gc|compact|stats> --heap=PATH\n"
+                 "usage: ido_heap <audit|stats> --heap=PATH\n"
                  "                [--heap-bytes=N] [--json] "
                  "[--no-recover]\n"
                  "       ido_heap selftest [--json]\n");
@@ -76,40 +71,22 @@ print_human(const char* cmd, const nvm::GcStats& s)
                 static_cast<unsigned long long>(s.blocks),
                 static_cast<unsigned long long>(s.bytes),
                 static_cast<unsigned long long>(s.chunks));
-    std::printf("%-22s live %llu (%llu B)  free %llu  moved %llu\n",
-                "states:",
+    std::printf("%-22s live %llu (%llu B)  free %llu\n", "states:",
                 static_cast<unsigned long long>(s.live_blocks),
                 static_cast<unsigned long long>(s.live_bytes),
-                static_cast<unsigned long long>(s.free_blocks),
-                static_cast<unsigned long long>(s.moved_blocks));
+                static_cast<unsigned long long>(s.free_blocks));
     std::printf("%-22s leaked %llu (%llu B)  dangling %llu  "
-                "opaque %llu  pinned %llu\n",
+                "opaque %llu\n",
                 "findings:",
                 static_cast<unsigned long long>(s.leaked_blocks),
                 static_cast<unsigned long long>(s.leaked_bytes),
                 static_cast<unsigned long long>(s.dangling_links),
-                static_cast<unsigned long long>(s.opaque_live),
-                static_cast<unsigned long long>(s.pinned_blocks));
-    std::printf("%-22s reclaimed %llu (%llu B)  relocated %llu (%llu B)"
-                "  retired %llu chunks  journal-resolved %llu\n",
-                "actions:",
-                static_cast<unsigned long long>(s.reclaimed_blocks),
-                static_cast<unsigned long long>(s.reclaimed_bytes),
-                static_cast<unsigned long long>(s.relocated_blocks),
-                static_cast<unsigned long long>(s.relocated_bytes),
-                static_cast<unsigned long long>(s.chunks_retired),
-                static_cast<unsigned long long>(s.journal_resolved));
+                static_cast<unsigned long long>(s.opaque_live));
     std::printf("%-22s index %.1f ms  mark %.1f ms (%llu thr)  "
-                "census %.1f ms  reclaim %.1f ms\n",
+                "census %.1f ms\n",
                 "phases:", s.index_ns / 1e6, s.mark_ns / 1e6,
                 static_cast<unsigned long long>(s.mark_threads),
-                s.census_ns / 1e6, s.reclaim_ns / 1e6);
-    if (s.repair_refused)
-        std::printf("NOTE: reclamation refused (reachable opaque "
-                    "block)\n");
-    if (s.relocation_refused)
-        std::printf("NOTE: relocation refused (pinned or opaque live "
-                    "blocks); empty chunks still retired\n");
+                s.census_ns / 1e6);
     for (const std::string& f : s.findings)
         std::printf("  - %s\n", f.c_str());
 }
@@ -122,25 +99,6 @@ report(const char* cmd, const nvm::GcStats& s, bool json)
     else
         print_human(cmd, s);
     std::fflush(stdout);
-}
-
-/**
- * Exit policy per subcommand.  An audit fails on any leak; gc reports
- * the leaks it *found* in its stats, so reclaiming them is success and
- * only a refusal (or a dangling link, which nothing can repair) fails;
- * compact runs after reclamation and can legitimately refuse
- * relocation while pins exist, so only dangling links fail it.
- */
-bool
-clean(const std::string& cmd, const nvm::GcStats& s)
-{
-    if (s.dangling_links != 0)
-        return false;
-    if (cmd == "audit")
-        return s.leaked_blocks == 0;
-    if (cmd == "gc")
-        return !s.repair_refused;
-    return true; // compact
 }
 
 int
@@ -162,37 +120,30 @@ run_file_command(const std::string& cmd, const std::string& heap_path,
     else if (was_dirty)
         std::fprintf(stderr,
                      "ido_heap: heap is dirty (crashed) and "
-                     "--no-recover was given; expect pinned log "
-                     "records\n");
+                     "--no-recover was given; an interrupted FASE's "
+                     "blocks may read as leaks\n");
 
-    nvm::HeapGc gc(rt.allocator(), dom);
-    nvm::GcStats s;
-    if (cmd == "audit" || cmd == "stats")
-        s = gc.audit();
-    else if (cmd == "gc")
-        s = gc.repair();
-    else // compact (reclaims leaks first so their chunks can empty)
-        s = gc.compact();
+    const nvm::GcStats s = nvm::HeapGc(rt.allocator(), dom).audit();
     nvm::HeapGc::publish(s);
 
-    // A recovered-and-swept heap is consistent; record the clean
-    // shutdown so the next attach skips recovery.  A dirty heap we
-    // refused to recover keeps its crash flag.
+    // A recovered heap is consistent; record the clean shutdown so the
+    // next attach skips recovery.  A dirty heap we refused to recover
+    // keeps its crash flag.
     if (!was_dirty || !no_recover)
         heap.mark_clean(dom);
 
     report(cmd.c_str(), s, json);
     if (cmd == "stats")
         return 0;
-    return clean(cmd, s) ? 0 : 1;
+    return s.leaked_blocks == 0 && s.dangling_links == 0 ? 0 : 1;
 }
 
 /**
  * In-process end-to-end exercise on a throwaway heap: churn a
  * memcached + redis corpus through the iDO runtime, verify the audit
- * is clean, plant typed leaks and reclaim them, then delete most of
- * the corpus and compact, checking every surviving key's value
- * afterwards.  Returns 0 on pass, 1 with a FAIL line on the first
+ * is clean, plant typed leaks and check the audit counts exactly
+ * them, free them and check it is clean again with every surviving
+ * key intact.  Returns 0 on pass, 1 with a FAIL line on the first
  * violated expectation.
  */
 int
@@ -211,8 +162,7 @@ run_selftest(bool json)
     ido::IdoRuntime rt(heap, dom, rt::RuntimeConfig{});
     apps::MemcachedMini::register_programs();
     apps::RedisMini::register_programs();
-    // The selftest's leak blocks are typed leaves, so the GC can both
-    // count and reclaim them without tripping the opaque veto.
+    // The selftest's leak blocks are typed leaves.
     nvm::TypeDescriptor leak_desc;
     leak_desc.name = "heapcli.leak";
     nvm::TypeRegistry::instance().register_type(nvm::TypeId::kTestBlock,
@@ -238,77 +188,53 @@ run_selftest(bool json)
         cache.del(*th, k, k ^ 0x5a5a);
 
     nvm::HeapGc gc(rt.allocator(), dom);
-    nvm::GcStats s = gc.audit();
-    expect(s.leaked_blocks == 0, "clean corpus audits zero leaks");
-    expect(s.dangling_links == 0, "clean corpus has no dangling links");
-    expect(s.live_blocks > kKeys, "corpus blocks are all visible");
+    const nvm::GcStats base = gc.audit();
+    expect(base.leaked_blocks == 0, "clean corpus audits zero leaks");
+    expect(base.dangling_links == 0, "clean corpus has no dangling links");
+    expect(base.live_blocks > kKeys, "corpus blocks are all visible");
 
     // Plant typed leaks: allocated through the runtime, never rooted.
     constexpr uint64_t kLeaks = 8;
-    for (uint64_t i = 0; i < kLeaks; ++i)
-        expect(th->nv_alloc_as(nvm::TypeId::kTestBlock, 48 + i * 16)
-                   != 0,
-               "leak allocation succeeds");
-    s = gc.audit();
+    std::vector<uint64_t> leaks;
+    uint64_t leaked_bytes = 0;
+    for (uint64_t i = 0; i < kLeaks; ++i) {
+        leaks.push_back(
+            th->nv_alloc_as(nvm::TypeId::kTestBlock, 48 + i * 16));
+        expect(leaks.back() != 0, "leak allocation succeeds");
+        // Header (size word, meta word) plus class-rounded payload.
+        const uint64_t raw = rt.allocator().raw_payload(leaks.back(), dom);
+        leaked_bytes += *heap.resolve<uint64_t>(raw - 16) + 16;
+    }
+    nvm::GcStats s = gc.audit();
     expect(s.leaked_blocks == kLeaks, "audit counts planted leaks");
+    expect(s.leaked_bytes == leaked_bytes, "audit sizes planted leaks");
+    expect(s.live_blocks == base.live_blocks + kLeaks,
+           "leaks are live blocks");
+    expect(s.findings.size() == kLeaks, "one finding per leak");
 
-    s = gc.repair();
-    expect(!s.repair_refused, "typed corpus permits reclamation");
-    expect(s.reclaimed_blocks == kLeaks, "repair reclaims the leaks");
-    s = gc.audit();
-    expect(s.leaked_blocks == 0, "post-repair audit is clean");
-
-    // Empty out most chunks, then compact and re-verify content.
+    for (const uint64_t off : leaks)
+        rt.allocator().free_block(off, dom);
     for (uint64_t k = 0; k < kKeys; ++k)
         if (k % 3 != 0 && k % 16 != 1)
             cache.del(*th, k, k ^ 0x5a5a);
-    for (uint64_t k = 0; k < kKeys; k += 2)
-        if (k % 8 != 2)
-            store.del(*th, k);
-    s = gc.compact();
-    expect(!s.relocation_refused, "quiescent heap permits relocation");
-    expect(s.chunks_retired > 0, "compaction retires emptied chunks");
-    expect(s.leaked_blocks == 0, "compaction census stays clean");
-    // Compaction may relocate the root blocks themselves; transient
-    // handles must be re-resolved from the rewritten root slots (the
-    // quiescence contract every GC caller signs up to).
-    const uint64_t mc_root2 =
-        nvm::RootRegistry::get_ref(heap, nvm::RootSlot::kAppRoot);
-    const uint64_t rd_root2 =
-        nvm::RootRegistry::get_ref(heap, nvm::RootSlot::kUser0);
-    apps::MemcachedMini cache2(heap, mc_root2);
-    apps::RedisMini store2(heap, rd_root2);
+    s = gc.audit();
+    expect(s.leaked_blocks == 0 && s.dangling_links == 0,
+           "freed leaks leave a clean audit");
     for (uint64_t k = 0; k < kKeys; ++k) {
         uint64_t v = 0;
-        const bool hit = cache2.get(*th, k, k ^ 0x5a5a, &v);
-        const bool want = k % 3 != 0 && k % 16 == 1;
-        if (want)
-            expect(hit && v == k * 3 + 1,
-                   "surviving key intact after compaction");
+        const bool hit = cache.get(*th, k, k ^ 0x5a5a, &v);
+        if (k % 3 != 0 && k % 16 == 1)
+            expect(hit && v == k * 3 + 1, "surviving key intact");
         else
-            expect(!hit, "deleted key stays deleted after compaction");
+            expect(!hit, "deleted key stays deleted");
     }
-    for (uint64_t k = 0; k < kKeys; k += 2) {
-        uint64_t v = 0;
-        const bool hit = store2.get(*th, k, &v);
-        if (k % 8 == 2)
-            expect(hit && v == k + 1000,
-                   "surviving redis key intact after compaction");
-        else
-            expect(!hit,
-                   "deleted redis key stays deleted after compaction");
-    }
-    expect(rt.allocator().check_consistency(),
-           "allocator consistent after compaction");
-    const nvm::GcStats after = gc.audit();
-    expect(after.leaked_blocks == 0 && after.dangling_links == 0,
-           "post-compaction audit is clean");
-    expect(apps::MemcachedMini::check_invariants(heap, mc_root2),
-           "memcached invariants hold after compaction");
-    expect(apps::RedisMini::check_invariants(heap, rd_root2),
-           "redis invariants hold after compaction");
+    expect(rt.allocator().check_consistency(), "allocator consistent");
+    expect(apps::MemcachedMini::check_invariants(heap, mc_root),
+           "memcached invariants hold");
+    expect(apps::RedisMini::check_invariants(heap, rd_root),
+           "redis invariants hold");
 
-    report("selftest", after, json);
+    report("selftest", s, json);
     if (failures == 0)
         std::printf("selftest PASS\n");
     else
@@ -345,8 +271,7 @@ main(int argc, char** argv)
 
     if (cmd == "selftest")
         return run_selftest(json);
-    if (cmd != "audit" && cmd != "gc" && cmd != "compact"
-        && cmd != "stats")
+    if (cmd != "audit" && cmd != "stats")
         return usage();
     if (heap_path.empty() || heap_bytes < (1u << 20))
         return usage();

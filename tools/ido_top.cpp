@@ -200,18 +200,16 @@ render(const std::map<std::string, double>& cur,
                 get(cur, "nvheap.free_pool_blocks_est"),
                 get(cur, "heap.fragmentation") / 1e4,
                 get(cur, "nvm.heap.huge_page_bytes") / (1024.0 * 1024.0));
-    std::printf("gc leaks %.0f (%.0f B)  retired %.0f chunks\n",
+    std::printf("gc leaks %.0f (%.0f B)\n",
                 get(cur, "heap.gc.leaked_blocks"),
-                get(cur, "heap.gc.leaked_bytes"),
-                get(cur, "heap.gc.chunks_retired"));
+                get(cur, "heap.gc.leaked_bytes"));
     if (get(cur, "heap.gc.runs") > 0)
         std::printf("gc last run: index %.1f ms  mark %.1f ms (%.0f thr)  "
-                    "census %.1f ms  reclaim %.1f ms\n",
+                    "census %.1f ms\n",
                     get(cur, "heap.gc.last_index_us") / 1e3,
                     get(cur, "heap.gc.last_mark_us") / 1e3,
                     get(cur, "heap.gc.last_mark_threads"),
-                    get(cur, "heap.gc.last_census_us") / 1e3,
-                    get(cur, "heap.gc.last_reclaim_us") / 1e3);
+                    get(cur, "heap.gc.last_census_us") / 1e3);
     // The crash recovery this server ran at attach, if any: its wall
     // time, and the leak-reclaim phase with the census behind it.
     if (get(cur, "recovery.count") > 0)
